@@ -7,6 +7,14 @@ the cell diagonal), stored positions are chart coordinates for visualization
 only.  That keeps the metric exactly flat, so parallel 1-forms exist exactly
 and the analytic spectra apply without embedding distortion.
 
+Connectivity uses one half-edge numbering: half-edge ``h = 3*f + s`` is side
+``s`` of face ``f`` and runs ``faces[f, s] -> faces[f, (s+1) % 3]``.  Its
+face (``h // 3``), tail vertex (``faces.ravel()[h]``), next and previous
+half-edges in the face, and undirected edge (``face_edges.ravel()[h]``) are
+index arithmetic; only ``twin``, the half-edge running the other way along
+the same edge, is stored.  Per-side quantities are (F, 3) arrays read the
+same way.
+
 All derived geometry -- corner angles, face areas, vertex areas, angle
 defects -- is computed from edge lengths alone (law of cosines / Heron), so
 embedded and intrinsic meshes go through one code path.  Validation enforces
@@ -59,20 +67,33 @@ class TriangleMesh:
         Positions.  For intrinsic meshes these are chart coordinates only.
     faces : (F, 3) int array
         Consistently oriented triangles.
-    edge_lengths : dict[(int, int), float], optional
-        Intrinsic length for every undirected edge, keyed by sorted pair.
-        When omitted, lengths come from the embedding.
-    edge_angles : dict[(int, int), float], optional
-        Direction angle of each *directed* edge in a global flat frame
-        (intrinsic meshes only); used to build tangent frames for sampling.
+    edge_lengths : (F, 3) float array, optional
+        Intrinsic length of every face side, entry [f, s] for half-edge
+        3f+s; the two sides of one edge must have the same length.  When
+        omitted, lengths come from the embedding.
     params : (V, 2) float array, optional
         Parameter-domain coordinates (tori: the (u, v) chart).
     periodic : dict, optional
-        Torus periodicity record {lx, ly, nx, ny}, persisted as a sidecar.
+        Torus periodicity record {lx, ly, nx, ny}, persisted as a sidecar;
+        chart differences of ``params`` are taken modulo (lx, ly).
+
+    Attributes
+    ----------
+    edges : (E, 2) int array
+        Undirected edges as sorted pairs (a < b), in lexicographic order.
+    face_edges : (F, 3) int array
+        Edge index of each side; ``face_edges.ravel()[h]`` for half-edge h.
+    twin : (3F,) int array
+        The opposite half-edge of every half-edge.
+    edge_lengths : (E,) float array
+        Length per edge, aligned with ``edges``.
+    corner_angles : (F, 3) float array
+        Angle at the tail of each half-edge, between it and the previous
+        half-edge of its face.
     """
 
-    def __init__(self, vertices, faces, edge_lengths=None, edge_angles=None,
-                 params=None, periodic=None):
+    def __init__(self, vertices, faces, edge_lengths=None, params=None,
+                 periodic=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -81,7 +102,6 @@ class TriangleMesh:
             raise MeshError("faces must be (F, 3)")
         if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= len(self.vertices):
             raise MeshError("face index out of range")
-        self.edge_angles = edge_angles
         self.params = None if params is None else np.asarray(params, dtype=float)
         self.periodic = periodic
 
@@ -92,46 +112,44 @@ class TriangleMesh:
     # -- construction ------------------------------------------------------
 
     def _build_edges(self) -> None:
-        f = self.faces
-        pairs = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        canon = np.sort(pairs, axis=1)
-        self.edges, inverse, counts = np.unique(canon, axis=0,
-                                                return_inverse=True,
-                                                return_counts=True)
+        n_v = len(self.vertices)
+        tails = self.faces.ravel()                  # half-edge h = 3f + s
+        heads = self.faces[:, [1, 2, 0]].ravel()
+        # an undirected edge is keyed a*V + b with a < b, so keys sort like pairs
+        keys, inverse, counts = np.unique(
+            np.minimum(tails, heads) * n_v + np.maximum(tails, heads),
+            return_inverse=True, return_counts=True)
+        self.edges = np.stack([keys // n_v, keys % n_v], axis=1)
         if not np.all(counts == 2):
             bad = self.edges[counts != 2][:5]
             raise MeshError(f"mesh not closed: edges with face count != 2, e.g. {bad.tolist()}")
         # directed edges must be unique for a consistent orientation
-        directed = {tuple(e) for e in pairs}
-        if len(directed) != len(pairs):
+        if len(np.unique(tails * n_v + heads)) != len(tails):
             raise MeshError("orientation inconsistent: repeated directed edge")
-        n_f = len(f)
-        # side s of face f is (f[s], f[(s+1)%3]); edge index per side
-        self.face_edges = inverse.reshape(3, n_f).T  # (F, 3), column s = side s
-        # the face on each side of every edge, in canonical-direction order
-        ef = np.full((len(self.edges), 2), -1, dtype=np.int64)
-        face_ids = np.tile(np.arange(n_f), 3)
-        along = pairs[:, 0] < pairs[:, 1]  # side runs in canonical direction
-        for e_idx, f_idx, is_along in zip(inverse, face_ids, along):
-            ef[e_idx, 0 if is_along else 1] = f_idx
-        if (ef < 0).any():
-            raise MeshError("orientation inconsistent: edge missing a coherent side")
-        self.edge_faces = ef
+        self.face_edges = inverse.reshape(-1, 3)
+        # the two half-edges of every edge, paired through their edge index
+        pairs = np.argsort(inverse, kind="stable").reshape(-1, 2)
+        self.twin = np.empty(len(tails), dtype=np.int64)
+        self.twin[pairs[:, 0]] = pairs[:, 1]
+        self.twin[pairs[:, 1]] = pairs[:, 0]
 
     def _build_metric(self, edge_lengths) -> None:
         if edge_lengths is None:
             diff = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
             self.edge_lengths = np.linalg.norm(diff, axis=1)
-            self.intrinsic = False
         else:
-            lengths = np.empty(len(self.edges))
-            for i, (a, b) in enumerate(self.edges):
-                key = (int(a), int(b))
-                if key not in edge_lengths:
-                    raise MeshError(f"intrinsic metric missing edge {key}")
-                lengths[i] = edge_lengths[key]
-            self.edge_lengths = lengths
-            self.intrinsic = True
+            side = np.asarray(edge_lengths, dtype=float)
+            if side.shape != self.faces.shape:
+                raise MeshError(f"edge_lengths must be (F, 3) per-side lengths, got {side.shape}")
+            side = side.ravel()
+            bad = np.flatnonzero(side != side[self.twin])
+            if len(bad):
+                h = bad[0]
+                a, b = self.edges[self.face_edges.ravel()[h]]
+                raise MeshError(f"edge ({a}, {b}) has two side lengths, "
+                                f"{side[h]!r} and {side[self.twin[h]]!r}")
+            self.edge_lengths = np.empty(len(self.edges))
+            self.edge_lengths[self.face_edges.ravel()] = side
         if np.any(self.edge_lengths <= 0):
             raise MeshError("nonpositive edge length")
 
@@ -191,26 +209,6 @@ class TriangleMesh:
         return coo_matrix((np.concatenate([w, w]),
                            (np.concatenate([i, j]), np.concatenate([j, i]))),
                           shape=(n, n))
-
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {(int(a), int(b)): i for i, (a, b) in enumerate(self.edges)}
-
-    def corner_angle_lookup(self) -> dict[tuple[int, int], float]:
-        """Map (face index, vertex id) -> interior angle at that corner."""
-        out = {}
-        for f_idx, tri in enumerate(self.faces):
-            for m in range(3):
-                out[(f_idx, int(tri[m]))] = float(self.corner_angles[f_idx, m])
-        return out
-
-    def directed_edge_faces(self) -> dict[tuple[int, int], int]:
-        """Map directed edge (a, b) -> index of the one face traversing it."""
-        out = {}
-        for f_idx, (i, j, k) in enumerate(self.faces):
-            out[(int(i), int(j))] = f_idx
-            out[(int(j), int(k))] = f_idx
-            out[(int(k), int(i))] = f_idx
-        return out
 
 
 @dataclass(frozen=True)
@@ -272,46 +270,26 @@ def generate_flat_torus(lx: float, ly: float, nx: int, ny: int) -> TriangleMesh:
         raise MeshError("torus side lengths must be positive")
     dx, dy = lx / nx, ly / ny
     diag = math.hypot(dx, dy)
-
-    def vid(i: int, j: int) -> int:
-        return (j % ny) * nx + (i % nx)
-
+    i = np.tile(np.arange(nx), ny)   # vertex id j*nx + i sits at (i*dx, j*dy)
+    j = np.repeat(np.arange(ny), nx)
+    params = np.stack([i * dx, j * dy], axis=1)
     verts = np.zeros((nx * ny, 3))
-    params = np.zeros((nx * ny, 2))
-    for j in range(ny):
-        for i in range(nx):
-            verts[vid(i, j), :2] = (i * dx, j * dy)
-            params[vid(i, j)] = (i * dx, j * dy)
+    verts[:, :2] = params
 
-    faces = []
-    lengths: dict[tuple[int, int], float] = {}
-    angles: dict[tuple[int, int], float] = {}
-    diag_angle = math.atan2(dy, dx)
-
-    def add_edge(a: int, b: int, length: float, angle: float) -> None:
-        lengths[tuple(sorted((a, b)))] = length
-        angles[(a, b)] = angle
-        angles[(b, a)] = _wrap_angle(angle + math.pi)
-
-    for j in range(ny):
-        for i in range(nx):
-            a = vid(i, j)        # cell corners: a SW, b SE, c NE, d NW
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            add_edge(a, b, dx, 0.0)
-            add_edge(a, d, dy, math.pi / 2.0)
-            if (i + j) % 2 == 0:  # up-right diagonal
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-                add_edge(a, c, diag, diag_angle)
-            else:                 # up-left diagonal
-                faces.append((a, b, d))
-                faces.append((b, c, d))
-                add_edge(b, d, diag, _wrap_angle(math.pi - diag_angle))
-
-    return TriangleMesh(verts, np.array(faces), edge_lengths=lengths,
-                        edge_angles=angles, params=params,
+    # cell j*nx + i has corners a SW, b SE, c NE, d NW and makes the two
+    # faces 2*(j*nx + i) and 2*(j*nx + i) + 1
+    a = j * nx + i
+    b = j * nx + (i + 1) % nx
+    c = (j + 1) % ny * nx + (i + 1) % nx
+    d = (j + 1) % ny * nx + i
+    up_right = ((i + j) % 2 == 0)[:, None]  # else the up-left diagonal b-d
+    first = np.where(up_right, np.stack([a, b, c], axis=1), np.stack([a, b, d], axis=1))
+    second = np.where(up_right, np.stack([a, c, d], axis=1), np.stack([b, c, d], axis=1))
+    first_len = np.where(up_right, [dx, dy, diag], [dx, diag, dy])
+    second_len = np.where(up_right, [diag, dx, dy], [dy, dx, diag])
+    faces = np.stack([first, second], axis=1).reshape(-1, 3)
+    lengths = np.stack([first_len, second_len], axis=1).reshape(-1, 3)
+    return TriangleMesh(verts, faces, edge_lengths=lengths, params=params,
                         periodic={"lx": lx, "ly": ly, "nx": nx, "ny": ny})
 
 
@@ -344,25 +322,24 @@ def generate_icosphere(radius: float, subdivisions: int) -> TriangleMesh:
     if subdivisions < 0:
         raise MeshError(f"subdivisions must be >= 0, got {subdivisions}")
     verts, faces = _icosahedron(radius)
-    verts = list(verts)
     for _ in range(subdivisions):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                p = 0.5 * (verts[a] + verts[b])
-                p *= radius / np.linalg.norm(p)
-                midpoint[key] = len(verts)
-                verts.append(p)
-            return midpoint[key]
-
-        new_faces = []
-        for i, j, k in faces:
-            ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
-            new_faces += [(i, ij, ki), (ij, j, jk), (ki, jk, k), (ij, jk, ki)]
-        faces = np.array(new_faces, dtype=np.int64)
-    return TriangleMesh(np.array(verts), faces)
+        n_v = len(verts)
+        tails = faces.ravel()
+        heads = faces[:, [1, 2, 0]].ravel()
+        # one midpoint per edge, numbered in order of first appearance along
+        # the half-edges h = 3f + s
+        _, first, inverse = np.unique(np.minimum(tails, heads) * n_v + np.maximum(tails, heads),
+                                      return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        ij, jk, ki = (n_v + rank[inverse]).reshape(-1, 3).T
+        h = np.sort(first)
+        p = 0.5 * (verts[tails[h]] + verts[heads[h]])
+        p *= (radius / np.sqrt(np.vecdot(p, p)))[:, None]
+        verts = np.vstack([verts, p])
+        i, j, k = faces.T
+        faces = np.stack([i, ij, ki, ij, j, jk, ki, jk, k, ij, jk, ki], axis=1).reshape(-1, 3)
+    return TriangleMesh(verts, faces)
 
 
 # -- measurements ----------------------------------------------------------
@@ -436,27 +413,47 @@ def save_mesh(mesh: TriangleMesh, path: str | Path) -> None:
 
 
 def load_mesh(path: str | Path) -> TriangleMesh:
-    """Read an OFF file; a '<path>.json' sidecar restores the intrinsic torus metric."""
+    """Read an ASCII OFF file of triangles.
+
+    A '<path>.json' sidecar restores the intrinsic torus metric; the OFF body
+    must then be that torus.  Malformed input raises a MeshError naming the
+    file and line.
+    """
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    if lines[0].strip() != "OFF":
-        raise MeshError(f"{path}: not an OFF file")
-    nv, nf, _ = (int(tok) for tok in lines[1].split())
-    verts = np.array([[float(x) for x in ln.split()[:3]] for ln in lines[2:2 + nv]])
-    faces = np.array([[int(x) for x in ln.split()[1:4]] for ln in lines[2 + nv:2 + nv + nf]])
+    rows = [(num, line.split()) for num, line in enumerate(path.read_text().splitlines(), 1)
+            if line.strip() and not line.startswith("#")]
+    if not rows or rows[0][1] != ["OFF"]:
+        raise MeshError(f"{path}:{rows[0][0] if rows else 1}: not an OFF file")
+
+    def numbers(k: int, what: str, convert, count: int) -> list:
+        if k >= len(rows):
+            raise MeshError(f"{path}:{rows[-1][0]}: file ends before the {what}")
+        num, tokens = rows[k]
+        try:
+            values = [convert(tok) for tok in tokens]
+        except ValueError:
+            values = []
+        if len(values) != count:
+            raise MeshError(f"{path}:{num}: expected {what}, got {' '.join(tokens)!r}")
+        return values
+
+    nv, nf, _ = numbers(1, "counts 'V F E'", int, 3)
+    if nv < 0 or nf < 0:
+        raise MeshError(f"{path}:{rows[1][0]}: negative vertex or face count")
+    verts = np.array([numbers(2 + v, "vertex 'x y z'", float, 3) for v in range(nv)],
+                     dtype=float).reshape(nv, 3)
+    faces = []
+    for f in range(nf):
+        count, *tri = numbers(2 + nv + f, "triangle '3 i j k'", int, 4)
+        if count != 3:
+            raise MeshError(f"{path}:{rows[2 + nv + f][0]}: face has {count} vertices, expected 3")
+        faces.append(tri)
+    faces = np.array(faces, dtype=np.int64).reshape(nf, 3)
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
         spec = json.loads(sidecar.read_text())
-        return generate_flat_torus(spec["lx"], spec["ly"], spec["nx"], spec["ny"])
+        torus = generate_flat_torus(spec["lx"], spec["ly"], spec["nx"], spec["ny"])
+        if not (np.array_equal(verts, torus.vertices) and np.array_equal(faces, torus.faces)):
+            raise MeshError(f"{path}: OFF body is not the torus described by {sidecar.name}")
+        return torus
     return TriangleMesh(verts, faces)
-
-
-def _wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = math.fmod(a, 2.0 * math.pi)
-    if a <= -math.pi:
-        a += 2.0 * math.pi
-    elif a > math.pi:
-        a -= 2.0 * math.pi
-    return a

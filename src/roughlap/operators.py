@@ -21,6 +21,13 @@ angles around each vertex are rescaled to sum to 2*pi.  With that choice
 the transport rotations around any face compose to exactly the face's share
 of curvature, distributing each angle defect over its incident corners, and
 the per-face holonomies sum to 2*pi*chi (checked at build time).
+
+Everything is computed on the mesh's half-edge numbering (half-edge
+``h = 3*f + s`` runs ``faces[f, s] -> faces[f, (s+1) % 3]``, opposite
+half-edge ``mesh.twin[h]``): the next outgoing half-edge around the tail of
+``h`` is ``twin[prev(h)]``, so all one-rings are walked at once, one ring
+position per step.  Transport angles are stored once per edge, aligned with
+``mesh.edges``.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import scipy.sparse as sp
 from scipy.io import mmwrite
 from scipy.sparse.linalg import splu
 
-from roughlap.mesh import MeshError, TriangleMesh, _wrap_angle
+from roughlap.mesh import MeshError, TriangleMesh
 
 __all__ = [
     "SparseHermitianOperator",
@@ -56,6 +63,7 @@ __all__ = [
 ]
 
 HOLONOMY_TOL = 1e-8
+NULL_WEIGHT_TOL = 1e-12  # Hodge edges below this fraction of max(w) are condensed
 
 
 @dataclass
@@ -103,20 +111,23 @@ class MassMatrix:
 
 @dataclass
 class ConnectionData:
-    """Per-directed-edge parallel transport on the tangent line bundle.
+    """Per-edge parallel transport on the tangent line bundle.
 
-    rho[(a, b)] is the frame rotation a vector picks up moving from the
-    frame at a to the frame at b; rho[(b, a)] = -rho[(a, b)] mod 2*pi.
-    phi[(a, b)] is the normalized angle coordinate of edge a->b in the
-    frame at a; scales[v] = 2*pi / (total corner angle at v); the first
-    entry of neighbors_ccw[v] is the frame reference direction.
+    rho : (E,) array aligned with ``mesh.edges``; for edge (a, b), a < b,
+        rho[e] in (-pi, pi] is the frame rotation a vector picks up moving
+        from the frame at a to the frame at b.  The transport b -> a is
+        -rho[e], wrapped into (-pi, pi].
+    scales : (V,) array, 2*pi / (total corner angle at v).
+    reference : (V,) array, the neighbour whose edge is the frame's zero
+        direction at v (the lowest-numbered neighbour).
+    face_curvatures : (F,) array, the holonomy of each face (its share of
+        the angle defects).
     """
 
-    rho: dict[tuple[int, int], float]
-    phi: dict[tuple[int, int], float]
+    rho: np.ndarray
     scales: np.ndarray
-    neighbors_ccw: list[list[int]]
-    face_curvatures: np.ndarray = field(repr=False, default=None)
+    reference: np.ndarray
+    face_curvatures: np.ndarray = field(repr=False)
 
 
 def _symmetrized(rows, cols, vals, n: int) -> sp.csr_matrix:
@@ -153,82 +164,66 @@ def cotan_laplacian(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, MassMa
 def build_connection(mesh: TriangleMesh) -> ConnectionData:
     """Levi-Civita transport angles from intrinsic unfolding.
 
-    Walks the one-ring of every vertex in orientation order, accumulates
-    corner angles rescaled to total 2*pi, and sets the transport along
-    a->b so that the direction "a to b" at a maps to "a to b" (= opposite
-    of b->a) at b.  Build-time check: the transport composition around
-    every face equals that face's curvature share (sum of rescaled corner
-    angles minus pi) to within 1e-8.
+    Walks the one-ring of every vertex in orientation order, starting at the
+    lowest-numbered neighbour, accumulates corner angles rescaled to total
+    2*pi, and sets the transport along a->b so that the direction "a to b"
+    at a maps to "a to b" (= opposite of b->a) at b.  Build-time checks:
+    each one-ring is a single closed fan, and the transport composition
+    around every face equals that face's curvature share (sum of rescaled
+    corner angles minus pi) to within 1e-8.
     """
     n_v = mesh.n_vertices
-    angle_at = mesh.corner_angle_lookup()
+    tails = mesh.faces.ravel()                  # half-edge h = 3f + s
+    heads = mesh.faces[:, [1, 2, 0]].ravel()
+    half_edges = np.arange(len(tails))
+    # next outgoing half-edge around the tail, in orientation order: the
+    # twin of the face's previous half-edge; the corner angle at the tail of
+    # a half-edge lies between the two
+    rotate = mesh.twin[half_edges - half_edges % 3 + (half_edges + 2) % 3]
+    corner = mesh.corner_angles.ravel()
 
-    # third vertex of the face containing directed edge (v, w): the next
-    # one-ring neighbor of v after w, in orientation order
-    next_around: dict[tuple[int, int], int] = {}
-    corner_between: dict[tuple[int, int], float] = {}
-    for f_idx, (i, j, k) in enumerate(mesh.faces):
-        i, j, k = int(i), int(j), int(k)
-        next_around[(i, j)] = k
-        next_around[(j, k)] = i
-        next_around[(k, i)] = j
-        corner_between[(i, j)] = angle_at[(f_idx, i)]
-        corner_between[(j, k)] = angle_at[(f_idx, j)]
-        corner_between[(k, i)] = angle_at[(f_idx, k)]
+    by_tail = np.lexsort((heads, tails))
+    start = by_tail[np.searchsorted(tails[by_tail], np.arange(n_v))]
+    cumulative = np.full(len(tails), np.nan)  # corner angle swept before h
+    total = np.zeros(n_v)
+    ring, h = np.arange(n_v), start
+    while len(ring):  # one step per ring position: at most the maximum degree
+        cumulative[h] = total[ring]
+        total[ring] += corner[h]
+        h = rotate[h]
+        still_open = h != start[ring]
+        ring, h = ring[still_open], h[still_open]
+    missed = np.flatnonzero(np.isnan(cumulative))
+    if len(missed):
+        raise MeshError(f"one-ring walk at vertex {tails[missed[0]]} does not close "
+                        "over all its edges (non-manifold vertex)")
+    scales = 2.0 * math.pi / total
+    phi = scales[tails] * cumulative          # angle of h in the frame at its tail
 
-    first_neighbor = np.full(n_v, -1, dtype=np.int64)
-    for a, b in mesh.edges:
-        a, b = int(a), int(b)
-        if first_neighbor[a] < 0 or b < first_neighbor[a]:
-            first_neighbor[a] = b
-        if first_neighbor[b] < 0 or a < first_neighbor[b]:
-            first_neighbor[b] = a
-
-    phi: dict[tuple[int, int], float] = {}
-    scales = np.empty(n_v)
-    neighbors_ccw: list[list[int]] = []
-    for v in range(n_v):
-        ring = [int(first_neighbor[v])]
-        cumulative = [0.0]
-        total = 0.0
-        while True:
-            w = ring[-1]
-            total += corner_between[(v, w)]
-            nxt = next_around[(v, w)]
-            if nxt == ring[0]:
-                break
-            ring.append(nxt)
-            cumulative.append(total)
-            if len(ring) > mesh.n_edges:
-                raise MeshError(f"one-ring walk at vertex {v} does not close")
-        s = 2.0 * math.pi / total
-        scales[v] = s
-        neighbors_ccw.append(ring)
-        for w, angle in zip(ring, cumulative):
-            phi[(v, w)] = s * angle
-
-    rho: dict[tuple[int, int], float] = {}
-    for a, b in mesh.edges:
-        a, b = int(a), int(b)
-        r = _wrap_angle(phi[(b, a)] + math.pi - phi[(a, b)])
-        rho[(a, b)] = r
-        rho[(b, a)] = _wrap_angle(-r)
+    along = np.flatnonzero(tails < heads)     # the half-edge a -> b of each edge
+    forward = np.empty(mesh.n_edges, dtype=np.int64)
+    forward[mesh.face_edges.ravel()[along]] = along
+    rho = _wrap_angle(phi[mesh.twin[forward]] + math.pi - phi[forward])
 
     # holonomy consistency: transport around face (i,j,k) composes to the
     # face curvature sum_c (scale_c * angle_c) - pi
-    face_curv = np.empty(mesh.n_faces)
-    for f_idx, (i, j, k) in enumerate(mesh.faces):
-        i, j, k = int(i), int(j), int(k)
-        hol = _wrap_angle(rho[(i, j)] + rho[(j, k)] + rho[(k, i)])
-        expected = (scales[i] * angle_at[(f_idx, i)]
-                    + scales[j] * angle_at[(f_idx, j)]
-                    + scales[k] * angle_at[(f_idx, k)] - math.pi)
-        if abs(_wrap_angle(hol - expected)) > HOLONOMY_TOL:
-            raise MeshError(
-                f"holonomy inconsistency on face {f_idx}: {hol} vs {expected}")
-        face_curv[f_idx] = expected
-    return ConnectionData(rho=rho, phi=phi, scales=scales,
-                          neighbors_ccw=neighbors_ccw, face_curvatures=face_curv)
+    shares = scales[mesh.faces] * mesh.corner_angles
+    face_curv = shares[:, 0] + shares[:, 1] + shares[:, 2] - math.pi
+    _, d1 = _incidence_matrices(mesh)
+    holonomy = d1 @ rho                       # signed transports around each face
+    mismatch = np.abs(_wrap_angle(holonomy - face_curv))
+    if np.any(mismatch > HOLONOMY_TOL):
+        f = int(np.argmax(mismatch))
+        raise MeshError(f"holonomy inconsistency on face {f}: {holonomy[f]} vs {face_curv[f]}")
+    return ConnectionData(rho=rho, scales=scales, reference=heads[start],
+                          face_curvatures=face_curv)
+
+
+def _wrap_angle(a: np.ndarray) -> np.ndarray:
+    """Wrap elementwise to (-pi, pi]."""
+    a = np.fmod(a, 2.0 * math.pi)
+    return np.where(a <= -math.pi, a + 2.0 * math.pi,
+                    np.where(a > math.pi, a - 2.0 * math.pi, a))
 
 
 def connection_laplacian_1forms(mesh: TriangleMesh, conn: ConnectionData
@@ -244,7 +239,7 @@ def connection_laplacian_1forms(mesh: TriangleMesh, conn: ConnectionData
     n = mesh.n_vertices
     i = mesh.edges[:, 0]
     j = mesh.edges[:, 1]
-    rot_ji = np.array([conn.rho[(int(b), int(a))] for a, b in mesh.edges])
+    rot_ji = _wrap_angle(-conn.rho)
     off_ij = -w * np.exp(1j * rot_ji)          # row i, col j: transport j -> i
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([j, i, i, j])
@@ -273,23 +268,21 @@ def _incidence_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matri
     return d0, d1
 
 
-def hodge_laplacian_1forms(mesh: TriangleMesh,
-                           null_weight_tol: float = 1e-12
-                           ) -> tuple[SparseHermitianOperator, MassMatrix]:
+def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, MassMatrix]:
     """DEC Hodge Laplacian on 1-forms, as a generalized pencil (A, *1).
 
     A = *1 d0 *0^-1 d0^T *1 + d1^T *2 d1 with circumcentric edge weights *1,
     lumped vertex areas *0, and inverse face areas *2.  Kernel dimension is
     the first Betti number.  Edges whose weight is below
-    ``null_weight_tol * max(w)`` carry no L^2 mass (zero dual length) and are
-    eliminated by an exact Schur complement; the retained edge indices are
-    stored in ``dof_labels``.  Negative weights (non-Delaunay meshes) are
+    ``NULL_WEIGHT_TOL * max(w)`` (1e-12 of the largest weight) carry no L^2
+    mass (zero dual length) and are condensed out by an exact Schur
+    complement; the retained edge indices are stored in ``dof_labels``.  Negative weights (non-Delaunay meshes) are
     rejected.
     """
     w = edge_cotan_weights(mesh)
     w_max = np.abs(w).max()
-    keep = w > null_weight_tol * w_max
-    if np.any(w < -null_weight_tol * w_max):
+    keep = w > NULL_WEIGHT_TOL * w_max
+    if np.any(w < -NULL_WEIGHT_TOL * w_max):
         raise MeshError("negative circumcentric edge weight: mesh is not Delaunay")
     d0, d1 = _incidence_matrices(mesh)
     s1 = sp.diags(w)
@@ -387,34 +380,28 @@ def vertex_frames(mesh: TriangleMesh, conn: ConnectionData
     """Orthonormal frame (e1, e2, normal) per vertex, e1 along the reference edge.
 
     Embedded meshes: normal is the area-weighted face normal, e1 the
-    tangential projection of the reference edge direction.  Intrinsic
-    meshes (flat tori) synthesize frames in the parameter chart from the
-    stored background edge angles.
+    tangential projection of the reference edge direction.  Flat tori
+    (``mesh.periodic`` set) take the reference edge direction from the
+    parameter chart, its difference wrapped by the periods, with normal +z.
     """
     n_v = mesh.n_vertices
-    e1 = np.zeros((n_v, 3))
-    e2 = np.zeros((n_v, 3))
     nrm = np.zeros((n_v, 3))
-    if mesh.edge_angles is not None:
-        for v in range(n_v):
-            ref = conn.neighbors_ccw[v][0]
-            ang = mesh.edge_angles[(v, ref)]
-            e1[v] = (math.cos(ang), math.sin(ang), 0.0)
-            e2[v] = (-math.sin(ang), math.cos(ang), 0.0)
-            nrm[v] = (0.0, 0.0, 1.0)
-        return e1, e2, nrm
-
-    face_normals = np.cross(
-        mesh.vertices[mesh.faces[:, 1]] - mesh.vertices[mesh.faces[:, 0]],
-        mesh.vertices[mesh.faces[:, 2]] - mesh.vertices[mesh.faces[:, 0]])
-    np.add.at(nrm, mesh.faces.ravel(), np.repeat(face_normals, 3, axis=0))
-    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    for v in range(n_v):
-        ref = conn.neighbors_ccw[v][0]
-        d = mesh.vertices[ref] - mesh.vertices[v]
-        d = d - (d @ nrm[v]) * nrm[v]
-        e1[v] = d / np.linalg.norm(d)
-        e2[v] = np.cross(nrm[v], e1[v])
+    if mesh.periodic is not None:
+        period = np.array([mesh.periodic["lx"], mesh.periodic["ly"]])
+        chart = mesh.params[conn.reference] - mesh.params
+        d = np.zeros((n_v, 3))
+        d[:, :2] = chart - period * np.round(chart / period)
+        nrm[:, 2] = 1.0
+    else:
+        face_normals = np.cross(
+            mesh.vertices[mesh.faces[:, 1]] - mesh.vertices[mesh.faces[:, 0]],
+            mesh.vertices[mesh.faces[:, 2]] - mesh.vertices[mesh.faces[:, 0]])
+        np.add.at(nrm, mesh.faces.ravel(), np.repeat(face_normals, 3, axis=0))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        d = mesh.vertices[conn.reference] - mesh.vertices
+        d -= np.vecdot(d, nrm)[:, None] * nrm
+    e1 = d / np.sqrt(np.vecdot(d, d))[:, None]
+    e2 = np.cross(nrm, e1)
     return e1, e2, nrm
 
 
@@ -443,7 +430,7 @@ def rotation_field(mesh: TriangleMesh, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
 
 def constant_chart_field(mesh: TriangleMesh, direction=(1.0, 0.0)) -> np.ndarray:
     """Constant field in the flat parameter chart (translation generator)."""
-    if mesh.edge_angles is None:
+    if mesh.periodic is None:
         raise MeshError("constant chart fields need an intrinsic chart (flat torus)")
     d = np.zeros((mesh.n_vertices, 3))
     d[:, 0] = direction[0]
@@ -464,7 +451,7 @@ def kato_fraction(mesh: TriangleMesh, conn: ConnectionData, z: np.ndarray,
     a = np.abs(z)
     i = mesh.edges[:, 0]
     j = mesh.edges[:, 1]
-    rot_ji = np.array([conn.rho[(int(bb), int(aa))] for aa, bb in mesh.edges])
+    rot_ji = _wrap_angle(-conn.rho)
     diff_form = np.abs(z[i] - np.exp(1j * rot_ji) * z[j]) ** 2
     diff_abs = (a[i] - a[j]) ** 2
     dens_form = np.zeros(mesh.n_vertices)

@@ -153,6 +153,15 @@ def test_degenerate_face_rejected():
         M.TriangleMesh(verts, t.faces)
 
 
+def test_unequal_side_lengths_rejected():
+    t = M.generate_flat_torus(1.0, 1.0, 4, 4)
+    sides = t.edge_lengths[t.face_edges].copy()
+    sides[5, 1] *= 1.5
+    a, b = t.edges[t.face_edges[5, 1]]
+    with pytest.raises(M.MeshError, match=rf"edge \({a}, {b}\)"):
+        M.TriangleMesh(t.vertices, t.faces, edge_lengths=sides)
+
+
 # -- persistence ----------------------------------------------------------------
 
 def test_off_roundtrip_sphere(tmp_path, sphere_s2):
@@ -181,6 +190,39 @@ def test_load_rejects_non_off(tmp_path):
     bad.write_text("PLY\n0 0 0\n")
     with pytest.raises(M.MeshError):
         M.load_mesh(bad)
+
+
+def test_load_checks_torus_body_against_sidecar(tmp_path):
+    t = M.generate_flat_torus(TWO_PI, TWO_PI, 8, 8)
+    path = tmp_path / "torus.off"
+    M.save_mesh(t, path)
+    lines = path.read_text().splitlines()
+    lines[1] = f"{t.n_vertices} {t.n_faces - 1} {t.n_edges}"
+    path.write_text("\n".join(lines[:-1]) + "\n")   # 127 of the 128 faces
+    with pytest.raises(M.MeshError, match="torus.off"):
+        M.load_mesh(path)
+
+
+@pytest.mark.parametrize("face_line", ["4 0 1 2", "3 0 1", "3 0 1 2 3", "3 0 1 x"],
+                         ids=["count-4", "two-indices", "four-indices", "non-integer"])
+def test_load_rejects_bad_face_line(tmp_path, face_line):
+    path = tmp_path / "tet.off"
+    path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+                    f"3 0 2 1\n3 0 1 3\n3 1 2 3\n{face_line}\n")
+    with pytest.raises(M.MeshError, match=r"tet\.off:10:"):
+        M.load_mesh(path)
+
+
+@pytest.mark.parametrize("text, line", [("", 1), ("\n\n", 1), ("OFF\n", 1),
+                                        ("OFF\n4 4\n", 2), ("OFF\n4 four 6\n", 2),
+                                        ("OFF\n1 0 0\n0 0\n", 3)],
+                         ids=["empty", "blank", "no-counts", "two-counts", "non-integer-count",
+                              "short-vertex"])
+def test_load_rejects_empty_or_bad_header(tmp_path, text, line):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(M.MeshError, match=rf"bad\.off:{line}:"):
+        M.load_mesh(path)
 
 
 def test_build_mesh_dispatch():

@@ -56,9 +56,15 @@ def test_psd_smallest_ritz(sphere_s2, sphere_conn):
 
 
 def test_transport_antisymmetry(torus_conn, torus):
-    for a, b in torus.edges[:50]:
-        r_ab = torus_conn.rho[(int(a), int(b))]
-        r_ba = torus_conn.rho[(int(b), int(a))]
+    # entry (b, a) of the operator carries the transport a -> b and entry
+    # (a, b) the transport b -> a; the two must be inverse rotations
+    op, _ = O.connection_laplacian_1forms(torus, torus_conn)
+    w = O.edge_cotan_weights(torus)
+    for e in np.flatnonzero(w > 1e-8)[:50]:
+        a, b = torus.edges[e]
+        r_ab = np.angle(-op.matrix[b, a] / w[e])
+        r_ba = np.angle(-op.matrix[a, b] / w[e])
+        assert math.remainder(r_ab - torus_conn.rho[e], TWO_PI) == pytest.approx(0.0, abs=1e-12)
         assert math.remainder(r_ab + r_ba, TWO_PI) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -68,6 +74,44 @@ def test_torus_connection_is_flat(torus_conn):
 
 def test_sphere_holonomy_totals_4pi(sphere_conn):
     assert sphere_conn.face_curvatures.sum() == pytest.approx(4 * math.pi, abs=1e-9)
+
+
+@pytest.mark.parametrize("make", [lambda: M.generate_icosphere(1.0, 2),
+                                  lambda: M.generate_flat_torus(TWO_PI, TWO_PI, 9, 7)],
+                         ids=["ico2", "torus9x7"])
+def test_relabelling_invariance(make):
+    # a vertex permutation changes every reference neighbour of the one-ring
+    # walk but no spectrum, total curvature or kernel
+    mesh = make()
+    perm = np.random.default_rng(5).permutation(mesh.n_vertices)  # new v is old perm[v]
+    relabelled = M.TriangleMesh(mesh.vertices[perm], np.argsort(perm)[mesh.faces],
+                                edge_lengths=mesh.edge_lengths[mesh.face_edges])
+    conn = O.build_connection(relabelled)
+    chi = M.euler_characteristic(mesh)
+    assert conn.face_curvatures.sum() == pytest.approx(TWO_PI * chi, abs=1e-9)
+    conn_op, conn_mass = O.connection_laplacian_1forms(relabelled, conn)
+    pencils = [(O.cotan_laplacian(mesh), O.cotan_laplacian(relabelled)),
+               (O.connection_laplacian_1forms(mesh, O.build_connection(mesh)),
+                (conn_op, conn_mass))]
+    for before, after in pencils:
+        ref = smallest(*before, 6)
+        got = smallest(*after, 6)
+        assert np.abs(got.values - ref.values).max() < 1e-10 * ref.scale
+    if chi == 0:
+        res = smallest(conn_op, conn_mass, 2)
+        assert abs(res.values[0]) < 1e-9 * res.scale   # one complex = two real dims
+        assert res.values[1] > 0.5
+
+
+def test_nonmanifold_vertex_rejected():
+    # two icosahedra sharing one vertex: a closed, oriented, connected mesh
+    # whose one-ring at the shared vertex is two fans
+    ico = M.generate_icosphere(1.0, 0)
+    other = np.concatenate([[0], np.arange(ico.n_vertices, 2 * ico.n_vertices - 1)])
+    verts = np.vstack([ico.vertices, 2.0 * ico.vertices[0] - ico.vertices[1:]])
+    faces = np.vstack([ico.faces, other[ico.faces]])
+    with pytest.raises(M.MeshError, match="vertex 0"):
+        O.build_connection(M.TriangleMesh(verts, faces))
 
 
 def test_mass_matrix_rejects_nonpositive():
