@@ -26,11 +26,11 @@ for v, m in s2xs2.entries:
     print(f"  {v:>6.3f}  x{m}")
 print(f"first positive: {s2xs2.first_positive()} "
       f"(multiplicity {s2xs2.entries[0][1]}), no zero modes: "
-      f"{S.parallel_form_count(s2xs2)} parallel forms")
+      f"{s2xs2.zero_multiplicity()} parallel forms")
 
 t4 = S.product_oneform_spectrum(torus_fn, torus_1f, torus_fn, torus_1f, 5.0)
 print(f"\nT^2 x T^2: parallel forms add: zero multiplicity "
-      f"{S.parallel_form_count(t4)}")
+      f"{t4.zero_multiplicity()}")
 
 mixed_ab = S.product_oneform_spectrum(sphere_fn, sphere_1f, torus_fn, torus_1f, 8.0)
 mixed_ba = S.product_oneform_spectrum(torus_fn, torus_1f, sphere_fn, sphere_1f, 8.0)

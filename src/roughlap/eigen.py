@@ -32,8 +32,6 @@ __all__ = [
 class SolverConfig:
     """k smallest pairs, residual tolerance, determinism seed.
 
-    ``shift`` overrides the automatic shift-invert target (default: a small
-    negative multiple of the mean whitened diagonal, safe for kernels).
     ``dense_cutoff`` routes problems at or below that size to a dense solve.
     """
 
@@ -41,7 +39,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 4000
     seed: int = 0
-    shift: float = 0.0
     dense_cutoff: int = 800
 
     def __post_init__(self) -> None:
@@ -132,7 +129,9 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
 def _shift_invert(b: sp.csr_matrix, config: SolverConfig):
     n = b.shape[0]
     diag_mean = float(np.abs(b.diagonal()).mean())
-    sigma = config.shift if config.shift != 0.0 else -1e-3 * max(diag_mean, 1e-300)
+    # sigma sits just below 0, the bottom of the PSD spectrum: B - sigma*I is
+    # then definite even when L has a kernel, and near the smallest values
+    sigma = -1e-3 * max(diag_mean, 1e-300)
     factor = splu((b - sigma * sp.identity(n, dtype=b.dtype, format="csr")).tocsc())
     count = [0]
 

@@ -36,7 +36,6 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 __all__ = [
     "MeshError",
     "TriangleMesh",
-    "MeshGeometry",
     "FlatTorus",
     "IcoSphere",
     "ProductSpec",
@@ -46,7 +45,6 @@ __all__ = [
     "euler_characteristic",
     "graph_diameter",
     "curvature_lp_norm",
-    "mesh_geometry",
     "save_mesh",
     "load_mesh",
 ]
@@ -209,16 +207,6 @@ class TriangleMesh:
         return coo_matrix((np.concatenate([w, w]),
                            (np.concatenate([i, j]), np.concatenate([j, i]))),
                           shape=(n, n))
-
-
-@dataclass(frozen=True)
-class MeshGeometry:
-    """Measured geometry of a mesh: dual areas, curvature measure, diameter."""
-
-    vertex_areas: np.ndarray
-    angle_defects: np.ndarray
-    diameter_graph: float
-    total_area: float
 
 
 # -- model manifolds -------------------------------------------------------
@@ -387,13 +375,6 @@ def curvature_lp_norm(mesh: TriangleMesh, p: float,
     density = np.abs(mesh.angle_defects) / mesh.vertex_areas * convention_scale
     weights = mesh.vertex_areas / mesh.total_area
     return float((weights @ density ** p) ** (1.0 / p))
-
-
-def mesh_geometry(mesh: TriangleMesh, **diameter_kwargs) -> MeshGeometry:
-    return MeshGeometry(vertex_areas=mesh.vertex_areas,
-                        angle_defects=mesh.angle_defects,
-                        diameter_graph=graph_diameter(mesh, **diameter_kwargs),
-                        total_area=mesh.total_area)
 
 
 # -- persistence -----------------------------------------------------------

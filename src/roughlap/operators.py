@@ -10,11 +10,12 @@ weights rotated by those transports.  The Hodge 1-form Laplacian is the
 standard discrete-exterior-calculus operator on edge values,
 ``*1 d0 *0^-1 d0^T *1 + d1^T *2 d1`` against the diagonal edge mass ``*1``.
 
-On right-triangulated flat tori the circumcentric edge weight of every cell
-diagonal vanishes (the two opposite angles are right angles), which makes
-the Hodge edge mass singular; those null edge dofs are eliminated exactly
-by a Schur complement, which preserves the finite generalized spectrum and
-the harmonic space.
+Since ``d1 d0 = 0``, the discrete Hodge decomposition splits that pencil
+exactly into exact forms (the cotan Laplacian on vertices), coexact forms
+(the dual-cell Laplacian ``d1 *1^-1 d1^T`` against cell areas) and ``b1``
+harmonic zeros.  On right-triangulated flat tori every cell diagonal has
+zero circumcentric weight (its opposite angles are right angles); such a
+null edge carries no L^2 mass and glues its two faces into one cell.
 
 Per-vertex frames use length-normalized angle coordinates: the corner
 angles around each vertex are rescaled to sum to 2*pi.  With that choice
@@ -38,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import connected_components
 
-from roughlap.mesh import MeshError, TriangleMesh
+from roughlap.mesh import MeshError, TriangleMesh, euler_characteristic
 
 __all__ = [
     "SparseHermitianOperator",
@@ -50,6 +51,7 @@ __all__ = [
     "build_connection",
     "connection_laplacian_1forms",
     "hodge_laplacian_1forms",
+    "hodge_eigenvalues",
     "weitzenboeck_eigen_check",
     "rayleigh_quotient",
     "edge_cotan_weights",
@@ -63,20 +65,14 @@ __all__ = [
 ]
 
 HOLONOMY_TOL = 1e-8
-NULL_WEIGHT_TOL = 1e-12  # Hodge edges below this fraction of max(w) are condensed
+NULL_WEIGHT_TOL = 1e-12  # edges below this fraction of max(w) glue their faces into one cell
 
 
 @dataclass
 class SparseHermitianOperator:
-    """Hermitian sparse matrix, symmetrized exactly at assembly.
-
-    ``dof_labels`` records which mesh entities the rows correspond to when
-    the operator does not live on all of them (the condensed Hodge case:
-    retained edge indices).
-    """
+    """Hermitian sparse matrix, symmetrized exactly at assembly."""
 
     matrix: sp.csr_matrix
-    dof_labels: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -269,47 +265,55 @@ def _incidence_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matri
 
 
 def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, MassMatrix]:
-    """DEC Hodge Laplacian on 1-forms, as a generalized pencil (A, *1).
+    """DEC Hodge Laplacian on 1-forms, split by the discrete Hodge decomposition.
 
-    A = *1 d0 *0^-1 d0^T *1 + d1^T *2 d1 with circumcentric edge weights *1,
-    lumped vertex areas *0, and inverse face areas *2.  Kernel dimension is
-    the first Betti number.  Edges whose weight is below
-    ``NULL_WEIGHT_TOL * max(w)`` (1e-12 of the largest weight) carry no L^2
-    mass (zero dual length) and are condensed out by an exact Schur
-    complement; the retained edge indices are stored in ``dof_labels``.  Negative weights (non-Delaunay meshes) are
-    rejected.
+    The edge pencil *1 d0 *0^-1 d0^T *1 + d1^T *2 d1 against *1 is returned
+    as the block-diagonal pencil diag(d0^T *1 d0, dc *1^-1 dc^T) against
+    diag(*0, cell areas).  The first block is ``cotan_laplacian`` (exact
+    forms d0 f); the second is the dual-cell Laplacian (coexact forms
+    *1^-1 dc^T g), where faces glued across an edge of weight at most
+    ``NULL_WEIGHT_TOL * max(w)`` form one cell and dc sums their rows of d1.
+    Without null edges each face is its own cell.
+
+    The nonzero spectrum of this pencil is exactly the Hodge spectrum.  Its
+    kernel is the two constants (one per block) where the Hodge pencil has
+    the b1 = 2 - chi harmonic forms; ``hodge_eigenvalues`` swaps them.
+    Negative weights (non-Delaunay meshes) are rejected, and so are null
+    edges that close a loop of faces, where the cells would not count the
+    harmonic forms.
     """
     w = edge_cotan_weights(mesh)
     w_max = np.abs(w).max()
-    keep = w > NULL_WEIGHT_TOL * w_max
     if np.any(w < -NULL_WEIGHT_TOL * w_max):
         raise MeshError("negative circumcentric edge weight: mesh is not Delaunay")
-    d0, d1 = _incidence_matrices(mesh)
-    s1 = sp.diags(w)
-    s0_inv = sp.diags(1.0 / mesh.vertex_areas)
-    s2 = sp.diags(1.0 / mesh.face_areas)
-    a = (s1 @ d0 @ s0_inv @ d0.T @ s1 + d1.T @ s2 @ d1).tocsr()
-    a = (a + a.T) * 0.5
+    null = w <= NULL_WEIGHT_TOL * w_max
+    _, d1 = _incidence_matrices(mesh)
+    glued = abs(d1[:, null])
+    n_cells, cell = connected_components(glued @ glued.T, directed=False)
+    if n_cells != mesh.n_faces - np.count_nonzero(null):
+        raise MeshError(f"{np.count_nonzero(null)} null edges glue {mesh.n_faces} faces "
+                        f"into {n_cells} cells: they close a loop of faces")
+    cells = sp.coo_matrix((np.ones(mesh.n_faces), (cell, np.arange(mesh.n_faces))),
+                          shape=(n_cells, mesh.n_faces))
+    d1_cells = (cells @ d1)[:, ~null]
+    coexact = (d1_cells @ sp.diags(1.0 / w[~null]) @ d1_cells.T).tocsr()
+    exact, vertex_mass = cotan_laplacian(mesh)
+    matrix = sp.block_diag((exact.matrix, (coexact + coexact.T) * 0.5), format="csr")
+    cell_areas = np.bincount(cell, weights=mesh.face_areas)
+    return (SparseHermitianOperator(matrix),
+            MassMatrix(np.concatenate([vertex_mass.weights, cell_areas])))
 
-    if keep.all():
-        return (SparseHermitianOperator(a, dof_labels=np.arange(mesh.n_edges)),
-                MassMatrix(w))
 
-    kept = np.flatnonzero(keep)
-    null = np.flatnonzero(~keep)
-    a_pp = a[kept][:, kept].tocsr()
-    a_pz = a[kept][:, null].tocsc()
-    a_zz = a[null][:, null].tocsc()
-    a_zz.eliminate_zeros()
-    off_diag = a_zz - sp.diags(a_zz.diagonal())
-    if off_diag.nnz == 0 or np.abs(off_diag.data).max() < 1e-15 * np.abs(a_zz.diagonal()).max():
-        # null edges never share a face on lattice meshes: the block is diagonal
-        correction = a_pz @ sp.diags(1.0 / a_zz.diagonal()) @ a_pz.T
-    else:
-        correction = sp.csr_matrix(a_pz @ splu(a_zz).solve(a_pz.T.toarray()))
-    schur = a_pp - correction
-    schur = (schur + schur.T) * 0.5
-    return SparseHermitianOperator(schur.tocsr(), dof_labels=kept), MassMatrix(w[kept])
+def hodge_eigenvalues(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
+    """Hodge spectrum from the ascending pairs of ``hodge_laplacian_1forms``.
+
+    Drops the two smallest entries (the two constants of the block pencil)
+    and prepends b1 = 2 - chi zeros for the harmonic forms, which are exact
+    by topology.  Any per-pair array in the same order maps the same way:
+    applied to the residuals it gives the harmonic zeros residual 0.
+    """
+    b1 = 2 - euler_characteristic(mesh)
+    return np.concatenate([np.zeros(b1), np.asarray(values, dtype=float)[2:]])
 
 
 def rayleigh_quotient(L, M, x: np.ndarray) -> float:
@@ -338,7 +342,6 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None
     real Hodge count.  Returns rows (mu_i, lambda_i, K, relative mismatch).
     """
     from roughlap.eigen import SolverConfig, smallest_eigenpairs
-    from roughlap.mesh import euler_characteristic
 
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -355,8 +358,8 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None
     rough = np.repeat(res_conn.values, 2)[:k]
 
     l_hodge, m_hodge = hodge_laplacian_1forms(mesh)
-    res_hodge = smallest_eigenpairs(l_hodge, m_hodge, _with_k(config, max(k + 2, 4)))
-    hodge = res_hodge.values[:k]
+    res_hodge = smallest_eigenpairs(l_hodge, m_hodge, _with_k(config, k + 2))
+    hodge = hodge_eigenvalues(mesh, res_hodge.values)[:k]
 
     span = max(abs(hodge[-1]), abs(rough[-1]) + abs(shift), 1e-30)
     out = []

@@ -36,7 +36,6 @@ __all__ = [
     "sphere_function_spectrum",
     "sphere_oneform_rough_spectrum",
     "product_oneform_spectrum",
-    "parallel_form_count",
     "spectrum_to_csv",
 ]
 
@@ -190,11 +189,6 @@ def product_oneform_spectrum(m0: AnalyticSpectrum, m1: AnalyticSpectrum,
                     raw.append((s, mult1 * mult0))
     tag = f"({m0.manifold}) x ({n0.manifold})"
     return _aggregate(raw, 1, tag, cutoff)
-
-
-def parallel_form_count(spec: AnalyticSpectrum) -> int:
-    """Multiplicity of the zero eigenvalue (0 when absent)."""
-    return spec.zero_multiplicity()
 
 
 def spectrum_to_csv(spec: AnalyticSpectrum, path: str | Path) -> None:

@@ -113,9 +113,10 @@ def test_criterion_03_weitzenboeck_sphere(weitz_rows):
 def test_criterion_03_weitzenboeck_torus(weitz_rows):
     """Same pairing within 5% on the 64x64 torus, improving from 32x32.
 
-    On the flat torus the condensed Hodge pencil reproduces the connection
-    spectrum exactly, so both levels sit at the roundoff floor and the
-    decrease clause is vacuous below 1e-12.
+    On the flat torus the Hodge spectrum (the exact and coexact blocks plus
+    the two harmonic zeros) reproduces the connection spectrum exactly, so
+    both levels sit at the roundoff floor and the decrease clause is vacuous
+    below 1e-12.
     """
     worst64 = max(r[3] for r in weitz_rows["torus64"])
     worst32 = max(r[3] for r in weitz_rows["torus32"])

@@ -84,3 +84,27 @@ def test_verify_spec_error_exit_code(capsys, tmp_path):
     bad.write_text(json.dumps({"label": "x", "checks": ["nope"]}))
     assert main(["verify", "--spec", str(bad)]) == 2
     assert "spec error" in capsys.readouterr().err
+
+
+def _printed_values(out):
+    return [float(ln.split()[0]) for ln in out.splitlines()
+            if ln and not ln.startswith("#")]
+
+
+def test_spectrum_sphere_hodge(capsys):
+    assert main(["spectrum", "--manifold", "icosphere", "--subdiv", "2",
+                 "--operator", "hodge", "--k", "4"]) == 0
+    values = _printed_values(capsys.readouterr().out)
+    assert len(values) == 4
+    assert min(values) > 1.0                  # b1 = 0: no zero
+    assert values[0] == pytest.approx(2.0, rel=0.02)
+
+
+def test_spectrum_torus_hodge(capsys):
+    assert main(["spectrum", "--manifold", "flat_torus", "--nx", "12", "--ny", "12",
+                 "--operator", "hodge", "--k", "4"]) == 0
+    out = capsys.readouterr().out
+    values = _printed_values(out)
+    assert len(values) == 4
+    assert values[:2] == [0.0, 0.0] and min(values[2:]) > 0.5   # b1 = 2
+    assert out.splitlines().count("0.0 residual=0.0") == 2   # exact by topology

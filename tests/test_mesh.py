@@ -113,12 +113,6 @@ def test_curvature_norm_domain(torus16):
         M.curvature_lp_norm(torus16, 0.5)
 
 
-def test_mesh_geometry_bundle(sphere_s2):
-    geo = M.mesh_geometry(sphere_s2)
-    assert geo.total_area == pytest.approx(sphere_s2.total_area)
-    assert geo.diameter_graph > math.pi
-
-
 # -- validation ---------------------------------------------------------------
 
 def test_open_mesh_rejected():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
+from scipy.linalg import eigh
 
 from roughlap import mesh as M
 from roughlap import operators as O
@@ -92,7 +94,8 @@ def test_relabelling_invariance(make):
     conn_op, conn_mass = O.connection_laplacian_1forms(relabelled, conn)
     pencils = [(O.cotan_laplacian(mesh), O.cotan_laplacian(relabelled)),
                (O.connection_laplacian_1forms(mesh, O.build_connection(mesh)),
-                (conn_op, conn_mass))]
+                (conn_op, conn_mass)),
+               (O.hodge_laplacian_1forms(mesh), O.hodge_laplacian_1forms(relabelled))]
     for before, after in pencils:
         ref = smallest(*before, 6)
         got = smallest(*after, 6)
@@ -153,19 +156,86 @@ def test_connection_sphere_cluster(sphere_s2, sphere_conn):
 
 
 def test_hodge_torus_harmonic_dimension(torus):
+    # every square's null diagonal glues its two faces into one cell
     op, mass = O.hodge_laplacian_1forms(torus)
-    assert op.dimension < torus.n_edges       # null diagonal edges condensed
-    res = smallest(op, mass, 4)
-    assert np.abs(res.values[:2]).max() < 1e-9 * op.one_norm()
+    assert op.dimension == torus.n_vertices + torus.n_faces // 2
+    res = smallest(op, mass, 6)
+    assert np.abs(res.values[:2]).max() < 1e-9 * op.one_norm()  # the two constants
     assert res.values[2] > 0.9
+    hodge = O.hodge_eigenvalues(torus, res.values)
+    assert np.array_equal(hodge[:2], [0.0, 0.0])                 # b1 = 2
+    assert hodge[2] > 0.9
 
 
 def test_hodge_sphere_no_kernel(sphere_s2):
+    # all-acute mesh: no null edge, each face is its own cell
     op, mass = O.hodge_laplacian_1forms(sphere_s2)
-    assert op.dimension == sphere_s2.n_edges  # all-acute mesh: nothing condensed
-    res = smallest(op, mass, 4)
-    assert np.allclose(res.values[:3], 2.0, rtol=0.02)
-    assert res.values[0] > 1.0
+    assert op.dimension == sphere_s2.n_vertices + sphere_s2.n_faces
+    res = smallest(op, mass, 6)
+    hodge = O.hodge_eigenvalues(sphere_s2, res.values)
+    assert len(hodge) == 4                                       # b1 = 0
+    assert np.allclose(hodge[:3], 2.0, rtol=0.02)
+    assert hodge[0] > 1.0
+
+
+def test_hodge_split_matches_assembled_edge_pencil(sphere_s2):
+    # dense oracle: the edge pencil *1 d0 *0^-1 d0^T *1 + d1^T *2 d1 against
+    # *1, assembled here from the mesh's edges and faces
+    mesh = sphere_s2
+    n_e = mesh.n_edges
+    d0 = sp.coo_matrix((np.tile([-1.0, 1.0], n_e),
+                        (np.repeat(np.arange(n_e), 2), mesh.edges.ravel())),
+                       shape=(n_e, mesh.n_vertices)).toarray()
+    # side s of face f runs faces[f, s] -> faces[f, (s+1) % 3]
+    signs = np.where(mesh.edges[mesh.face_edges, 0] == mesh.faces, 1.0, -1.0)
+    d1 = np.zeros((mesh.n_faces, n_e))
+    np.add.at(d1, (np.repeat(np.arange(mesh.n_faces), 3), mesh.face_edges.ravel()),
+              signs.ravel())
+    assert np.abs(d1 @ d0).max() == 0.0
+    w = O.edge_cotan_weights(mesh)
+    assert w.min() > 0.0
+    full = (w[:, None] * d0 / mesh.vertex_areas) @ (d0.T * w)
+    full += d1.T @ (d1 / mesh.face_areas[:, None])
+    oracle = eigh((full + full.T) / 2, np.diag(w), eigvals_only=True)[:6]
+    op, mass = O.hodge_laplacian_1forms(mesh)
+    res = smallest(op, mass, 8)
+    got = O.hodge_eigenvalues(mesh, res.values)[:6]
+    assert np.abs(got - oracle).max() < 1e-10 * res.scale
+
+
+def test_hodge_null_edges_sharing_faces():
+    # a regular hexagon doubled into a closed surface: the top is fanned from
+    # vertex 0, the bottom from vertex 1; all six diagonals are null (their
+    # triangles share the hexagon's circumcircle) and share faces, so each
+    # side is one cell and the coexact spectrum is one value,
+    # 2 * sum_e 1/w_e / area = 2 * 6/sqrt(3) / (3 sqrt(3)/2) = 8/3
+    angles = np.arange(6) * math.pi / 3
+    vertices = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(6)])
+    faces = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5],
+                      [1, 3, 2], [1, 4, 3], [1, 5, 4], [1, 0, 5]])
+    mesh = M.TriangleMesh(vertices, faces)
+    op, mass = O.hodge_laplacian_1forms(mesh)
+    assert op.dimension == mesh.n_vertices + 2
+    hodge = O.hodge_eigenvalues(
+        mesh, eigh(op.matrix.toarray(), np.diag(mass.weights), eigvals_only=True))
+    assert len(hodge) == mesh.n_edges - 6     # one dof per non-null edge
+    assert hodge.min() > 1.0                  # b1 = 0: no zero
+    coexact = np.flatnonzero(np.isclose(hodge, 8.0 / 3.0, rtol=1e-12))
+    assert len(coexact) == 1
+    cot_op, cot_mass = O.cotan_laplacian(mesh)
+    cotan = eigh(cot_op.matrix.toarray(), np.diag(cot_mass.weights), eigvals_only=True)
+    assert np.allclose(np.delete(hodge, coexact), cotan[1:], rtol=1e-12)
+
+
+def test_hodge_rejects_null_edge_loop(monkeypatch):
+    # null spokes all around one vertex would glue its star into an annulus,
+    # where the cell count no longer gives the harmonic dimension
+    ico = M.generate_icosphere(1.0, 0)
+    weights = O.edge_cotan_weights(ico)
+    weights[np.any(ico.edges == 0, axis=1)] = 0.0
+    monkeypatch.setattr(O, "edge_cotan_weights", lambda mesh: weights)
+    with pytest.raises(M.MeshError, match="loop of faces"):
+        O.hodge_laplacian_1forms(ico)
 
 
 def test_connection_sphere_refinement_convergence():

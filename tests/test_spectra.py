@@ -105,7 +105,7 @@ def test_product_t2xt2_parallel_forms():
     fn = S.torus_function_spectrum(TWO_PI, TWO_PI, 6.0)
     one = S.torus_oneform_rough_spectrum(TWO_PI, TWO_PI, 6.0)
     prod = S.product_oneform_spectrum(fn, one, fn, one, 5.0)
-    assert S.parallel_form_count(prod) == 4
+    assert prod.zero_multiplicity() == 4
     zero_only = S.product_oneform_spectrum(fn, one, fn, one, 0.0)
     assert zero_only.entries == ((0.0, 4),)
 
@@ -131,7 +131,7 @@ def test_product_errors():
 
 def test_parallel_form_count_function_spectra():
     fn = S.sphere_function_spectrum(1.0, 10.0)
-    assert S.parallel_form_count(fn) == 1  # constants
+    assert fn.zero_multiplicity() == 1  # constants
 
 
 def test_csv_export(tmp_path):

@@ -294,6 +294,13 @@ def test_run_suite_bad_manifold(tmp_path):
         V.run_suite(path)
 
 
+def test_run_suite_unknown_solver_setting(tmp_path):
+    # the shift-invert target is always the automatic one
+    path = write_spec(tmp_path, {"label": "x", "solver": {"shift": -0.1}, "checks": []})
+    with pytest.raises(V.SpecError, match=r"experiments\[0\]\.solver.*shift"):
+        V.run_suite(path)
+
+
 def test_grid_check_rejects_mesh_requirement(tmp_path):
     path = write_spec(tmp_path, {"label": "x", "checks": ["lipschitz"]})
     with pytest.raises(V.SpecError, match="meshable"):
