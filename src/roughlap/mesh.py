@@ -336,43 +336,29 @@ def euler_characteristic(mesh: TriangleMesh) -> int:
     return mesh.n_vertices - mesh.n_edges + mesh.n_faces
 
 
-def graph_diameter(mesh: TriangleMesh, exact_limit: int = 5000,
-                   n_sources: int = 64) -> float:
-    """Largest shortest-path distance along edges.
+def graph_diameter(mesh: TriangleMesh) -> float:
+    """Largest edge-path distance from 64 evenly spread source vertices.
 
-    Exact all-pairs for meshes up to ``exact_limit`` vertices; above that a
-    deterministic sample of ``n_sources`` source vertices gives a lower
-    bound (the graph metric itself upper-bounds the surface metric on
-    refined meshes, so the refinement tests absorb both biases).
+    Exact when V <= 64 (every vertex is a source); above that a realized
+    edge-path length, so a lower bound for the graph diameter.  Edge paths
+    stretch geodesics: on the model meshes the value still reaches the smooth
+    diameter (pi sqrt 2 on 2 pi flat tori, about 1.06 pi on unit icospheres).
     """
-    g = mesh.adjacency().tocsr()
-    n = mesh.n_vertices
-    if n <= exact_limit:
-        sources = None
-        dist = dijkstra(g, directed=False)
-    else:
-        sources = np.unique(np.linspace(0, n - 1, n_sources).astype(int))
-        dist = dijkstra(g, directed=False, indices=sources)
-    if not np.isfinite(dist).all():
-        raise MeshError("mesh not connected; diameter undefined")
-    return float(dist.max())
+    sources = np.unique(np.linspace(0, mesh.n_vertices - 1, 64).astype(int))
+    # finite: the constructor rejects disconnected meshes
+    return float(dijkstra(mesh.adjacency().tocsr(), directed=False, indices=sources).max())
 
 
-def curvature_lp_norm(mesh: TriangleMesh, p: float,
-                      convention_scale: float = 2.0) -> float:
-    """Normalized L^p norm of the pointwise curvature magnitude.
+def curvature_lp_norm(mesh: TriangleMesh, p: float) -> float:
+    """Normalized L^p norm of the pointwise curvature-tensor magnitude.
 
-    The vertex curvature density is angle defect / dual area; on a surface
-    the full curvature tensor is determined by the Gauss curvature K, and
-    ``convention_scale`` encodes the tensor-norm convention (the default 2
-    comes from the squared-component sum, which gives |Riem| = 2|K|).
-    The norm is (sum_v area_v |scale*K_v|^p / total_area)^(1/p).
+    The vertex Gauss curvature K is angle defect / dual area; on a surface
+    it determines the full curvature tensor, whose squared-component norm
+    is |Riem| = 2|K|.  The norm is (sum_v area_v |2 K_v|^p / total_area)^(1/p).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if convention_scale <= 0:
-        raise ValueError("convention_scale must be positive")
-    density = np.abs(mesh.angle_defects) / mesh.vertex_areas * convention_scale
+    density = np.abs(mesh.angle_defects) / mesh.vertex_areas * 2.0
     weights = mesh.vertex_areas / mesh.total_area
     return float((weights @ density ** p) ** (1.0 / p))
 

@@ -426,9 +426,9 @@ def encode_tangent_field(mesh: TriangleMesh, conn: ConnectionData,
     return mag * np.exp(1j * conn.scales * theta)
 
 
-def rotation_field(mesh: TriangleMesh, axis=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """Velocity field of the rotation about ``axis``: axis x position."""
-    return np.cross(np.asarray(axis, dtype=float), mesh.vertices)
+def rotation_field(mesh: TriangleMesh) -> np.ndarray:
+    """Velocity field of the rotation about the z axis: e_z x position."""
+    return np.cross(np.array([0.0, 0.0, 1.0]), mesh.vertices)
 
 
 def constant_chart_field(mesh: TriangleMesh, direction=(1.0, 0.0)) -> np.ndarray:
@@ -441,9 +441,8 @@ def constant_chart_field(mesh: TriangleMesh, direction=(1.0, 0.0)) -> np.ndarray
     return d
 
 
-def kato_fraction(mesh: TriangleMesh, conn: ConnectionData, z: np.ndarray,
-                  slack: float = 0.05) -> float:
-    """Fraction of vertices where |grad |z|| <= (1+slack) |grad z| discretely.
+def kato_fraction(mesh: TriangleMesh, conn: ConnectionData, z: np.ndarray) -> float:
+    """Fraction of vertices where |grad |z|| <= 1.05 |grad z| discretely.
 
     Both gradients use the same per-vertex Dirichlet densities built from
     cotan edge weights (clamped at zero), so the comparison is like for
@@ -463,7 +462,7 @@ def kato_fraction(mesh: TriangleMesh, conn: ConnectionData, z: np.ndarray,
     np.add.at(dens_form, j, w * diff_form)
     np.add.at(dens_abs, i, w * diff_abs)
     np.add.at(dens_abs, j, w * diff_abs)
-    ok = np.sqrt(dens_abs) <= (1.0 + slack) * np.sqrt(dens_form)
+    ok = np.sqrt(dens_abs) <= 1.05 * np.sqrt(dens_form)
     return float(np.mean(ok))
 
 

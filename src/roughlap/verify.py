@@ -14,6 +14,7 @@ deterministic for a fixed seed, up to the timestamp.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -26,7 +27,7 @@ from roughlap import constants as con
 from roughlap import spectra
 from roughlap.constants import AbstractConstants, GeometryBudget
 from roughlap.eigen import EigenResult, SolverConfig, first_positive, smallest_eigenpairs
-from roughlap.mesh import (FlatTorus, IcoSphere, ProductSpec, TriangleMesh,
+from roughlap.mesh import (FlatTorus, IcoSphere, MeshError, ProductSpec, TriangleMesh,
                            build_mesh, curvature_lp_norm, euler_characteristic,
                            graph_diameter)
 from roughlap.operators import (build_connection, connection_laplacian_1forms,
@@ -56,6 +57,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 ZERO_MODE_TOL = 1e-8
+LIPSCHITZ_SLACK = 0.05
 
 
 class SpecError(ValueError):
@@ -132,10 +134,10 @@ class Report:
             raise SpecError(f"cannot read report file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path}: not a JSON report: {exc.msg}") from None
-        outcomes = [CheckOutcome(**o) for o in data["outcomes"]]
-        return Report(outcomes=outcomes, suite=data["suite"], seed=data["seed"],
-                      created=data["created"],
-                      schema_version=data["schema_version"])
+        try:  # the report's fields are the JSON object's keys
+            return Report(**{**data, "outcomes": [CheckOutcome(**o) for o in data["outcomes"]]})
+        except (KeyError, TypeError) as exc:
+            raise SpecError(f"{path}: not a report ({type(exc).__name__}: {exc})") from None
 
 
 def _jsonable(obj):
@@ -181,6 +183,8 @@ def parse_manifold(data: dict | None, where: str = "manifold"):
             return ProductSpec(factors=factors)
     except KeyError as exc:
         raise SpecError(f"{where}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{where}: {exc}") from None
     raise SpecError(f"{where}: unknown manifold type {kind!r}")
 
 
@@ -208,18 +212,23 @@ class ExperimentContext:
     """Caches the mesh, connection operators, and eigensolve per experiment."""
 
     def __init__(self, manifold, solver: SolverConfig,
-                 budget_spec: dict | None, consts: AbstractConstants):
+                 budget_spec: dict | None, consts: AbstractConstants,
+                 where: str = "experiment"):
         self.manifold = manifold
         self.solver = solver
         self.budget_spec = budget_spec or {}
         self.consts = consts
+        self.where = where  # spec location named by errors in lazy steps
         self._cache: dict = {}
 
     def require_mesh(self, check: str) -> TriangleMesh:
         if self.manifold is None or isinstance(self.manifold, ProductSpec):
-            raise SpecError(f"check '{check}' needs a meshable manifold")
+            raise SpecError(f"{self.where}: check '{check}' needs a meshable manifold")
         if "mesh" not in self._cache:
-            self._cache["mesh"] = build_mesh(self.manifold)
+            try:
+                self._cache["mesh"] = build_mesh(self.manifold)
+            except MeshError as exc:
+                raise SpecError(f"{self.where}.manifold: {exc}") from None
         return self._cache["mesh"]
 
     def connection(self):
@@ -239,19 +248,13 @@ class ExperimentContext:
             self._cache["conn_eig"] = smallest_eigenpairs(op, mass, self.solver)
         return self._cache["conn_eig"]
 
-    def analytic_oneform_values(self, cutoff: float = 30.0):
+    def first_positive_oneform(self) -> float:
         if isinstance(self.manifold, ProductSpec):
             if len(self.manifold.factors) != 2:
                 raise SpecError("product spectra support exactly two factors")
-            f0, f1 = self.manifold.factors
-            a0, a1 = _factor_spectra(f0, cutoff)
-            b0, b1 = _factor_spectra(f1, cutoff)
-            return spectra.product_oneform_spectrum(a0, a1, b0, b1, cutoff)
-        raise SpecError("analytic 1-form spectra are built for products only")
-
-    def first_positive_oneform(self) -> float:
-        if isinstance(self.manifold, ProductSpec):
-            value = self.analytic_oneform_values().first_positive()
+            cutoff = 30.0  # closed-form spectra up to this eigenvalue
+            (a0, a1), (b0, b1) = (_factor_spectra(f, cutoff) for f in self.manifold.factors)
+            value = spectra.product_oneform_spectrum(a0, a1, b0, b1, cutoff).first_positive()
         else:
             value = first_positive(self.connection_eigen(), ZERO_MODE_TOL)
         if value is None:
@@ -268,22 +271,28 @@ class ExperimentContext:
 
     def budget(self) -> GeometryBudget:
         """Budget with unspecified diameter / curvature norm filled by measurement."""
-        spec = dict(self.budget_spec)
-        p = float(spec.get("p_exponent", 4.0))
-        diameter = spec.get("diameter")
-        if diameter is None:
-            diameter = self.measured_diameter()
-        riem = spec.get("riem_2p")
-        if riem is None:
-            if isinstance(self.manifold, ProductSpec):
-                raise SpecError("product experiments must state budget.riem_2p")
-            riem = curvature_lp_norm(self.require_mesh("budget"), 2.0 * p)
-        return GeometryBudget(dim=int(spec.get("dim", 4)),
-                              kappa=float(spec.get("kappa", 0.0)),
-                              diameter=float(diameter),
-                              p_exponent=p,
-                              riem_2p=float(riem),
-                              ric_minus_p=float(spec.get("ric_minus_p", 0.0)))
+        where = f"{self.where}.budget"
+        try:  # the ValueErrors and TypeErrors below all come from budget values
+            spec = dict(self.budget_spec)
+            p = float(spec.get("p_exponent", 4.0))
+            diameter = spec.get("diameter")
+            if diameter is None:
+                diameter = self.measured_diameter()
+            riem = spec.get("riem_2p")
+            if riem is None:
+                if isinstance(self.manifold, ProductSpec):
+                    raise SpecError(f"{where}: product experiments must state riem_2p")
+                riem = curvature_lp_norm(self.require_mesh("budget"), 2.0 * p)
+            return GeometryBudget(dim=int(spec.get("dim", 4)),
+                                  kappa=float(spec.get("kappa", 0.0)),
+                                  diameter=float(diameter),
+                                  p_exponent=p,
+                                  riem_2p=float(riem),
+                                  ric_minus_p=float(spec.get("ric_minus_p", 0.0)))
+        except SpecError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"{where}: {exc}") from None
 
 
 # -- grid checks (no manifold) ----------------------------------------------
@@ -498,17 +507,15 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
                         notes="eps >= 1/2: implication vacuous, values reported")
 
 
-def check_gap_lower_bound(ctx: ExperimentContext,
-                          kappa_ray_step: float = 0.5,
-                          riem_ray_step: float = 0.5) -> list[CheckOutcome]:
+def check_gap_lower_bound(ctx: ExperimentContext) -> list[CheckOutcome]:
     """Report the gap bound against the measured gap; assert its structure.
 
     First outcome (reported): sqrt(lambda_1) * D, the bound, their ratio and
     the active branch -- not assertable, the constants are abstract.
     Second outcome (pass/fail): the bound is monotone non-increasing along
-    10-point rays in kappa and in the curvature norm, and continuous across
-    the branch switch (jump below 1e-9 at a crossing constructed with a
-    rescaled bootstrap constant).
+    10-point rays of step 0.5/D^2 in kappa and in the curvature norm, and
+    continuous across the branch switch (jump below 1e-9 at a crossing
+    constructed with a rescaled bootstrap constant).
     """
     budget = ctx.budget()
     consts = ctx.consts
@@ -526,13 +533,13 @@ def check_gap_lower_bound(ctx: ExperimentContext,
         notes="bound evaluated at abstract constants; comparison not assertable")
 
     slack = 1e-12
-    kappas = [budget.kappa + i * kappa_ray_step / d ** 2 for i in range(10)]
+    kappas = [budget.kappa + i * 0.5 / d ** 2 for i in range(10)]
     rhs_kappa = [con.oneform_gap_lower_bound(
         GeometryBudget(budget.dim, k, d, budget.p_exponent,
                        budget.riem_2p, budget.ric_minus_p), consts)
         for k in kappas]
     mono_kappa = all(b <= a + slack for a, b in zip(rhs_kappa, rhs_kappa[1:]))
-    riems = [budget.riem_2p + i * riem_ray_step / d ** 2 for i in range(10)]
+    riems = [budget.riem_2p + i * 0.5 / d ** 2 for i in range(10)]
     rhs_riem = [con.oneform_gap_lower_bound(
         GeometryBudget(budget.dim, budget.kappa, d, budget.p_exponent,
                        r, budget.ric_minus_p), consts)
@@ -592,11 +599,11 @@ _TORUS_TEST_FUNCTIONS = (
 )
 
 
-def check_lipschitz(ctx: ExperimentContext, slack: float = 0.05) -> CheckOutcome:
+def check_lipschitz(ctx: ExperimentContext) -> CheckOutcome:
     """Oscillation of smooth test functions against gradient sup times diameter.
 
-    For each test function: max |f_p - f_q| <= (1+slack) * max per-face
-    gradient magnitude * graph diameter.
+    For each test function: max |f_p - f_q| <= (1 + LIPSCHITZ_SLACK) * max
+    per-face gradient magnitude * graph diameter.
     """
     mesh = ctx.require_mesh("lipschitz")
     diameter = ctx.measured_diameter()
@@ -608,12 +615,12 @@ def check_lipschitz(ctx: ExperimentContext, slack: float = 0.05) -> CheckOutcome
         values = np.asarray(fn(mesh.vertices, mesh.params), dtype=float)
         osc = float(values.max() - values.min())
         grad_sup = float(face_gradient_magnitudes(mesh, values).max())
-        bound = (1.0 + slack) * grad_sup * diameter
+        bound = (1.0 + LIPSCHITZ_SLACK) * grad_sup * diameter
         rows[name] = {"oscillation": osc, "grad_sup": grad_sup, "bound": bound}
         ok = ok and osc <= bound
     return CheckOutcome(name="lipschitz", status="pass" if ok else "fail",
                         measured={"diameter": diameter, "functions": rows},
-                        tolerance=slack,
+                        tolerance=LIPSCHITZ_SLACK,
                         notes="oscillation <= (1+slack) * |grad f|_inf * diameter")
 
 
@@ -644,14 +651,6 @@ def rigidity_implication(lambda1: float, diameter: float, kappa: float,
 
 # -- suite driver -------------------------------------------------------------
 
-def _check_rigidity(ctx: ExperimentContext, **params) -> CheckOutcome:
-    required = ("lambda1", "diameter", "kappa", "c", "dim", "has_nonparallel_harmonic")
-    missing = [r for r in required if r not in params]
-    if missing:
-        raise SpecError(f"rigidity_implication needs parameters {missing}")
-    return rigidity_implication(**{k: params[k] for k in required})
-
-
 CHECK_REGISTRY = {
     "root_sandwich_grid": lambda ctx, **p: check_root_sandwich_grid(**p),
     "moser_product_grid": lambda ctx, **p: check_moser_product_grid(**p),
@@ -661,22 +660,29 @@ CHECK_REGISTRY = {
     "pinching": lambda ctx, **p: check_pinching(ctx, **p),
     "gap_lower_bound": lambda ctx, **p: check_gap_lower_bound(ctx, **p),
     "lipschitz": lambda ctx, **p: check_lipschitz(ctx, **p),
-    "rigidity_implication": _check_rigidity,
+    "rigidity_implication": lambda ctx, **p: rigidity_implication(**p),
+}
+
+# the function behind each registry entry; a spec's parameters must fit it
+_CHECK_FUNCTIONS = {
+    "root_sandwich_grid": check_root_sandwich_grid,
+    "moser_product_grid": check_moser_product_grid,
+    "weitzenboeck": check_weitzenboeck,
+    "harmonic_alternative": check_harmonic_alternative,
+    "killing_alternative": check_killing_alternative,
+    "pinching": check_pinching,
+    "gap_lower_bound": check_gap_lower_bound,
+    "lipschitz": check_lipschitz,
+    "rigidity_implication": rigidity_implication,
 }
 
 
-def _parse_solver(data: dict | None, seed_default: int, where: str) -> SolverConfig:
-    data = dict(data or {})
-    data.setdefault("seed", seed_default)
+def _parse_settings(cls, data: dict | None, where: str, **defaults):
+    """``cls`` built from a spec object over ``defaults``; errors name ``where``."""
+    if not isinstance(data, (dict, type(None))):
+        raise SpecError(f"{where}: expected an object")
     try:
-        return SolverConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: {exc}") from None
-
-
-def _parse_constants(data: dict | None, where: str) -> AbstractConstants:
-    try:
-        return AbstractConstants(**(data or {}))
+        return cls(**{**defaults, **(data or {})})
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}: {exc}") from None
 
@@ -713,9 +719,11 @@ def run_suite(spec_path: str | Path) -> Report:
             raise SpecError(f"{where}: expected an object")
         label = experiment.get("label", f"experiment{e_idx}")
         manifold = parse_manifold(experiment.get("manifold"), f"{where}.manifold")
-        solver = _parse_solver(experiment.get("solver"), seed, f"{where}.solver")
-        consts = _parse_constants(experiment.get("constants"), f"{where}.constants")
-        ctx = ExperimentContext(manifold, solver, experiment.get("budget"), consts)
+        solver = _parse_settings(SolverConfig, experiment.get("solver"), f"{where}.solver",
+                                 seed=seed)
+        consts = _parse_settings(AbstractConstants, experiment.get("constants"),
+                                 f"{where}.constants")
+        ctx = ExperimentContext(manifold, solver, experiment.get("budget"), consts, where)
         checks = experiment.get("checks", [])
         if not isinstance(checks, list):
             raise SpecError(f"{where}.checks: expected a list")
@@ -730,6 +738,12 @@ def run_suite(spec_path: str | Path) -> Report:
                 raise SpecError(f"{c_where}: expected a name or an object with 'name'")
             if name not in CHECK_REGISTRY:
                 raise SpecError(f"{c_where}: unknown check {name!r}")
+            signature = inspect.signature(_CHECK_FUNCTIONS[name])
+            ctx_arg = [ctx] if "ctx" in signature.parameters else []
+            try:
+                signature.bind(*ctx_arg, **params)
+            except TypeError as exc:
+                raise SpecError(f"{c_where}: check {name!r}: {exc}") from None
             result = CHECK_REGISTRY[name](ctx, **params)
             for outcome in result if isinstance(result, list) else [result]:
                 outcome.name = f"{label}:{outcome.name}"

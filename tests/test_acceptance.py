@@ -261,7 +261,7 @@ def test_criterion_11_lipschitz_battery():
         ctx = V.ExperimentContext(manifold, SolverConfig(k=4),
                                   {"dim": 4, "p_exponent": 4.0},
                                   AbstractConstants())
-        out = V.check_lipschitz(ctx, slack=0.05)
+        out = V.check_lipschitz(ctx)
         print(f"\ncriterion 11: {manifold} -> {out.status}")
         assert out.status == "pass"
 

@@ -86,6 +86,14 @@ def test_verify_spec_error_exit_code(capsys, tmp_path):
     assert "spec error" in capsys.readouterr().err
 
 
+def test_report_rejects_json_that_is_not_a_report(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    assert main(["report", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "spec error" in err and "empty.json" in err and "'outcomes'" in err
+
+
 def _printed_values(out):
     return [float(ln.split()[0]) for ln in out.splitlines()
             if ln and not ln.startswith("#")]

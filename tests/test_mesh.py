@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from roughlap import mesh as M
 
@@ -77,11 +78,27 @@ def test_sphere_graph_diameter_above_geodesic(sphere_s2, sphere_s3):
         assert math.pi <= d <= 1.07 * math.pi
 
 
-def test_sampled_diameter_is_lower_bound(sphere_s2):
-    exact = M.graph_diameter(sphere_s2)
-    sampled = M.graph_diameter(sphere_s2, exact_limit=10, n_sources=64)
-    assert sampled <= exact + 1e-12
-    assert sampled >= 0.95 * exact
+def _all_pairs_diameter(mesh):
+    """Exact graph diameter, from Dijkstra on every vertex in 256-row blocks."""
+    g = mesh.adjacency().tocsr()
+    return max(float(dijkstra(g, directed=False, indices=block).max())
+               for block in np.array_split(np.arange(mesh.n_vertices),
+                                           -(-mesh.n_vertices // 256)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: M.generate_icosphere(1.0, 2),
+    lambda: M.generate_icosphere(1.0, 3),
+    lambda: M.generate_flat_torus(TWO_PI, TWO_PI, 32, 32),
+    lambda: M.generate_flat_torus(TWO_PI, TWO_PI, 64, 64),
+], ids=["ico2", "ico3", "torus32", "torus64"])
+def test_graph_diameter_against_all_pairs(make):
+    mesh = make()
+    exact = _all_pairs_diameter(mesh)
+    d = M.graph_diameter(mesh)
+    assert d <= exact
+    if mesh.n_vertices <= 1024:
+        assert d == exact
 
 
 def test_curvature_norm_torus_vanishes(torus16):
@@ -90,7 +107,7 @@ def test_curvature_norm_torus_vanishes(torus16):
 
 
 def test_curvature_norm_sphere(sphere_s3):
-    got = M.curvature_lp_norm(sphere_s3, 2.0, convention_scale=2.0)
+    got = M.curvature_lp_norm(sphere_s3, 2.0)
     assert got == pytest.approx(2.0, rel=0.03)
 
 

@@ -301,6 +301,32 @@ def test_run_suite_unknown_solver_setting(tmp_path):
         V.run_suite(path)
 
 
+ICO1 = {"type": "icosphere", "radius": 1.0, "subdivisions": 1}
+
+
+@pytest.mark.parametrize("experiment, where", [
+    ({"checks": [{"name": "root_sandwich_grid", "bogus": 1}]},
+     r"checks\[0\].*root_sandwich_grid.*bogus"),
+    ({"manifold": ICO1, "checks": [{"name": "lipschitz", "slack": 0.1}]},
+     r"checks\[0\].*lipschitz.*slack"),
+    ({"manifold": ICO1, "checks": [{"name": "gap_lower_bound", "kappa_ray_step": 1.0}]},
+     r"checks\[0\].*gap_lower_bound.*kappa_ray_step"),
+    ({"checks": [{"name": "rigidity_implication", "lambda1": 1.0}]},
+     r"checks\[0\].*rigidity_implication.*missing"),
+    ({"solver": [1, 2], "checks": []}, r"solver: expected an object"),
+    ({"manifold": ICO1, "budget": {"p_exponent": "four"}, "checks": ["gap_lower_bound"]},
+     r"budget.*four"),
+    ({"manifold": dict(ICO1, radius=-1.0), "checks": ["lipschitz"]},
+     r"manifold: radius must be positive"),
+    ({"manifold": dict(ICO1, radius="one"), "checks": []}, r"manifold.*one"),
+], ids=["unknown_param", "deleted_slack", "deleted_ray_step", "missing_param",
+        "solver_list", "budget_text", "negative_radius", "radius_text"])
+def test_run_suite_locates_bad_input(tmp_path, experiment, where):
+    path = write_spec(tmp_path, {"experiments": [{"label": "x"}, dict(experiment, label="y")]})
+    with pytest.raises(V.SpecError, match=r"^experiments\[1\]\." + where):
+        V.run_suite(path)
+
+
 def test_grid_check_rejects_mesh_requirement(tmp_path):
     path = write_spec(tmp_path, {"label": "x", "checks": ["lipschitz"]})
     with pytest.raises(V.SpecError, match="meshable"):
