@@ -1,12 +1,14 @@
 """Smallest generalized eigenpairs of (L, M), certified and deterministic.
 
 L is sparse Hermitian positive semidefinite, M positive diagonal.  The
-pencil is whitened through M^(-1/2), solved densely below a size cutoff and
+pencil is whitened through M^(-1/2), solved densely up to a size cutoff and
 by shift-invert Lanczos (ARPACK through a seeded start vector and an
-explicit sparse LU of B - sigma*I) above it.  The small negative shift
-keeps the factorization definite when L has a kernel.  Every returned pair
-carries the relative residual |L x - lambda M x| / |M x|; exceeding the
-configured tolerance raises, carrying the best residuals seen.
+explicit sparse LU of B - sigma*I) above it.  The dense solve computes only
+the k requested pairs (LAPACK's MRRR driver on an index range), not the
+whole spectrum.  The small negative shift keeps the factorization definite
+when L has a kernel.  Every returned pair carries the relative residual
+|L x - lambda M x| / |M x|; exceeding the configured tolerance raises,
+carrying the best residuals seen.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ __all__ = [
 class SolverConfig:
     """k smallest pairs, residual tolerance, determinism seed.
 
-    ``dense_cutoff`` routes problems at or below that size to a dense solve.
+    ``dense_cutoff`` routes problems at or below that size to a dense solve,
+    which computes only the k requested pairs.
     """
 
     k: int = 6
@@ -101,9 +104,7 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     scale = float(sp.linalg.norm(b, 1))
 
     if n <= config.dense_cutoff:
-        vals, vecs = eigh(b.toarray())
-        vals = vals[:config.k]
-        vecs = vecs[:, :config.k]
+        vals, vecs = eigh(b.toarray(), subset_by_index=[0, config.k - 1])
         iterations = 0
     else:
         vals, vecs, iterations = _shift_invert(b, config)

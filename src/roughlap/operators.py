@@ -330,7 +330,8 @@ def rayleigh_quotient(L, M, x: np.ndarray) -> float:
     return float(num.real / denom)
 
 
-def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None
+def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
+                             conn: ConnectionData | None = None
                              ) -> list[tuple[float, float, float, float]]:
     """Pair Hodge and connection-Laplacian eigenvalues through the curvature shift.
 
@@ -339,7 +340,9 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None
     k smallest eigenvalues satisfy mu_i = lambda_i + K.  K is estimated
     intrinsically as total curvature / area = 2*pi*chi / area.  Connection
     eigenvalues are complex-multiplicity values and are doubled to match the
-    real Hodge count.  Returns rows (mu_i, lambda_i, K, relative mismatch).
+    real Hodge count.  ``conn`` is the mesh's connection when the caller
+    already has it; it is built otherwise.  Returns rows
+    (mu_i, lambda_i, K, relative mismatch).
     """
     from roughlap.eigen import SolverConfig, smallest_eigenpairs
 
@@ -350,7 +353,8 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None
     shift = 2.0 * math.pi * euler_characteristic(mesh) / mesh.total_area
     config = solver_config or SolverConfig()
 
-    conn = build_connection(mesh)
+    if conn is None:
+        conn = build_connection(mesh)
     l_conn, m_conn = connection_laplacian_1forms(mesh, conn)
     k_complex = (k + 1) // 2
     res_conn = smallest_eigenpairs(l_conn, m_conn,

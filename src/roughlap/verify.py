@@ -17,6 +17,9 @@ import csv
 import inspect
 import json
 import math
+import types
+import typing
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -214,6 +217,8 @@ class ExperimentContext:
     def __init__(self, manifold, solver: SolverConfig,
                  budget_spec: dict | None, consts: AbstractConstants,
                  where: str = "experiment"):
+        if not isinstance(budget_spec, (dict, type(None))):
+            raise SpecError(f"{where}.budget: expected an object")
         self.manifold = manifold
         self.solver = solver
         self.budget_spec = budget_spec or {}
@@ -269,35 +274,45 @@ class ExperimentContext:
                 self._cache["diameter"] = graph_diameter(self.require_mesh("diameter"))
         return self._cache["diameter"]
 
+    def budget_value(self, key: str, default: float | None) -> float | None:
+        """The budget's stated ``key`` as a number; ``default`` when unstated."""
+        value = self.budget_spec.get(key)
+        if value is None:
+            return default
+        try:
+            return float(value)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"{self.where}.budget.{key}: {exc}") from None
+
     def budget(self) -> GeometryBudget:
         """Budget with unspecified diameter / curvature norm filled by measurement."""
         where = f"{self.where}.budget"
-        try:  # the ValueErrors and TypeErrors below all come from budget values
-            spec = dict(self.budget_spec)
-            p = float(spec.get("p_exponent", 4.0))
-            diameter = spec.get("diameter")
+        try:  # the ValueErrors below all come from out-of-range budget values
+            p = self.budget_value("p_exponent", 4.0)
+            diameter = self.budget_value("diameter", None)
             if diameter is None:
                 diameter = self.measured_diameter()
-            riem = spec.get("riem_2p")
+            riem = self.budget_value("riem_2p", None)
             if riem is None:
                 if isinstance(self.manifold, ProductSpec):
                     raise SpecError(f"{where}: product experiments must state riem_2p")
                 riem = curvature_lp_norm(self.require_mesh("budget"), 2.0 * p)
-            return GeometryBudget(dim=int(spec.get("dim", 4)),
-                                  kappa=float(spec.get("kappa", 0.0)),
+            return GeometryBudget(dim=int(self.budget_value("dim", 4)),
+                                  kappa=self.budget_value("kappa", 0.0),
                                   diameter=float(diameter),
                                   p_exponent=p,
                                   riem_2p=float(riem),
-                                  ric_minus_p=float(spec.get("ric_minus_p", 0.0)))
+                                  ric_minus_p=self.budget_value("ric_minus_p", 0.0))
         except SpecError:
             raise
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SpecError(f"{where}: {exc}") from None
 
 
 # -- grid checks (no manifold) ----------------------------------------------
 
-def check_root_sandwich_grid(n_values=range(2, 9), lambda_grid=None) -> CheckOutcome:
+def check_root_sandwich_grid(n_values: Sequence[int] = range(2, 9),
+                             lambda_grid: Sequence[float] | None = None) -> CheckOutcome:
     """Exponential floor <= lam*C(lam) <= sine integral across the full grid.
 
     Root residuals are certified to 1e-10 relative inside comparison_root;
@@ -332,8 +347,8 @@ def check_root_sandwich_grid(n_values=range(2, 9), lambda_grid=None) -> CheckOut
         notes="floor*exp(-(n-1)lam) <= lam*C(lam) <= sin integral; roots certified")
 
 
-def check_moser_product_grid(t_grid=(0.1, 1.0, 10.0, 100.0),
-                             gamma_grid=(1.1, 1.5, 2.0, 4.0),
+def check_moser_product_grid(t_grid: Sequence[float] = (0.1, 1.0, 10.0, 100.0),
+                             gamma_grid: Sequence[float] = (1.1, 1.5, 2.0, 4.0),
                              tail_tol: float = 1e-12) -> CheckOutcome:
     """Converged iteration product stays below its closed-form majorant."""
     min_slack = math.inf
@@ -383,7 +398,7 @@ def check_weitzenboeck(ctx: ExperimentContext, k: int = 6,
     mesh = ctx.require_mesh("weitzenboeck")
     if tolerance is None:
         tolerance = 0.03 if isinstance(ctx.manifold, IcoSphere) else 0.05
-    rows = weitzenboeck_eigen_check(mesh, k, ctx.solver)
+    rows = weitzenboeck_eigen_check(mesh, k, ctx.solver, ctx.connection())
     residuals = [r[3] for r in rows]
     worst = max(residuals) if residuals else 0.0
     ok = worst <= tolerance
@@ -421,7 +436,7 @@ def check_harmonic_alternative(ctx: ExperimentContext,
                             measured={"b1": b1},
                             notes="not applicable: first Betti number is zero")
     if kappa is None:
-        kappa = float(ctx.budget_spec.get("kappa", 0.0))
+        kappa = ctx.budget_value("kappa", 0.0)
     result = ctx.connection_eigen()
     zero_dim_real = 2 * int(np.sum(result.values <= ZERO_MODE_TOL * result.scale))
     fp = first_positive(result, ZERO_MODE_TOL)
@@ -677,6 +692,22 @@ _CHECK_FUNCTIONS = {
 }
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a check parameter's type hint.
+
+    Numbers fit ``float``, only integers fit ``int``, and a JSON boolean is
+    not a number; ``Sequence[...]`` takes a JSON list.
+    """
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is Sequence:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _parse_settings(cls, data: dict | None, where: str, **defaults):
     """``cls`` built from a spec object over ``defaults``; errors name ``where``."""
     if not isinstance(data, (dict, type(None))):
@@ -744,6 +775,12 @@ def run_suite(spec_path: str | Path) -> Report:
                 signature.bind(*ctx_arg, **params)
             except TypeError as exc:
                 raise SpecError(f"{c_where}: check {name!r}: {exc}") from None
+            hints = typing.get_type_hints(_CHECK_FUNCTIONS[name])
+            for key, value in params.items():
+                if not _fits(value, hints[key]):
+                    expected = signature.parameters[key].annotation
+                    raise SpecError(f"{c_where}.{key}: check {name!r} expects "
+                                    f"{expected}, got {value!r}")
             result = CHECK_REGISTRY[name](ctx, **params)
             for outcome in result if isinstance(result, list) else [result]:
                 outcome.name = f"{label}:{outcome.name}"

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from roughlap.eigen import (EigenConvergenceError, EigenResult, SolverConfig,
                             cluster_multiplicities, first_positive,
                             smallest_eigenpairs)
-from roughlap.mesh import generate_flat_torus
-from roughlap.operators import build_connection, connection_laplacian_1forms, cotan_laplacian
+from roughlap.mesh import generate_flat_torus, generate_icosphere
+from roughlap.operators import (build_connection, connection_laplacian_1forms,
+                                cotan_laplacian, hodge_laplacian_1forms)
 
 
 def test_diagonal_case():
@@ -69,6 +71,42 @@ def test_dense_sparse_oracle(torus16):
     dense = smallest_eigenpairs(op, mass, SolverConfig(k=6, dense_cutoff=10 ** 6))
     sparse = smallest_eigenpairs(op, mass, SolverConfig(k=6, dense_cutoff=0))
     assert np.abs(dense.values - sparse.values).max() < 1e-8 * dense.scale
+
+
+def _sphere_connection_pencil():
+    sphere = generate_icosphere(1.0, 2)
+    return connection_laplacian_1forms(sphere, build_connection(sphere))
+
+
+def _torus_hodge_pencil():
+    return hodge_laplacian_1forms(generate_flat_torus(2 * np.pi, 2 * np.pi, 16, 16))
+
+
+@pytest.mark.parametrize("pencil, k, head", [
+    # k=5 cuts the 5-fold cluster after 2 of its copies (3 + 2)
+    (_sphere_connection_pencil, 5, [3, 5]),
+    (_torus_hodge_pencil, 8, None),
+], ids=["ico2_connection_k5", "torus16_hodge_k8"])
+def test_dense_path_against_full_spectrum(pencil, k, head):
+    op, mass = pencil()
+    config = SolverConfig(k=k)
+    assert op.dimension <= config.dense_cutoff
+    res = smallest_eigenpairs(op, mass, config)
+    # oracle: every eigenpair of the whitened pencil, computed here
+    w = 1.0 / np.sqrt(mass.weights)
+    b = (sp.diags(w) @ op.matrix @ sp.diags(w)).toarray()
+    full_vals, full_vecs = scipy.linalg.eigh((b + b.conj().T) / 2)
+    assert res.iterations == 0
+    assert np.abs(res.values - full_vals[:k]).max() <= 1e-12 * res.scale
+    gram = res.vectors.conj().T @ (mass.weights[:, None] * res.vectors)
+    assert np.abs(gram - np.eye(k)).max() < 1e-12
+    assert np.all(res.residuals <= config.tol)
+    if head is not None:
+        assert [c for _, c in cluster_multiplicities(full_vals[:sum(head)])] == head
+        # each returned vector lies in the eigenspace of the clusters it meets
+        span = full_vecs[:, :sum(head)]
+        y = res.vectors / w[:, None]
+        assert np.linalg.norm(span.conj().T @ y, axis=0) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_monotone_under_k(torus16):

@@ -9,6 +9,7 @@ import pytest
 from roughlap.constants import AbstractConstants
 from roughlap.eigen import SolverConfig
 from roughlap.mesh import FlatTorus, IcoSphere, ProductSpec
+from roughlap import operators as O
 from roughlap import verify as V
 
 TWO_PI = 2 * math.pi
@@ -66,8 +67,20 @@ def test_moser_product_grid_bad_gamma():
 # -- mesh checks -----------------------------------------------------------------
 
 def test_weitzenboeck_check_torus(torus_ctx):
+    # flat tori: both levels sit at roundoff, where the check asks for a
+    # mismatch <= 1e-12 instead of a decrease between two roundoff numbers
     out = V.check_weitzenboeck(torus_ctx, k=6, tolerance=0.05)
     assert out.status == "pass"
+    assert out.measured["max_residual_coarse"] <= 1e-12
+    assert out.measured["max_residual"] <= 1e-12
+
+
+def test_weitzenboeck_check_sphere_refines(sphere_ctx):
+    # curved surface: the mismatch is discretization error, and it must
+    # strictly decrease from ico s=1 to s=2
+    out = V.check_weitzenboeck(sphere_ctx, k=6, tolerance=0.03)
+    assert out.status == "pass"
+    assert out.measured["max_residual_coarse"] > 1e-12
     assert out.measured["max_residual"] < out.measured["max_residual_coarse"]
 
 
@@ -75,6 +88,17 @@ def test_weitzenboeck_check_no_refine(sphere_ctx):
     out = V.check_weitzenboeck(sphere_ctx, k=4, tolerance=0.03, compare_coarser=False)
     assert out.status == "pass"
     assert "max_residual_coarse" not in out.measured
+
+
+def test_weitzenboeck_check_uses_the_context_connection(monkeypatch):
+    ctx = make_ctx(FlatTorus(TWO_PI, TWO_PI, 8, 8))
+    ctx.connection()
+    built = []
+    build = O.build_connection
+    monkeypatch.setattr(O, "build_connection", lambda mesh: built.append(mesh) or build(mesh))
+    out = V.check_weitzenboeck(ctx, k=4, compare_coarser=False)
+    assert out.status == "pass"
+    assert built == []
 
 
 def test_harmonic_alternative_torus(torus_ctx):
@@ -302,6 +326,7 @@ def test_run_suite_unknown_solver_setting(tmp_path):
 
 
 ICO1 = {"type": "icosphere", "radius": 1.0, "subdivisions": 1}
+TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
 
 
 @pytest.mark.parametrize("experiment, where", [
@@ -319,8 +344,20 @@ ICO1 = {"type": "icosphere", "radius": 1.0, "subdivisions": 1}
     ({"manifold": dict(ICO1, radius=-1.0), "checks": ["lipschitz"]},
      r"manifold: radius must be positive"),
     ({"manifold": dict(ICO1, radius="one"), "checks": []}, r"manifold.*one"),
+    ({"manifold": TORUS8, "budget": {"kappa": "x"}, "checks": ["harmonic_alternative"]},
+     r"budget\.kappa: .*'x'"),
+    ({"manifold": TORUS8, "checks": [{"name": "weitzenboeck", "k": "six"}]},
+     r"checks\[0\]\.k: check 'weitzenboeck' expects int, got 'six'"),
+    ({"checks": [{"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0,
+                  "kappa": 0.0, "c": 1.0, "dim": 4, "has_nonparallel_harmonic": 0}]},
+     r"checks\[0\]\.has_nonparallel_harmonic: .*expects bool, got 0"),
+    ({"checks": [{"name": "moser_product_grid", "t_grid": [1.0, "2"]}]},
+     r"checks\[0\]\.t_grid: .*expects Sequence\[float\]"),
+    ({"manifold": TORUS8, "budget": [0.0], "checks": []}, r"budget: expected an object"),
 ], ids=["unknown_param", "deleted_slack", "deleted_ray_step", "missing_param",
-        "solver_list", "budget_text", "negative_radius", "radius_text"])
+        "solver_list", "budget_text", "negative_radius", "radius_text",
+        "budget_kappa_text", "param_k_text", "param_bool_as_int", "param_grid_item_text",
+        "budget_list"])
 def test_run_suite_locates_bad_input(tmp_path, experiment, where):
     path = write_spec(tmp_path, {"experiments": [{"label": "x"}, dict(experiment, label="y")]})
     with pytest.raises(V.SpecError, match=r"^experiments\[1\]\." + where):
