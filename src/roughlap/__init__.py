@@ -1,8 +1,8 @@
 """roughlap: eigenvalue bounds for the connection Laplacian on 1-forms.
 
-A numpy/scipy library in two halves:
+A numpy library, with scipy's sparse matrices and eigensolvers, in two halves:
 
-* explicit constants and inequalities (``roughlap.constants``) for the
+* explicit constants and inequalities (``roughlap.constants``, numpy only) for the
   spectral gap of the connection Laplacian acting on 1-forms of closed
   even-dimensional manifolds with Ricci, diameter, and integral curvature
   control;

@@ -31,22 +31,39 @@ from roughlap.verify import Report, SpecError, run_suite
 def _cmd_constants(args) -> int:
     print("n lambda omega floor_coef root lam_root lower_bound upper_bound")
     for n in args.n:
-        w = con.sin_power_integral(n)
+        try:
+            w = con.sin_power_integral(n)
+        except ValueError as exc:
+            raise SpecError(f"--n {n}: {exc}") from None
         coef = con.root_floor_coefficient(n)
         for lam in args.lambda_grid:
-            root = con.comparison_root(n, lam)
+            try:
+                root = con.comparison_root(n, lam)
+            except ValueError as exc:
+                raise SpecError(f"--lambda-grid {lam!r}: {exc}") from None
             lower = coef * math.exp(-(n - 1) * lam)
             print(f"{n} {lam!r} {w!r} {coef!r} {root!r} {lam * root!r} {lower!r} {w!r}")
     return 0
 
 
+# The `bound` flag that sets each GeometryBudget and AbstractConstants field;
+# their range errors open with the name of the field they reject.
+_BOUND_FLAGS = {"dim": "--dim", "kappa": "--kappa", "diameter": "--diameter",
+                "p_exponent": "--p", "riem_2p": "--riem2p", "ric_minus_p": "--ric-minus-p",
+                "c_n": "--c-n", "c_np": "--c-np", "c0_np": "--c0-np"}
+
+
 def _cmd_bound(args) -> int:
-    budget = GeometryBudget(dim=args.dim, kappa=args.kappa, diameter=args.diameter,
-                            p_exponent=args.p, riem_2p=args.riem2p,
-                            ric_minus_p=args.ric_minus_p)
-    consts = AbstractConstants(c_n=args.c_n, c_np=args.c_np, c0_np=args.c0_np)
-    b1, b2 = con.oneform_gap_branches(budget, consts, args.delta_branch,
-                                      args.corollary_variant)
+    try:
+        budget = GeometryBudget(dim=args.dim, kappa=args.kappa, diameter=args.diameter,
+                                p_exponent=args.p, riem_2p=args.riem2p,
+                                ric_minus_p=args.ric_minus_p)
+        consts = AbstractConstants(c_n=args.c_n, c_np=args.c_np, c0_np=args.c0_np)
+        b1, b2 = con.oneform_gap_branches(budget, consts, args.delta_branch,
+                                          args.corollary_variant)
+    except ValueError as exc:
+        flag = _BOUND_FLAGS.get(str(exc).split()[0], "bound")
+        raise SpecError(f"{flag}: {exc}") from None
     rhs = min(b1, b2)
     print(f"branch1 {b1!r}")
     print(f"branch2 {b2!r}")

@@ -5,7 +5,9 @@ Everything here is a pure function of its inputs.  The chain of quantities:
 * ``sin_power_integral(n)`` and ``comparison_root(n, lam)`` come from the
   comparison-geometry Poincare inequality: ``C(lam)`` is the unique positive
   root of ``x * int_0^lam (cosh t + x sinh t)^(n-1) dt = int_0^pi sin^(n-1)``,
-  wedged between an explicit exponential floor and the sine integral.
+  wedged between an explicit exponential floor and the sine integral.  Both
+  take numpy and math only: the Wallis recursion, and Newton's method on
+  Gauss-Legendre moments with a second rule as certificate.
 * ``sobolev_cs`` turns a Ricci lower bound and a diameter bound into the
   Sobolev constant ``C_s`` of ``|f|_{2n/(n-2)} <= |f|_2 + C_s |df|_2``.
 * The Moser-iteration machinery (``moser_parameters``, ``moser_sup_bound``,
@@ -26,13 +28,10 @@ so each formula is executable and the unknowns are explicit and sweepable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import comb
 
 __all__ = [
     "GeometryBudget",
@@ -61,9 +60,6 @@ __all__ = [
     "li_yau_predicate",
 ]
 
-_QUAD_ABS = 1e-13
-_QUAD_REL = 1e-13
-
 
 @dataclass(frozen=True)
 class GeometryBudget:
@@ -86,15 +82,16 @@ class GeometryBudget:
 
     def __post_init__(self) -> None:
         if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.diameter <= 0:
             raise ValueError(f"diameter must be positive, got {self.diameter}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.riem_2p < 0 or self.ric_minus_p < 0:
-            raise ValueError("curvature norms must be nonnegative")
+        for name in ("riem_2p", "ric_minus_p"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.p_exponent <= 0:
-            raise ValueError("p_exponent must be positive")
+            raise ValueError(f"p_exponent must be positive, got {self.p_exponent}")
 
 
 @dataclass(frozen=True)
@@ -131,20 +128,13 @@ class MoserParameters:
     sobolev_cs: float
 
 
-@lru_cache(maxsize=None)
 def sin_power_integral(n: int) -> float:
-    """Integral of sin^(n-1) t over [0, pi], by adaptive quadrature.
-
-    Closed forms exist (sqrt(pi) Gamma(n/2) / Gamma((n+1)/2)) and serve as
-    the test oracle; the quadrature keeps this module self-contained.
-    """
+    """Integral w(n) of sin^(n-1) t over [0, pi]: the Wallis recursion
+    ``w(n) = (n-2)/(n-1) w(n-2)`` from w(1) = pi, w(2) = 2, as one integer ratio."""
     if n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
-    val, err = quad(lambda t: math.sin(t) ** (n - 1), 0.0, math.pi,
-                    epsabs=1e-14, epsrel=_QUAD_REL)
-    if err > 1e-12:
-        raise RuntimeError(f"quadrature error estimate {err} too large for n={n}")
-    return val
+    ratio = math.prod(range(n - 2, 0, -2)) / math.prod(range(n - 1, 0, -2))
+    return (math.pi if n % 2 else 2.0) * ratio
 
 
 def root_floor_coefficient(n: int) -> float:
@@ -158,52 +148,61 @@ def root_floor_coefficient(n: int) -> float:
     return w * (1.0 + w) ** (1 - n)
 
 
-def _cosh_sinh_moments(n: int, lam: float) -> np.ndarray:
-    """Moments m_k = int_0^lam cosh^(n-1-k) t sinh^k t dt for k = 0..n-1."""
-    moments = np.empty(n)
-    for k in range(n):
-        val, _ = quad(lambda t, k=k: math.cosh(t) ** (n - 1 - k) * math.sinh(t) ** k,
-                      0.0, lam, epsabs=1e-300, epsrel=_QUAD_REL)
-        moments[k] = val
-    return moments
+_RULE = np.polynomial.legendre.leggauss(20)
+_CHECK_RULE = np.polynomial.legendre.leggauss(27)
+
+
+def _integral(f, lam: float, rate: float, rule) -> np.ndarray:
+    """Composite Gauss-Legendre rule for int_0^lam f(t) dt along f's first axis.
+
+    On ``ceil(rate*lam/4)`` panels an integrand growing like exp(rate*t) grows
+    by at most e^4 on each; nodes count down from lam, where it is largest.
+    """
+    nodes, weights = rule
+    panels = max(1, math.ceil(rate * lam / 4.0))
+    h = lam / panels
+    t = lam - h * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)).ravel()
+    return 0.5 * h * (np.tile(weights, panels) @ f(t))
 
 
 def comparison_root(n: int, lam: float) -> float:
     """Unique positive root C of ``C * int_0^lam (cosh t + C sinh t)^(n-1) dt = w(n)``.
 
-    The left side is strictly increasing in C, so the root is unique.  For
-    integer n the binomial expansion turns the equation into a polynomial
-    ``sum_k binom(n-1, k) m_k C^(k+1) = w(n)`` with positive coefficients,
-    which brentq solves inside the bracket [0, w(n)/m_0].  The returned root
-    is certified against the direct quadrature definition to a relative
-    residual of 1e-10.
+    In ``c = lam*C`` and divided by cosh(lam)^(n-1), the binomial expansion is
+    a polynomial ``sum_k binom(n-1, k) m_k c^(k+1)`` with positive coefficients,
+    so Newton's method from the bracket's right end falls monotonically to the
+    unique root.  A 27-node rule on the direct definition certifies a relative
+    residual below 1e-10.  Raises ValueError where cosh(lam)^(n-1) overflows.
     """
     if n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive (integral degenerates), got {lam}")
-    w = sin_power_integral(n)
-    moments = _cosh_sinh_moments(n, lam)
-    coeffs = np.array([comb(n - 1, k, exact=True) * moments[k] for k in range(n)])
+    if not sys.float_info.min <= lam < math.inf:  # C ~ 1/lam overflows below
+        raise ValueError(f"lam must be positive and finite (>= {sys.float_info.min!r}), got {lam}")
+    try:
+        cosh_lam = math.cosh(lam)
+        rhs = lam * sin_power_integral(n) / cosh_lam ** (n - 1)
+    except OverflowError:
+        raise ValueError(f"cosh(lam)^(n-1) overflows at n={n}, lam={lam}") from None
+    k = np.arange(n)
+    moments = _integral(lambda t: (np.cosh(t)[:, None] / cosh_lam) ** (n - 1 - k)
+                        * (np.sinh(t)[:, None] / cosh_lam / lam) ** k, lam, n - 1, _RULE)
+    coeffs = [math.comb(n - 1, j) * m for j, m in enumerate(moments.tolist())]
+    c, step = rhs / coeffs[0], math.inf
+    while step > 4 * sys.float_info.epsilon * c:
+        value = slope = 0.0  # Horner for P(c) = F(c)/c and P'(c)
+        for coeff in reversed(coeffs):
+            slope = slope * c + value
+            value = value * c + coeff
+        step = (c * value - rhs) / (value + c * slope)
+        c -= step
 
-    def poly(x: float) -> float:
-        # F(x) - w with F(x) = sum coeffs[k] x^(k+1), Horner from the top
-        acc = 0.0
-        for c in coeffs[::-1]:
-            acc = acc * x + c
-        return acc * x - w
-
-    hi = w / moments[0]  # F(hi) >= hi * m_0 * (integrand >= cosh^(n-1)) >= w
-    root = brentq(poly, 0.0, hi * (1.0 + 1e-12),
-                  xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=200)
-
-    direct, _ = quad(lambda t: (math.cosh(t) + root * math.sinh(t)) ** (n - 1),
-                     0.0, lam, epsabs=1e-300, epsrel=_QUAD_REL)
-    residual = abs(root * direct - w)
-    if residual >= 1e-10 * w:
+    direct = _integral(lambda t: ((np.cosh(t) + c / lam * np.sinh(t)) / cosh_lam) ** (n - 1),
+                       lam, n - 1, _CHECK_RULE)
+    residual = abs(c * direct - rhs)
+    if not residual < 1e-10 * rhs:
         raise RuntimeError(
             f"root residual {residual:.3e} exceeds 1e-10*w for n={n}, lam={lam}")
-    return float(root)
+    return c / lam
 
 
 def comparison_root_limit(n: int) -> float:
@@ -456,11 +455,11 @@ def oneform_gap_branches(budget: GeometryBudget,
     """
     m = budget.dim
     if m % 2 != 0 or m < 4:
-        raise ValueError(f"gap bound needs even dimension >= 4, got {m}")
+        raise ValueError(f"dim must be even and >= 4 for the gap bound, got {m}")
     n = m // 2
     p = budget.p_exponent
     if p <= n:
-        raise ValueError(f"need p > half-dimension {n}, got p={p}")
+        raise ValueError(f"p_exponent must exceed the half-dimension {n}, got {p}")
     d = budget.diameter
     a = (2 * n - 1) * math.sqrt(budget.kappa * d ** 2)
     s = math.sqrt(budget.riem_2p * d ** 2)

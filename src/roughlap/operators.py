@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 from scipy.sparse.csgraph import connected_components
 
 from roughlap.mesh import MeshError, TriangleMesh, euler_characteristic
@@ -61,7 +60,6 @@ __all__ = [
     "constant_chart_field",
     "kato_fraction",
     "face_gradient_magnitudes",
-    "save_operator",
 ]
 
 HOLONOMY_TOL = 1e-8
@@ -491,14 +489,3 @@ def face_gradient_magnitudes(mesh: TriangleMesh, values: np.ndarray) -> np.ndarr
     gx = (f0 * (-(y2 - 0.0)) + f1 * y2) / (2.0 * mesh.face_areas)
     gy = (f0 * (x2 - l01) + f1 * (-x2) + f2 * l01) / (2.0 * mesh.face_areas)
     return np.hypot(gx, gy)
-
-
-def save_operator(op, path) -> None:
-    """Export as a MatrixMarket coordinate file for external cross-checks."""
-    if isinstance(op, SparseHermitianOperator):
-        matrix = op.matrix
-    elif isinstance(op, MassMatrix):
-        matrix = sp.diags(op.weights).tocsr()
-    else:
-        matrix = op
-    mmwrite(str(path), matrix)

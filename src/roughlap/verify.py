@@ -297,7 +297,10 @@ class ExperimentContext:
                 if isinstance(self.manifold, ProductSpec):
                     raise SpecError(f"{where}: product experiments must state riem_2p")
                 riem = curvature_lp_norm(self.require_mesh("budget"), 2.0 * p)
-            return GeometryBudget(dim=int(self.budget_value("dim", 4)),
+            dim = self.budget_value("dim", 4.0)
+            if not dim.is_integer():
+                raise SpecError(f"{where}.dim: expected an integer, got {dim!r}")
+            return GeometryBudget(dim=int(dim),
                                   kappa=self.budget_value("kappa", 0.0),
                                   diameter=float(diameter),
                                   p_exponent=p,
@@ -781,7 +784,12 @@ def run_suite(spec_path: str | Path) -> Report:
                     expected = signature.parameters[key].annotation
                     raise SpecError(f"{c_where}.{key}: check {name!r} expects "
                                     f"{expected}, got {value!r}")
-            result = CHECK_REGISTRY[name](ctx, **params)
+            try:
+                result = CHECK_REGISTRY[name](ctx, **params)
+            except SpecError:
+                raise
+            except ValueError as exc:  # an out-of-range parameter or setting
+                raise SpecError(f"{c_where}: check {name!r}: {exc}") from None
             for outcome in result if isinstance(result, list) else [result]:
                 outcome.name = f"{label}:{outcome.name}"
                 outcomes.append(outcome)

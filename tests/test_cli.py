@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roughlap
 from roughlap.cli import main
 
 TWO_PI = 2 * math.pi
@@ -116,3 +121,30 @@ def test_spectrum_torus_hodge(capsys):
     assert len(values) == 4
     assert values[:2] == [0.0, 0.0] and min(values[2:]) > 0.5   # b1 = 2
     assert out.splitlines().count("0.0 residual=0.0") == 2   # exact by topology
+
+
+@pytest.mark.parametrize("argv, located", [
+    (["constants", "--lambda-grid", "0"], "--lambda-grid 0.0: lam must be positive"),
+    (["constants", "--n", "1"], "--n 1: n must be an integer >= 2"),
+    (["constants", "--n", "9", "--lambda-grid", "90"],
+     "--lambda-grid 90.0: cosh(lam)^(n-1) overflows at n=9, lam=90.0"),
+    (["bound", "--dim", "3"], "--dim: dim must be even and >= 4"),
+    (["bound", "--diameter", "-1"], "--diameter: diameter must be positive"),
+    (["bound", "--p", "1"], "--p: p_exponent must exceed the half-dimension 2"),
+    (["bound", "--ric-minus-p", "-1"], "--ric-minus-p: ric_minus_p must be nonnegative"),
+    (["bound", "--c0-np", "0"], "--c0-np: c0_np must be strictly positive"),
+], ids=["lambda_zero", "n_one", "root_overflow", "odd_dim", "negative_diameter",
+        "small_p", "negative_ric", "zero_c0"])
+def test_constants_and_bound_locate_bad_flags(capsys, argv, located):
+    assert main(argv) == 2
+    assert f"spec error: {located}" in capsys.readouterr().err
+
+
+def test_cli_imports_only_the_scipy_it_runs():
+    code = ("import sys, roughlap.cli; print(sorted(m for m in sys.modules if m in "
+            "{'scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.io'}))")
+    src = str(Path(roughlap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,10 +1,12 @@
 """Constants module: every formula against an independent oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gamma
 
@@ -30,6 +32,12 @@ def test_sin_power_integral_gamma_oracle():
     for n in range(2, 11):
         expected = math.sqrt(math.pi) * gamma(n / 2) / gamma((n + 1) / 2)
         assert abs(con.sin_power_integral(n) - expected) < 1e-12
+
+
+def test_sin_power_integral_wallis_matches_gamma_form():
+    for n in range(2, 31):
+        expected = math.sqrt(math.pi) * math.gamma(n / 2) / math.gamma((n + 1) / 2)
+        assert con.sin_power_integral(n) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_sin_power_integral_domain():
@@ -81,6 +89,49 @@ def test_comparison_root_sandwich_spot():
             assert lower <= lam_c <= upper
 
 
+def test_comparison_root_satisfies_the_defining_equation():
+    # independent of the moments and the binomial expansion: adaptive quadrature
+    # of (cosh t + C sinh t)^(n-1) itself
+    for n in range(2, 11):
+        w = con.sin_power_integral(n)
+        for lam in np.geomspace(1e-6, 50.0, 40):
+            root = con.comparison_root(n, lam)
+            direct, _ = quad(lambda t: (math.cosh(t) + root * math.sinh(t)) ** (n - 1),
+                             0.0, lam, epsabs=0.0, epsrel=1e-13, limit=200)
+            assert abs(root * direct - w) <= 1e-10 * w, (n, lam)
+
+
+def test_comparison_root_tiny_lambda_reaches_the_limit():
+    # at lam = 1e-300 the equation is ((1 + lam C)^n - 1)/n = w to double precision
+    for n in range(2, 11):
+        got = 1e-300 * con.comparison_root(n, 1e-300)
+        assert got == pytest.approx(con.comparison_root_limit(n), rel=1e-13)
+
+
+# for each n, a lam (rounded down) near which binom(n-1, k) m_k of the root
+# polynomial without the cosh(lam)^(n-1) scaling overflow
+UNSCALED_REACH = [(2, 710.07), (3, 355.55), (4, 237.26), (5, 178.03), (6, 142.51),
+                 (7, 118.78), (8, 101.86), (9, 89.14), (10, 79.26)]
+
+
+@pytest.mark.parametrize("n, lam", UNSCALED_REACH)
+def test_comparison_root_solves_up_to_cosh_overflow(n, lam):
+    lam_c = lam * con.comparison_root(n, lam)
+    assert con.root_floor_coefficient(n) * math.exp(-(n - 1) * lam) <= lam_c
+    assert lam_c <= con.sin_power_integral(n)
+    # past the point where cosh(lam)^(n-1) overflows: a ValueError naming n and lam
+    beyond = math.acosh(sys.float_info.max ** (1.0 / (n - 1))) * (1 + 1e-12)
+    with pytest.raises(OverflowError):
+        math.cosh(beyond) ** (n - 1)
+    with pytest.raises(ValueError, match=rf"n={n}, lam={beyond!r}"):
+        con.comparison_root(n, beyond)
+
+
+def test_comparison_root_overflow_is_a_value_error():
+    with pytest.raises(ValueError, match=r"overflows at n=9, lam=90\.0"):
+        con.comparison_root(9, 90.0)
+
+
 def test_comparison_root_domain_errors():
     with pytest.raises(ValueError):
         con.comparison_root(2, 0.0)
@@ -88,6 +139,9 @@ def test_comparison_root_domain_errors():
         con.comparison_root(2, -1.0)
     with pytest.raises(ValueError):
         con.comparison_root(1, 1.0)
+    for lam in (math.inf, math.nan, 1e-310):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            con.comparison_root(2, lam)
 
 
 def test_poincare_radius_bounds():

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 from scipy.linalg import eigh
 
@@ -333,17 +332,3 @@ def test_face_gradient_on_sphere_coordinate(sphere_s3):
     grads = O.face_gradient_magnitudes(sphere_s3, sphere_s3.vertices[:, 2])
     assert grads.max() <= 1.0 + 1e-9
     assert grads.max() > 0.95
-
-
-# -- export -----------------------------------------------------------------------
-
-def test_matrixmarket_roundtrip(tmp_path, torus, torus_conn):
-    op, mass = O.connection_laplacian_1forms(torus, torus_conn)
-    path = tmp_path / "conn.mtx"
-    O.save_operator(op, path)
-    back = scipy.io.mmread(path).tocsr()
-    diff = back - op.matrix
-    assert diff.nnz == 0 or np.abs(diff.data).max() < 1e-12
-    O.save_operator(mass, tmp_path / "mass.mtx")
-    back_mass = scipy.io.mmread(tmp_path / "mass.mtx").tocsr()
-    assert np.allclose(back_mass.diagonal(), mass.weights)

@@ -354,14 +354,34 @@ TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
     ({"checks": [{"name": "moser_product_grid", "t_grid": [1.0, "2"]}]},
      r"checks\[0\]\.t_grid: .*expects Sequence\[float\]"),
     ({"manifold": TORUS8, "budget": [0.0], "checks": []}, r"budget: expected an object"),
+    ({"manifold": TORUS8, "checks": [{"name": "weitzenboeck", "k": -1}]},
+     r"checks\[0\]: check 'weitzenboeck': k must be nonnegative"),
+    ({"checks": [{"name": "root_sandwich_grid", "lambda_grid": [0.0]}]},
+     r"checks\[0\]: check 'root_sandwich_grid': lambda grid must be strictly positive"),
+    ({"manifold": TORUS8, "solver": {"k": 64}, "checks": ["killing_alternative"]},
+     r"checks\[0\]: check 'killing_alternative': k=64 must be below the dimension 64"),
+    ({"checks": [{"name": "root_sandwich_grid", "n_values": [9], "lambda_grid": [90.0]}]},
+     r"checks\[0\]: check 'root_sandwich_grid': .*overflows at n=9, lam=90\.0"),
+    ({"manifold": ICO1, "budget": {"dim": 4.7}, "checks": ["gap_lower_bound"]},
+     r"budget\.dim: expected an integer, got 4\.7"),
 ], ids=["unknown_param", "deleted_slack", "deleted_ray_step", "missing_param",
         "solver_list", "budget_text", "negative_radius", "radius_text",
         "budget_kappa_text", "param_k_text", "param_bool_as_int", "param_grid_item_text",
-        "budget_list"])
+        "budget_list", "weitzenboeck_negative_k", "lambda_grid_zero", "solver_k_too_large",
+        "root_overflow", "budget_dim_fraction"])
 def test_run_suite_locates_bad_input(tmp_path, experiment, where):
     path = write_spec(tmp_path, {"experiments": [{"label": "x"}, dict(experiment, label="y")]})
     with pytest.raises(V.SpecError, match=r"^experiments\[1\]\." + where):
         V.run_suite(path)
+
+
+def test_budget_accepts_integral_dim(tmp_path):
+    rhs = []
+    for budget in ({"dim": 4}, {"dim": 4.0}, {}):
+        path = write_spec(tmp_path, {"label": "x", "manifold": ICO1, "budget": budget,
+                                     "checks": ["gap_lower_bound"]})
+        rhs.append(V.run_suite(path).outcomes[0].measured["rhs"])
+    assert rhs[0] == rhs[1] == rhs[2]
 
 
 def test_grid_check_rejects_mesh_requirement(tmp_path):
