@@ -77,16 +77,19 @@ def _cmd_spectrum(args) -> int:
         manifold = IcoSphere(radius=args.radius, subdivisions=args.subdiv)
     else:
         manifold = FlatTorus(lx=args.lx, ly=args.ly, nx=args.nx, ny=args.ny)
-    mesh = build_mesh(manifold)
     k = args.k
-    if args.operator == "function":
-        op, mass = cotan_laplacian(mesh)
-    elif args.operator == "hodge":
-        op, mass = hodge_laplacian_1forms(mesh)
-        k += 2  # the block pencil's two constants are swapped out below
-    else:
-        op, mass = connection_laplacian_1forms(mesh, build_connection(mesh))
-    result = smallest_eigenpairs(op, mass, SolverConfig(k=k, tol=args.tol, seed=args.seed))
+    try:  # MeshError and out-of-range solver settings are ValueErrors
+        mesh = build_mesh(manifold)
+        if args.operator == "function":
+            op, mass = cotan_laplacian(mesh)
+        elif args.operator == "hodge":
+            op, mass = hodge_laplacian_1forms(mesh)
+            k += 2  # the block pencil's two constants are swapped out below
+        else:
+            op, mass = connection_laplacian_1forms(mesh, build_connection(mesh))
+        result = smallest_eigenpairs(op, mass, SolverConfig(k=k, tol=args.tol, seed=args.seed))
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     values, residuals = result.values, result.residuals
     if args.operator == "hodge":
         # harmonic forms are exact by topology: value 0, residual 0

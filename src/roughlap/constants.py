@@ -83,15 +83,15 @@ class GeometryBudget:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.diameter <= 0:
-            raise ValueError(f"diameter must be positive, got {self.diameter}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not 0 < self.diameter < math.inf:
+            raise ValueError(f"diameter must be positive and finite, got {self.diameter}")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
         for name in ("riem_2p", "ric_minus_p"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.p_exponent <= 0:
-            raise ValueError(f"p_exponent must be positive, got {self.p_exponent}")
+            if not 0 <= (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        if not 0 < self.p_exponent < math.inf:
+            raise ValueError(f"p_exponent must be positive and finite, got {self.p_exponent}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ class AbstractConstants:
 
     def __post_init__(self) -> None:
         for name in ("c_n", "c_np", "c0_np"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -451,7 +451,7 @@ def oneform_gap_branches(budget: GeometryBudget,
             = Ct * exp(-(2n-1) sqrt(kappa D^2))       (corollary variant)
 
     with m = 2n the ambient dimension, K the L^{2p} curvature norm and
-    Ct = gap_constant(n, p).  Requires even dimension and p > n.
+    Ct = gap_constant(n, p).  Requires even dimension, p > n and a finite branch1.
     """
     m = budget.dim
     if m % 2 != 0 or m < 4:
@@ -464,7 +464,13 @@ def oneform_gap_branches(budget: GeometryBudget,
     a = (2 * n - 1) * math.sqrt(budget.kappa * d ** 2)
     s = math.sqrt(budget.riem_2p * d ** 2)
     ct = gap_constant(n, p, delta_branch, consts)
-    branch1 = (ct / (1.0 + s) * math.exp(-a)) ** (2.0 * p * n / (p - n))
+    try:
+        branch1 = (ct / (1.0 + s) * math.exp(-a)) ** (2.0 * p * n / (p - n))
+    except OverflowError:
+        branch1 = math.inf
+    if branch1 == math.inf:  # Ct itself may have overflowed
+        raise ValueError(f"c0_np {consts.c0_np!r} and c_np {consts.c_np!r} give the gap constant "
+                         f"Ct={ct!r}, and branch1 = (Ct/(1+s) e^-a)^(2pn/(p-n)) overflows")
     branch2 = math.exp(-a) * (ct if corollary_variant else 1.0)
     return branch1, branch2
 

@@ -14,13 +14,14 @@ deterministic for a fixed seed, up to the timestamp.
 from __future__ import annotations
 
 import csv
+import functools
 import inspect
 import json
 import math
 import types
 import typing
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -167,28 +168,96 @@ def _csv_cell(value):
 
 # -- experiment context ------------------------------------------------------
 
+def _convert(value, hint):
+    """``value`` as the spec typing rule makes it for ``hint``, or ValueError.
+
+    A JSON number fits ``float``; an integral one (4 or 4.0) fits ``int`` and
+    is passed as an int; a boolean, NaN and +-Infinity are not numbers;
+    ``X | None`` takes null and ``Sequence[X]`` a list of X.
+    """
+    if typing.get_origin(hint) is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (hint,) = (h for h in typing.get_args(hint) if h is not types.NoneType)
+    if typing.get_origin(hint) is Sequence:
+        if not isinstance(value, list):
+            raise ValueError
+        try:
+            return [_convert(v, typing.get_args(hint)[0]) for v in value]
+        except ValueError:
+            raise ValueError from None  # the message names the list's type
+    if hint in (int, float):
+        if type(value) is bool or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError
+        if hint is int and value != int(value):
+            raise ValueError("an integer")
+        return hint(value)
+    if isinstance(value, hint):
+        return value
+    raise ValueError
+
+
+def _head(where: str, subject: str) -> str:
+    return "".join(f"{part}: " for part in (where, subject) if part)
+
+
+def _fields(target, data, where: str, skip: int = 0, subject: str = "") -> dict:
+    """The spec object ``data`` (null: empty) as keyword arguments of ``target``:
+    keys name parameters after the first ``skip``, values are converted by the
+    type hints, and a misfit is a SpecError located at ``where``."""
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise SpecError(f"{where}: expected an object, got {data!r}")
+    params = dict(list(inspect.signature(target).parameters.items())[skip:])
+    hints = typing.get_type_hints(target)
+    kwargs = {}
+    for key, value in data.items():
+        if key not in params:
+            raise SpecError(f"{_head(where, subject)}unknown field {key!r}")
+        try:
+            kwargs[key] = _convert(value, hints[key])
+        except ValueError as exc:
+            wanted = exc.args[0] if exc.args else params[key].annotation
+            expects = f"{subject} expects" if subject else "expected"
+            at = f"{where}.{key}" if where else key
+            raise SpecError(f"{at}: {expects} {wanted}, got {value!r}") from None
+    return kwargs
+
+
+def _bind(target, data, where: str, *args, subject: str = "", **defaults):
+    """``target(*args, **defaults, **data)`` for one spec object checked by
+    :func:`_fields`; a missing required field, or a ValueError from the call,
+    is a SpecError at ``where``.  ``subject`` names the target in messages."""
+    kwargs = {**defaults, **_fields(target, data, where, len(args), subject)}
+    head = _head(where, subject)
+    for name, param in list(inspect.signature(target).parameters.items())[len(args):]:
+        if param.default is param.empty and name not in kwargs:
+            raise SpecError(f"{head}missing field {name!r}")
+    try:
+        return target(*args, **kwargs)
+    except SpecError:
+        raise
+    except ValueError as exc:
+        raise SpecError(f"{head}{exc}") from None
+
+
+_MANIFOLDS = {"flat_torus": FlatTorus, "icosphere": IcoSphere, "product": ProductSpec}
+
+
 def parse_manifold(data: dict | None, where: str = "manifold"):
+    """The model manifold a spec object names by its ``type``; None for null."""
     if data is None:
         return None
     if not isinstance(data, dict) or "type" not in data:
         raise SpecError(f"{where}: expected an object with a 'type' field")
     kind = data["type"]
-    try:
-        if kind == "flat_torus":
-            return FlatTorus(lx=float(data["lx"]), ly=float(data["ly"]),
-                             nx=int(data["nx"]), ny=int(data["ny"]))
-        if kind == "icosphere":
-            return IcoSphere(radius=float(data["radius"]),
-                             subdivisions=int(data["subdivisions"]))
-        if kind == "product":
-            factors = tuple(parse_manifold(f, f"{where}.factors[{i}]")
-                            for i, f in enumerate(data["factors"]))
-            return ProductSpec(factors=factors)
-    except KeyError as exc:
-        raise SpecError(f"{where}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: {exc}") from None
-    raise SpecError(f"{where}: unknown manifold type {kind!r}")
+    if not (isinstance(kind, str) and kind in _MANIFOLDS):
+        raise SpecError(f"{where}: unknown manifold type {kind!r}")
+    fields = {k: v for k, v in data.items() if k != "type"}
+    if kind == "product" and isinstance(fields.get("factors"), list):
+        fields["factors"] = tuple(parse_manifold(f, f"{where}.factors[{i}]")
+                                  for i, f in enumerate(fields["factors"]))
+    return _bind(_MANIFOLDS[kind], fields, where)
 
 
 def _analytic_diameter(manifold) -> float:
@@ -217,41 +286,36 @@ class ExperimentContext:
     def __init__(self, manifold, solver: SolverConfig,
                  budget_spec: dict | None, consts: AbstractConstants,
                  where: str = "experiment"):
-        if not isinstance(budget_spec, (dict, type(None))):
-            raise SpecError(f"{where}.budget: expected an object")
         self.manifold = manifold
         self.solver = solver
-        self.budget_spec = budget_spec or {}
+        self.budget_spec = _fields(GeometryBudget, budget_spec, f"{where}.budget")
         self.consts = consts
         self.where = where  # spec location named by errors in lazy steps
         self._cache: dict = {}
 
+    def _cached(self, key: str, make):
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
+
     def require_mesh(self, check: str) -> TriangleMesh:
         if self.manifold is None or isinstance(self.manifold, ProductSpec):
             raise SpecError(f"{self.where}: check '{check}' needs a meshable manifold")
-        if "mesh" not in self._cache:
-            try:
-                self._cache["mesh"] = build_mesh(self.manifold)
-            except MeshError as exc:
-                raise SpecError(f"{self.where}.manifold: {exc}") from None
-        return self._cache["mesh"]
+        try:
+            return self._cached("mesh", lambda: build_mesh(self.manifold))
+        except MeshError as exc:
+            raise SpecError(f"{self.where}.manifold: {exc}") from None
 
     def connection(self):
-        if "conn" not in self._cache:
-            self._cache["conn"] = build_connection(self.require_mesh("connection"))
-        return self._cache["conn"]
+        return self._cached("conn", lambda: build_connection(self.require_mesh("connection")))
 
     def connection_operator(self):
-        if "conn_ops" not in self._cache:
-            mesh = self.require_mesh("connection")
-            self._cache["conn_ops"] = connection_laplacian_1forms(mesh, self.connection())
-        return self._cache["conn_ops"]
+        return self._cached("conn_ops", lambda: connection_laplacian_1forms(
+            self.require_mesh("connection"), self.connection()))
 
     def connection_eigen(self) -> EigenResult:
-        if "conn_eig" not in self._cache:
-            op, mass = self.connection_operator()
-            self._cache["conn_eig"] = smallest_eigenpairs(op, mass, self.solver)
-        return self._cache["conn_eig"]
+        return self._cached("conn_eig", lambda: smallest_eigenpairs(
+            *self.connection_operator(), self.solver))
 
     def first_positive_oneform(self) -> float:
         if isinstance(self.manifold, ProductSpec):
@@ -267,49 +331,25 @@ class ExperimentContext:
         return value
 
     def measured_diameter(self) -> float:
-        if "diameter" not in self._cache:
-            if isinstance(self.manifold, ProductSpec):
-                self._cache["diameter"] = _analytic_diameter(self.manifold)
-            else:
-                self._cache["diameter"] = graph_diameter(self.require_mesh("diameter"))
-        return self._cache["diameter"]
-
-    def budget_value(self, key: str, default: float | None) -> float | None:
-        """The budget's stated ``key`` as a number; ``default`` when unstated."""
-        value = self.budget_spec.get(key)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"{self.where}.budget.{key}: {exc}") from None
+        if isinstance(self.manifold, ProductSpec):
+            return _analytic_diameter(self.manifold)
+        return self._cached("diameter", lambda: graph_diameter(self.require_mesh("diameter")))
 
     def budget(self) -> GeometryBudget:
-        """Budget with unspecified diameter / curvature norm filled by measurement."""
+        """Budget with unstated diameter / curvature norm filled by measurement."""
         where = f"{self.where}.budget"
-        try:  # the ValueErrors below all come from out-of-range budget values
-            p = self.budget_value("p_exponent", 4.0)
-            diameter = self.budget_value("diameter", None)
-            if diameter is None:
-                diameter = self.measured_diameter()
-            riem = self.budget_value("riem_2p", None)
-            if riem is None:
-                if isinstance(self.manifold, ProductSpec):
-                    raise SpecError(f"{where}: product experiments must state riem_2p")
-                riem = curvature_lp_norm(self.require_mesh("budget"), 2.0 * p)
-            dim = self.budget_value("dim", 4.0)
-            if not dim.is_integer():
-                raise SpecError(f"{where}.dim: expected an integer, got {dim!r}")
-            return GeometryBudget(dim=int(dim),
-                                  kappa=self.budget_value("kappa", 0.0),
-                                  diameter=float(diameter),
-                                  p_exponent=p,
-                                  riem_2p=float(riem),
-                                  ric_minus_p=self.budget_value("ric_minus_p", 0.0))
-        except SpecError:
-            raise
-        except ValueError as exc:
-            raise SpecError(f"{where}: {exc}") from None
+        stated = {"dim": 4, "kappa": 0.0, "p_exponent": 4.0, **self.budget_spec}
+        if "diameter" not in stated:
+            stated["diameter"] = self.measured_diameter()
+        if "riem_2p" not in stated:
+            if isinstance(self.manifold, ProductSpec):
+                raise SpecError(f"{where}: product experiments must state riem_2p")
+            mesh = self.require_mesh("budget")
+            try:
+                stated["riem_2p"] = curvature_lp_norm(mesh, 2.0 * stated["p_exponent"])
+            except ValueError as exc:
+                raise SpecError(f"{where}.p_exponent: {exc}") from None
+        return _bind(GeometryBudget, stated, where)
 
 
 # -- grid checks (no manifold) ----------------------------------------------
@@ -439,7 +479,7 @@ def check_harmonic_alternative(ctx: ExperimentContext,
                             measured={"b1": b1},
                             notes="not applicable: first Betti number is zero")
     if kappa is None:
-        kappa = ctx.budget_value("kappa", 0.0)
+        kappa = ctx.budget_spec.get("kappa", 0.0)
     result = ctx.connection_eigen()
     zero_dim_real = 2 * int(np.sum(result.values <= ZERO_MODE_TOL * result.scale))
     fp = first_positive(result, ZERO_MODE_TOL)
@@ -551,17 +591,11 @@ def check_gap_lower_bound(ctx: ExperimentContext) -> list[CheckOutcome]:
         notes="bound evaluated at abstract constants; comparison not assertable")
 
     slack = 1e-12
-    kappas = [budget.kappa + i * 0.5 / d ** 2 for i in range(10)]
     rhs_kappa = [con.oneform_gap_lower_bound(
-        GeometryBudget(budget.dim, k, d, budget.p_exponent,
-                       budget.riem_2p, budget.ric_minus_p), consts)
-        for k in kappas]
+        replace(budget, kappa=budget.kappa + i * 0.5 / d ** 2), consts) for i in range(10)]
     mono_kappa = all(b <= a + slack for a, b in zip(rhs_kappa, rhs_kappa[1:]))
-    riems = [budget.riem_2p + i * 0.5 / d ** 2 for i in range(10)]
     rhs_riem = [con.oneform_gap_lower_bound(
-        GeometryBudget(budget.dim, budget.kappa, d, budget.p_exponent,
-                       r, budget.ric_minus_p), consts)
-        for r in riems]
+        replace(budget, riem_2p=budget.riem_2p + i * 0.5 / d ** 2), consts) for i in range(10)]
     mono_riem = all(b <= a + slack for a, b in zip(rhs_riem, rhs_riem[1:]))
 
     jump = _branch_switch_jump(budget, consts)
@@ -589,18 +623,13 @@ def _branch_switch_jump(budget: GeometryBudget, consts: AbstractConstants) -> fl
     d = budget.diameter
     a = (2 * n - 1) * math.sqrt(budget.kappa * d ** 2)
     ct_target = 2.0 * math.exp(a * (q - 1.0) / q)
-    ct_unit = con.gap_constant(n, p, "main",
-                               AbstractConstants(consts.c_n, consts.c_np, 1.0))
-    probe = AbstractConstants(consts.c_n, consts.c_np, ct_unit / ct_target)
+    ct_unit = con.gap_constant(n, p, "main", replace(consts, c0_np=1.0))
+    probe = replace(consts, c0_np=ct_unit / ct_target)
     s_star = ct_target * math.exp(-a * (q - 1.0) / q) - 1.0  # = 1 by construction
     riem_star = (s_star / d) ** 2
     eps = 1e-12 * (1.0 + riem_star)
-    lo = GeometryBudget(budget.dim, budget.kappa, d, p,
-                        riem_star - eps, budget.ric_minus_p)
-    hi = GeometryBudget(budget.dim, budget.kappa, d, p,
-                        riem_star + eps, budget.ric_minus_p)
-    return abs(con.oneform_gap_lower_bound(lo, probe)
-               - con.oneform_gap_lower_bound(hi, probe))
+    return abs(con.oneform_gap_lower_bound(replace(budget, riem_2p=riem_star - eps), probe)
+               - con.oneform_gap_lower_bound(replace(budget, riem_2p=riem_star + eps), probe))
 
 
 _SPHERE_TEST_FUNCTIONS = (
@@ -669,56 +698,38 @@ def rigidity_implication(lambda1: float, diameter: float, kappa: float,
 
 # -- suite driver -------------------------------------------------------------
 
-CHECK_REGISTRY = {
-    "root_sandwich_grid": lambda ctx, **p: check_root_sandwich_grid(**p),
-    "moser_product_grid": lambda ctx, **p: check_moser_product_grid(**p),
-    "weitzenboeck": lambda ctx, **p: check_weitzenboeck(ctx, **p),
-    "harmonic_alternative": lambda ctx, **p: check_harmonic_alternative(ctx, **p),
-    "killing_alternative": lambda ctx, **p: check_killing_alternative(ctx, **p),
-    "pinching": lambda ctx, **p: check_pinching(ctx, **p),
-    "gap_lower_bound": lambda ctx, **p: check_gap_lower_bound(ctx, **p),
-    "lipschitz": lambda ctx, **p: check_lipschitz(ctx, **p),
-    "rigidity_implication": lambda ctx, **p: rigidity_implication(**p),
-}
-
-# the function behind each registry entry; a spec's parameters must fit it
-_CHECK_FUNCTIONS = {
-    "root_sandwich_grid": check_root_sandwich_grid,
-    "moser_product_grid": check_moser_product_grid,
-    "weitzenboeck": check_weitzenboeck,
-    "harmonic_alternative": check_harmonic_alternative,
-    "killing_alternative": check_killing_alternative,
-    "pinching": check_pinching,
-    "gap_lower_bound": check_gap_lower_bound,
-    "lipschitz": check_lipschitz,
-    "rigidity_implication": rigidity_implication,
-}
+_CHECKS = (check_root_sandwich_grid, check_moser_product_grid, check_weitzenboeck,
+           check_harmonic_alternative, check_killing_alternative, check_pinching,
+           check_gap_lower_bound, check_lipschitz, rigidity_implication)
+_CTX = inspect.Parameter("ctx", inspect.Parameter.POSITIONAL_ONLY)
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a check parameter's type hint.
+def _registry_entry(check):
+    """``check`` as ``entry(ctx, **params)``, looked up by name when called (so
+    a rebound module attribute, e.g. a tracer's, runs); the entry carries the
+    check's signature and hints, with a leading ``ctx`` where it takes none."""
+    name, signature = check.__name__, inspect.signature(check)
+    takes_ctx = "ctx" in signature.parameters
 
-    Numbers fit ``float``, only integers fit ``int``, and a JSON boolean is
-    not a number; ``Sequence[...]`` takes a JSON list.
-    """
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is Sequence:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
-    if hint in (int, float) and isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
+    def entry(ctx, **params):
+        function = globals()[name]
+        return function(ctx, **params) if takes_ctx else function(**params)
+
+    functools.update_wrapper(entry, check)
+    entry.__signature__ = signature.replace(
+        parameters=[_CTX, *(p for p in signature.parameters.values() if p.name != "ctx")])
+    return entry
 
 
-def _parse_settings(cls, data: dict | None, where: str, **defaults):
-    """``cls`` built from a spec object over ``defaults``; errors name ``where``."""
-    if not isinstance(data, (dict, type(None))):
-        raise SpecError(f"{where}: expected an object")
-    try:
-        return cls(**{**defaults, **(data or {})})
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: {exc}") from None
+CHECK_REGISTRY = {check.__name__.removeprefix("check_"): _registry_entry(check)
+                  for check in _CHECKS}
+
+_EXPERIMENT_FIELDS = ("label", "manifold", "solver", "budget", "constants", "checks")
+
+
+def _suite(experiments: list, seed: int = 0) -> tuple[list, int]:
+    """The top level of a spec: its experiments and the solver seed."""
+    return experiments, seed
 
 
 def run_suite(spec_path: str | Path) -> Report:
@@ -741,55 +752,35 @@ def run_suite(spec_path: str | Path) -> Report:
                         f"column {exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
         raise SpecError(f"{spec_path}: top level must be an object")
-    seed = int(data.get("seed", 0))
-    experiments = data.get("experiments", [data] if "checks" in data else [])
-    if not isinstance(experiments, list):
-        raise SpecError("'experiments' must be a list")
+    single = "experiments" not in data  # one experiment, which may carry the seed
+    experiments, seed = _bind(_suite, {"experiments": [data], "seed": data.get("seed", 0)}
+                              if single else data, "")
 
     outcomes: list[CheckOutcome] = []
     for e_idx, experiment in enumerate(experiments):
         where = f"experiments[{e_idx}]"
         if not isinstance(experiment, dict):
             raise SpecError(f"{where}: expected an object")
+        for key in experiment:
+            if key not in _EXPERIMENT_FIELDS + ("seed",) * single:
+                raise SpecError(f"{where}: unknown field {key!r}")
         label = experiment.get("label", f"experiment{e_idx}")
         manifold = parse_manifold(experiment.get("manifold"), f"{where}.manifold")
-        solver = _parse_settings(SolverConfig, experiment.get("solver"), f"{where}.solver",
-                                 seed=seed)
-        consts = _parse_settings(AbstractConstants, experiment.get("constants"),
-                                 f"{where}.constants")
+        solver = _bind(SolverConfig, experiment.get("solver"), f"{where}.solver", seed=seed)
+        consts = _bind(AbstractConstants, experiment.get("constants"), f"{where}.constants")
         ctx = ExperimentContext(manifold, solver, experiment.get("budget"), consts, where)
         checks = experiment.get("checks", [])
         if not isinstance(checks, list):
             raise SpecError(f"{where}.checks: expected a list")
         for c_idx, entry in enumerate(checks):
             c_where = f"{where}.checks[{c_idx}]"
-            if isinstance(entry, str):
-                name, params = entry, {}
-            elif isinstance(entry, dict) and "name" in entry:
-                name = entry["name"]
-                params = {k: v for k, v in entry.items() if k != "name"}
-            else:
-                raise SpecError(f"{c_where}: expected a name or an object with 'name'")
-            if name not in CHECK_REGISTRY:
+            entry = {"name": entry} if isinstance(entry, str) else entry
+            name = entry.get("name", entry) if isinstance(entry, dict) else entry
+            if not (isinstance(name, str) and name in CHECK_REGISTRY):
                 raise SpecError(f"{c_where}: unknown check {name!r}")
-            signature = inspect.signature(_CHECK_FUNCTIONS[name])
-            ctx_arg = [ctx] if "ctx" in signature.parameters else []
-            try:
-                signature.bind(*ctx_arg, **params)
-            except TypeError as exc:
-                raise SpecError(f"{c_where}: check {name!r}: {exc}") from None
-            hints = typing.get_type_hints(_CHECK_FUNCTIONS[name])
-            for key, value in params.items():
-                if not _fits(value, hints[key]):
-                    expected = signature.parameters[key].annotation
-                    raise SpecError(f"{c_where}.{key}: check {name!r} expects "
-                                    f"{expected}, got {value!r}")
-            try:
-                result = CHECK_REGISTRY[name](ctx, **params)
-            except SpecError:
-                raise
-            except ValueError as exc:  # an out-of-range parameter or setting
-                raise SpecError(f"{c_where}: check {name!r}: {exc}") from None
+            params = {k: v for k, v in entry.items() if k != "name"}
+            result = _bind(CHECK_REGISTRY[name], params, c_where, ctx,
+                           subject=f"check {name!r}")
             for outcome in result if isinstance(result, list) else [result]:
                 outcome.name = f"{label}:{outcome.name}"
                 outcomes.append(outcome)

@@ -133,10 +133,30 @@ def test_spectrum_torus_hodge(capsys):
     (["bound", "--p", "1"], "--p: p_exponent must exceed the half-dimension 2"),
     (["bound", "--ric-minus-p", "-1"], "--ric-minus-p: ric_minus_p must be nonnegative"),
     (["bound", "--c0-np", "0"], "--c0-np: c0_np must be strictly positive"),
+    (["bound", "--diameter", "nan"], "--diameter: diameter must be positive and finite, got nan"),
+    (["bound", "--diameter", "inf"], "--diameter: diameter must be positive and finite, got inf"),
+    (["bound", "--kappa", "nan"], "--kappa: kappa must be >= 0 and finite, got nan"),
+    (["bound", "--c-n", "nan"], "--c-n: c_n must be strictly positive and finite, got nan"),
+    (["bound", "--c0-np", "1e-300"],
+     "--c0-np: c0_np 1e-300 and c_np 1.0 give the gap constant Ct=7.42"),
 ], ids=["lambda_zero", "n_one", "root_overflow", "odd_dim", "negative_diameter",
-        "small_p", "negative_ric", "zero_c0"])
+        "small_p", "negative_ric", "zero_c0", "nan_diameter", "inf_diameter", "nan_kappa",
+        "nan_c_n", "gap_overflow"])
 def test_constants_and_bound_locate_bad_flags(capsys, argv, located):
     assert main(argv) == 2
+    assert f"spec error: {located}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, located", [
+    (["--manifold", "icosphere", "--subdiv", "1", "--k", "100"],
+     "k=100 must be below the dimension 42"),
+    (["--manifold", "icosphere", "--subdiv", "1", "--k", "0"], "k must be >= 1, got 0"),
+    (["--manifold", "icosphere", "--subdiv", "1", "--tol", "0"], "tol must be positive, got 0.0"),
+    (["--manifold", "icosphere", "--subdiv", "-1"], "subdivisions must be >= 0, got -1"),
+    (["--manifold", "flat_torus", "--nx", "2"], "torus needs nx, ny >= 3, got 2, 32"),
+], ids=["k_above_dimension", "k_zero", "tol_zero", "negative_subdiv", "torus_nx_two"])
+def test_spectrum_locates_bad_flags(capsys, argv, located):
+    assert main(["spectrum", *argv]) == 2
     assert f"spec error: {located}" in capsys.readouterr().err
 
 

@@ -422,3 +422,30 @@ def test_abstract_constants_validation():
         AbstractConstants(c_n=0.0)
     with pytest.raises(ValueError):
         AbstractConstants(c0_np=-1.0)
+
+
+@pytest.mark.parametrize("field", ["diameter", "kappa", "p", "riem", "ric"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_budget_rejects_non_finite(field, value):
+    name = {"p": "p_exponent", "riem": "riem_2p", "ric": "ric_minus_p"}.get(field, field)
+    with pytest.raises(ValueError, match=rf"^{name} must be .* and finite, got"):
+        budget(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["c_n", "c_np", "c0_np"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_abstract_constants_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be strictly positive and finite"):
+        AbstractConstants(**{field: value})
+
+
+@pytest.mark.parametrize("consts", [AbstractConstants(c0_np=1e-300),
+                                    AbstractConstants(c0_np=1e-320),
+                                    AbstractConstants(c_np=1e-300, c0_np=1e-10)],
+                         ids=["c0_np_tiny", "ct_infinite", "c_np_tiny"])
+def test_gap_branch_overflow_is_a_value_error(consts):
+    # branch1 = (Ct/(1+s) e^-a)^8 leaves the double range once Ct > ~1e38
+    with pytest.raises(ValueError, match=rf"^c0_np {consts.c0_np!r} and c_np {consts.c_np!r} "
+                                         r"give the gap constant Ct=.*overflows"):
+        con.oneform_gap_branches(budget(dim=4, p=4.0), consts)
+    assert con.oneform_gap_lower_bound(budget(dim=4, p=4.0), AbstractConstants(c0_np=1e-30)) > 0

@@ -364,15 +364,104 @@ TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
      r"checks\[0\]: check 'root_sandwich_grid': .*overflows at n=9, lam=90\.0"),
     ({"manifold": ICO1, "budget": {"dim": 4.7}, "checks": ["gap_lower_bound"]},
      r"budget\.dim: expected an integer, got 4\.7"),
+    ({"manifold": dict(TORUS8, nx=8.7), "checks": ["lipschitz"]},
+     r"manifold\.nx: expected an integer, got 8\.7$"),
+    ({"manifold": dict(ICO1, subdivisions=1.5), "checks": ["lipschitz"]},
+     r"manifold\.subdivisions: expected an integer, got 1\.5$"),
+    ({"manifold": dict(ICO1, radius=True), "checks": []},
+     r"manifold\.radius: expected float, got True$"),
+    ({"manifold": dict(ICO1, radius="1"), "checks": []},
+     r"manifold\.radius: expected float, got '1'$"),
+    ({"manifold": {"type": "icosphere", "radius": 1.0, "subdivsions": 1}, "checks": []},
+     r"manifold: unknown field 'subdivsions'$"),
+    ({"manifold": {"type": "icosphere", "radius": 1.0}, "checks": []},
+     r"manifold: missing field 'subdivisions'$"),
+    ({"manifold": {"type": "product", "factors": [ICO1, dict(ICO1, radius="x")]}, "checks": []},
+     r"manifold\.factors\[1\]\.radius: expected float, got 'x'$"),
+    ({"manifold": ICO1, "solver": {"k": True}, "checks": ["killing_alternative"]},
+     r"solver\.k: expected int, got True$"),
+    ({"manifold": ICO1, "solver": {"k": 6.5}, "checks": ["killing_alternative"]},
+     r"solver\.k: expected an integer, got 6\.5$"),
+    ({"manifold": ICO1, "solver": {"seed": 1.5}, "checks": ["killing_alternative"]},
+     r"solver\.seed: expected an integer, got 1\.5$"),
+    ({"manifold": TORUS8, "budget": {"kappa": True}, "checks": ["harmonic_alternative"]},
+     r"budget\.kappa: expected float, got True$"),
+    ({"manifold": ICO1, "budget": {"diamter": 100}, "checks": ["gap_lower_bound"]},
+     r"budget: unknown field 'diamter'$"),
+    ({"manifold": ICO1, "budget": {"diameter": math.nan}, "checks": ["gap_lower_bound"]},
+     r"budget\.diameter: expected float, got nan$"),
+    ({"manifold": ICO1, "budget": {"riem_2p": math.inf}, "checks": ["gap_lower_bound"]},
+     r"budget\.riem_2p: expected float, got inf$"),
+    ({"manifold": ICO1, "budget": {"diameter": None}, "checks": ["gap_lower_bound"]},
+     r"budget\.diameter: expected float, got None$"),
+    ({"manifold": ICO1, "budget": {"p_exponent": 0.25}, "checks": ["gap_lower_bound"]},
+     r"budget\.p_exponent: p must be >= 1, got 0\.5$"),
+    ({"manifold": ICO1, "budget": {"kappa": -1.0}, "checks": ["gap_lower_bound"]},
+     r"budget: kappa must be >= 0 and finite, got -1\.0$"),
+    ({"manifold": ICO1, "constants": {"c_n": True}, "checks": ["gap_lower_bound"]},
+     r"constants\.c_n: expected float, got True$"),
+    ({"manifold": ICO1, "constants": {"c0_np": 1e-300}, "checks": ["gap_lower_bound"]},
+     r"checks\[0\]: check 'gap_lower_bound': c0_np 1e-300 and c_np 1\.0 give the gap "
+     r"constant Ct=.*overflows$"),
+    ({"manifold": TORUS8, "checks": [{"name": "weitzenboeck", "k": 6.5}]},
+     r"checks\[0\]\.k: check 'weitzenboeck' expects an integer, got 6\.5$"),
+    ({"checks": [{"name": "moser_product_grid", "tail_tol": math.nan}]},
+     r"checks\[0\]\.tail_tol: check 'moser_product_grid' expects float, got nan$"),
+    ({"checks": [{"name": "root_sandwich_grid", "n_values": [2.5]}]},
+     r"checks\[0\]\.n_values: check 'root_sandwich_grid' expects Sequence\[int\], "
+     r"got \[2\.5\]$"),
+    ({"manifold": ICO1, "checks": [{"name": "pinching", "ctx": 1}]},
+     r"checks\[0\]: check 'pinching': unknown field 'ctx'$"),
 ], ids=["unknown_param", "deleted_slack", "deleted_ray_step", "missing_param",
         "solver_list", "budget_text", "negative_radius", "radius_text",
         "budget_kappa_text", "param_k_text", "param_bool_as_int", "param_grid_item_text",
         "budget_list", "weitzenboeck_negative_k", "lambda_grid_zero", "solver_k_too_large",
-        "root_overflow", "budget_dim_fraction"])
+        "root_overflow", "budget_dim_fraction", "nx_fraction", "subdivisions_fraction",
+        "radius_bool", "radius_numeric_text", "manifold_typo", "manifold_missing_field",
+        "product_factor_text", "solver_k_bool", "solver_k_fraction", "solver_seed_fraction",
+        "budget_kappa_bool", "budget_typo", "budget_diameter_nan", "budget_riem_inf",
+        "budget_diameter_null", "budget_p_below_half", "budget_negative_kappa",
+        "constants_bool", "gap_overflow", "param_k_fraction", "param_nan",
+        "param_grid_item_fraction", "param_ctx"])
 def test_run_suite_locates_bad_input(tmp_path, experiment, where):
     path = write_spec(tmp_path, {"experiments": [{"label": "x"}, dict(experiment, label="y")]})
     with pytest.raises(V.SpecError, match=r"^experiments\[1\]\." + where):
         V.run_suite(path)
+
+
+@pytest.mark.parametrize("spec, located", [
+    ({"experiments": [{"label": "x", "chekcs": ["moser_product_grid"]}]},
+     r"^experiments\[0\]: unknown field 'chekcs'$"),
+    ({"label": "x", "chekcs": ["moser_product_grid"]},
+     r"^experiments\[0\]: unknown field 'chekcs'$"),
+    ({"experiments": [{"label": "x", "seed": 1, "checks": []}]},
+     r"^experiments\[0\]: unknown field 'seed'$"),
+    ({"seed": "7", "experiments": [{"checks": ["moser_product_grid"]}]},
+     r"^seed: expected int, got '7'$"),
+    ({"seed": [1], "experiments": [{"checks": ["moser_product_grid"]}]},
+     r"^seed: expected int, got \[1\]$"),
+    ({"seed": 1.5, "label": "x", "checks": []}, r"^seed: expected an integer, got 1\.5$"),
+    ({"experiments": [], "sede": 1}, r"^unknown field 'sede'$"),
+    ({"experiments": {"label": "x"}}, r"^experiments: expected list, got \{'label': 'x'\}$"),
+], ids=["experiment_typo", "single_form_typo", "seed_inside_experiment", "seed_text",
+        "seed_list", "seed_fraction", "top_level_typo", "experiments_object"])
+def test_run_suite_locates_bad_top_level(tmp_path, spec, located):
+    with pytest.raises(V.SpecError, match=located):
+        V.run_suite(write_spec(tmp_path, spec))
+
+
+def test_integral_numbers_fit_int_fields(tmp_path):
+    reports = []
+    for seed, nx, k, check_k in ((3, 8, 8, 6), (3.0, 8.0, 8.0, 6.0)):
+        path = write_spec(tmp_path, {
+            "seed": seed, "label": "t", "manifold": dict(TORUS8, nx=nx), "solver": {"k": k},
+            "checks": [{"name": "weitzenboeck", "k": check_k}, "killing_alternative",
+                       {"name": "root_sandwich_grid", "n_values": [2.0, 3]}]})
+        report = V.run_suite(path).as_dict()
+        del report["created"], report["suite"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["seed"] == 3 and len(reports[0]["outcomes"]) == 3
 
 
 def test_budget_accepts_integral_dim(tmp_path):
