@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from roughlap import constants as con
@@ -77,17 +78,18 @@ def _cmd_spectrum(args) -> int:
         manifold = IcoSphere(radius=args.radius, subdivisions=args.subdiv)
     else:
         manifold = FlatTorus(lx=args.lx, ly=args.ly, nx=args.nx, ny=args.ny)
-    k = args.k
     try:  # MeshError and out-of-range solver settings are ValueErrors
+        config = SolverConfig(k=args.k, seed=args.seed)
         mesh = build_mesh(manifold)
         if args.operator == "function":
             op, mass = cotan_laplacian(mesh)
         elif args.operator == "hodge":
             op, mass = hodge_laplacian_1forms(mesh)
-            k += 2  # the block pencil's two constants are swapped out below
+            # the block pencil's two constants are swapped out below
+            config = replace(config, k=config.k + 2)
         else:
             op, mass = connection_laplacian_1forms(mesh, build_connection(mesh))
-        result = smallest_eigenpairs(op, mass, SolverConfig(k=k, tol=args.tol, seed=args.seed))
+        result = smallest_eigenpairs(op, mass, config)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     values, residuals = result.values, result.residuals
@@ -173,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=32)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_spectrum)
 

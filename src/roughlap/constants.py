@@ -461,8 +461,8 @@ def oneform_gap_branches(budget: GeometryBudget,
     if p <= n:
         raise ValueError(f"p_exponent must exceed the half-dimension {n}, got {p}")
     d = budget.diameter
-    a = (2 * n - 1) * math.sqrt(budget.kappa * d ** 2)
-    s = math.sqrt(budget.riem_2p * d ** 2)
+    a = (2 * n - 1) * math.sqrt(budget.kappa) * d
+    s = math.sqrt(budget.riem_2p) * d
     ct = gap_constant(n, p, delta_branch, consts)
     try:
         branch1 = (ct / (1.0 + s) * math.exp(-a)) ** (2.0 * p * n / (p - n))

@@ -1,14 +1,15 @@
 """Smallest generalized eigenpairs of (L, M), certified and deterministic.
 
 L is sparse Hermitian positive semidefinite, M positive diagonal.  The
-pencil is whitened through M^(-1/2), solved densely up to a size cutoff and
-by shift-invert Lanczos (ARPACK through a seeded start vector and an
-explicit sparse LU of B - sigma*I) above it.  The dense solve computes only
-the k requested pairs (LAPACK's MRRR driver on an index range), not the
-whole spectrum.  The small negative shift keeps the factorization definite
-when L has a kernel.  Every returned pair carries the relative residual
-|L x - lambda M x| / |M x|; exceeding the configured tolerance raises,
-carrying the best residuals seen.
+pencil is whitened through M^(-1/2), solved densely up to ``DENSE_CUTOFF``
+unknowns and by shift-invert Lanczos above it (ARPACK through a seeded
+start vector, an explicit sparse LU of B - sigma*I and at most ``MAX_ITER``
+Arnoldi iterations), so the route depends on the pencil size alone.  The
+dense solve computes only the k requested pairs (LAPACK's MRRR driver on an
+index range), not the whole spectrum.  The small negative shift keeps the
+factorization definite when L has a kernel.  Every returned pair carries
+the relative residual |L x - lambda M x| / |M x|; exceeding
+``RESIDUAL_TOL`` raises, carrying the best residuals seen.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 __all__ = [
+    "RESIDUAL_TOL",
+    "MAX_ITER",
+    "DENSE_CUTOFF",
     "SolverConfig",
     "EigenResult",
     "EigenConvergenceError",
@@ -30,25 +34,21 @@ __all__ = [
 ]
 
 
+RESIDUAL_TOL = 1e-8  # largest relative residual a returned pair may carry
+MAX_ITER = 4000      # ARPACK iteration budget of the sparse path
+DENSE_CUTOFF = 800   # pencils of at most this many unknowns are solved densely
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """k smallest pairs, residual tolerance, determinism seed.
-
-    ``dense_cutoff`` routes problems at or below that size to a dense solve,
-    which computes only the k requested pairs.
-    """
+    """k smallest pairs and the seed of the sparse path's start vector."""
 
     k: int = 6
-    tol: float = 1e-8
-    max_iter: int = 4000
     seed: int = 0
-    dense_cutoff: int = 800
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -77,7 +77,7 @@ class EigenConvergenceError(RuntimeError):
 
 def _unpack(L, M):
     a = L.matrix if hasattr(L, "matrix") else sp.csr_matrix(L)
-    m = M.weights if hasattr(M, "weights") else np.asarray(M, dtype=float)
+    m = np.asarray(M, dtype=float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("operator must be square")
     if len(m) != a.shape[0]:
@@ -103,7 +103,7 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     b = ((b + b.getH()) * 0.5).tocsr()
     scale = float(sp.linalg.norm(b, 1))
 
-    if n <= config.dense_cutoff:
+    if n <= DENSE_CUTOFF:
         vals, vecs = eigh(b.toarray(), subset_by_index=[0, config.k - 1])
         iterations = 0
     else:
@@ -119,9 +119,9 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     for idx in range(config.k):
         lhs = a @ x[:, idx] - vals[idx] * (m * x[:, idx])
         residuals[idx] = np.linalg.norm(lhs) / np.linalg.norm(m * x[:, idx])
-    if np.any(residuals > config.tol):
+    if np.any(residuals > RESIDUAL_TOL):
         raise EigenConvergenceError(
-            f"residuals {residuals} exceed tol {config.tol}",
+            f"residuals {residuals} exceed tol {RESIDUAL_TOL}",
             values=vals, residuals=residuals)
     return EigenResult(values=vals, vectors=x, residuals=residuals,
                        iterations=iterations, scale=scale)
@@ -147,11 +147,11 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig):
         v0 = v0 + 1j * rng.standard_normal(n)
     try:
         vals, vecs = eigsh(b, k=config.k, sigma=sigma, which="LM",
-                           v0=v0, maxiter=config.max_iter, tol=0,
+                           v0=v0, maxiter=MAX_ITER, tol=0,
                            OPinv=op_inv)
     except ArpackNoConvergence as exc:
         raise EigenConvergenceError(
-            f"ARPACK did not converge within {config.max_iter} iterations",
+            f"ARPACK did not converge within {MAX_ITER} iterations",
             values=getattr(exc, "eigenvalues", None),
             residuals=None) from exc
     return vals, vecs, count[0]

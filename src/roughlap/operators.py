@@ -34,7 +34,7 @@ position per step.  Transport angles are stored once per edge, aligned with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +44,6 @@ from roughlap.mesh import MeshError, TriangleMesh, euler_characteristic
 
 __all__ = [
     "SparseHermitianOperator",
-    "MassMatrix",
     "ConnectionData",
     "cotan_laplacian",
     "build_connection",
@@ -71,36 +70,6 @@ class SparseHermitianOperator:
     """Hermitian sparse matrix, symmetrized exactly at assembly."""
 
     matrix: sp.csr_matrix
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.getH()
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
-
-    def one_norm(self) -> float:
-        return float(sp.linalg.norm(self.matrix, 1))
-
-
-@dataclass
-class MassMatrix:
-    """Diagonal positive mass (lumped vertex or edge measures)."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights <= 0):
-            raise ValueError("mass weights must be strictly positive")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.weights)
-
-    def trace(self) -> float:
-        return float(self.weights.sum())
 
 
 @dataclass
@@ -140,7 +109,7 @@ def edge_cotan_weights(mesh: TriangleMesh) -> np.ndarray:
     return w
 
 
-def cotan_laplacian(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, MassMatrix]:
+def cotan_laplacian(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, np.ndarray]:
     """Cotan stiffness with lumped vertex-area mass.
 
     Row sums vanish, so constants span the kernel on a connected mesh; the
@@ -152,7 +121,7 @@ def cotan_laplacian(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, MassMa
     cols = np.concatenate([j, i, i, j])
     vals = np.concatenate([-w, -w, w, w])
     matrix = _symmetrized(rows, cols, vals, mesh.n_vertices)
-    return SparseHermitianOperator(matrix), MassMatrix(mesh.vertex_areas.copy())
+    return SparseHermitianOperator(matrix), mesh.vertex_areas.copy()
 
 
 def build_connection(mesh: TriangleMesh) -> ConnectionData:
@@ -221,7 +190,7 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
 
 
 def connection_laplacian_1forms(mesh: TriangleMesh, conn: ConnectionData
-                                ) -> tuple[SparseHermitianOperator, MassMatrix]:
+                                ) -> tuple[SparseHermitianOperator, np.ndarray]:
     """Connection Laplacian on tangent fields / 1-forms (metric duality).
 
     Complex Hermitian cotan matrix: entry (a, b) is -w_ab * exp(i rho[b->a]),
@@ -240,7 +209,7 @@ def connection_laplacian_1forms(mesh: TriangleMesh, conn: ConnectionData
     vals = np.concatenate([off_ij, np.conj(off_ij),
                            w.astype(complex), w.astype(complex)])
     matrix = _symmetrized(rows, cols, vals, n)
-    return SparseHermitianOperator(matrix), MassMatrix(mesh.vertex_areas.copy())
+    return SparseHermitianOperator(matrix), mesh.vertex_areas.copy()
 
 
 def _incidence_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -262,7 +231,7 @@ def _incidence_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matri
     return d0, d1
 
 
-def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, MassMatrix]:
+def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, np.ndarray]:
     """DEC Hodge Laplacian on 1-forms, split by the discrete Hodge decomposition.
 
     The edge pencil *1 d0 *0^-1 d0^T *1 + d1^T *2 d1 against *1 is returned
@@ -298,8 +267,7 @@ def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator,
     exact, vertex_mass = cotan_laplacian(mesh)
     matrix = sp.block_diag((exact.matrix, (coexact + coexact.T) * 0.5), format="csr")
     cell_areas = np.bincount(cell, weights=mesh.face_areas)
-    return (SparseHermitianOperator(matrix),
-            MassMatrix(np.concatenate([vertex_mass.weights, cell_areas])))
+    return SparseHermitianOperator(matrix), np.concatenate([vertex_mass, cell_areas])
 
 
 def hodge_eigenvalues(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
@@ -317,7 +285,7 @@ def hodge_eigenvalues(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
 def rayleigh_quotient(L, M, x: np.ndarray) -> float:
     """(x^H L x) / (x^H M x) for the generalized pencil; real and nonnegative."""
     a = L.matrix if isinstance(L, SparseHermitianOperator) else L
-    m = M.weights if isinstance(M, MassMatrix) else np.asarray(M)
+    m = np.asarray(M)
     x = np.asarray(x)
     denom = np.real(np.vdot(x, m * x))
     if denom <= 0.0:
@@ -356,11 +324,11 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
     l_conn, m_conn = connection_laplacian_1forms(mesh, conn)
     k_complex = (k + 1) // 2
     res_conn = smallest_eigenpairs(l_conn, m_conn,
-                                   _with_k(config, max(k_complex + 2, 4)))
+                                   replace(config, k=max(k_complex + 2, 4)))
     rough = np.repeat(res_conn.values, 2)[:k]
 
     l_hodge, m_hodge = hodge_laplacian_1forms(mesh)
-    res_hodge = smallest_eigenpairs(l_hodge, m_hodge, _with_k(config, k + 2))
+    res_hodge = smallest_eigenpairs(l_hodge, m_hodge, replace(config, k=k + 2))
     hodge = hodge_eigenvalues(mesh, res_hodge.values)[:k]
 
     span = max(abs(hodge[-1]), abs(rough[-1]) + abs(shift), 1e-30)
@@ -371,11 +339,6 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
         denom = abs(mu) if abs(mu) > 1e-6 * span else span
         out.append((float(mu), float(lam), shift, float(abs(mu - lam - shift) / denom)))
     return out
-
-
-def _with_k(config, k: int):
-    from dataclasses import replace
-    return replace(config, k=k)
 
 
 # -- tangent-field sampling --------------------------------------------------

@@ -30,7 +30,8 @@ import numpy as np
 from roughlap import constants as con
 from roughlap import spectra
 from roughlap.constants import AbstractConstants, GeometryBudget
-from roughlap.eigen import EigenResult, SolverConfig, first_positive, smallest_eigenpairs
+from roughlap.eigen import (RESIDUAL_TOL, EigenResult, SolverConfig, first_positive,
+                            smallest_eigenpairs)
 from roughlap.mesh import (FlatTorus, IcoSphere, MeshError, ProductSpec, TriangleMesh,
                            build_mesh, curvature_lp_norm, euler_characteristic,
                            graph_diameter)
@@ -554,8 +555,8 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
     measured = {"rho": rho, "eps": eps, "lambda": lam,
                 "kato_fraction": kato, "sobolev_cs": cs}
     if eps < 0.5:
-        # rho carries eigenvector error ~ solver tol / spectral gap
-        rho_slack = 100.0 * ctx.solver.tol
+        # rho carries eigenvector error ~ residual tolerance / spectral gap
+        rho_slack = 100.0 * RESIDUAL_TOL
         ok = rho >= 1.0 - 2.0 * eps - rho_slack
         return CheckOutcome(name="pinching", status="pass" if ok else "fail",
                             measured=measured,
@@ -584,7 +585,8 @@ def check_gap_lower_bound(ctx: ExperimentContext) -> list[CheckOutcome]:
     rhs = min(b1, b2)
     reported = CheckOutcome(
         name="gap_lower_bound", status="reported",
-        measured={"sqrt_lambda1_times_D": lhs, "rhs": rhs, "ratio": lhs / rhs,
+        measured={"sqrt_lambda1_times_D": lhs, "rhs": rhs,
+                  "ratio": lhs / rhs if rhs > 0 else None,
                   "branch1": b1, "branch2": b2,
                   "active_branch": "branch1" if b1 <= b2 else "branch2",
                   "lambda1": lam1, "diameter": d, "riem_2p": budget.riem_2p},
@@ -592,10 +594,10 @@ def check_gap_lower_bound(ctx: ExperimentContext) -> list[CheckOutcome]:
 
     slack = 1e-12
     rhs_kappa = [con.oneform_gap_lower_bound(
-        replace(budget, kappa=budget.kappa + i * 0.5 / d ** 2), consts) for i in range(10)]
+        replace(budget, kappa=budget.kappa + i * 0.5 / d / d), consts) for i in range(10)]
     mono_kappa = all(b <= a + slack for a, b in zip(rhs_kappa, rhs_kappa[1:]))
     rhs_riem = [con.oneform_gap_lower_bound(
-        replace(budget, riem_2p=budget.riem_2p + i * 0.5 / d ** 2), consts) for i in range(10)]
+        replace(budget, riem_2p=budget.riem_2p + i * 0.5 / d / d), consts) for i in range(10)]
     mono_riem = all(b <= a + slack for a, b in zip(rhs_riem, rhs_riem[1:]))
 
     jump = _branch_switch_jump(budget, consts)
@@ -621,7 +623,7 @@ def _branch_switch_jump(budget: GeometryBudget, consts: AbstractConstants) -> fl
     p = budget.p_exponent
     q = 2.0 * p * n / (p - n)
     d = budget.diameter
-    a = (2 * n - 1) * math.sqrt(budget.kappa * d ** 2)
+    a = (2 * n - 1) * math.sqrt(budget.kappa) * d
     ct_target = 2.0 * math.exp(a * (q - 1.0) / q)
     ct_unit = con.gap_constant(n, p, "main", replace(consts, c0_np=1.0))
     probe = replace(consts, c0_np=ct_unit / ct_target)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from roughlap import constants as con
+from roughlap import eigen
 from roughlap import mesh as M
 from roughlap import operators as O
 from roughlap import spectra as S
@@ -59,13 +60,15 @@ def test_criterion_01_sphere_first_cluster(sphere5_bundle):
     assert sphere5_bundle["seconds"] < 60.0
 
 
-def test_criterion_01_dense_oracle_subdiv3():
+def test_criterion_01_dense_oracle_subdiv3(monkeypatch):
     """Sparse path against a dense eigensolve on the s=3 instance."""
     mesh = M.generate_icosphere(1.0, 3)
     conn = O.build_connection(mesh)
     op, mass = O.connection_laplacian_1forms(mesh, conn)
-    dense = smallest_eigenpairs(op, mass, SolverConfig(k=6, dense_cutoff=10 ** 6))
-    sparse = smallest_eigenpairs(op, mass, SolverConfig(k=6, dense_cutoff=0))
+    dense = smallest_eigenpairs(op, mass, SolverConfig(k=6))
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    sparse = smallest_eigenpairs(op, mass, SolverConfig(k=6))
+    assert dense.iterations == 0 and sparse.iterations > 0
     drift = np.abs(dense.values - sparse.values).max()
     print(f"\ncriterion 1 oracle: dense-vs-sparse drift {drift:.3e}")
     assert drift < 1e-8 * dense.scale

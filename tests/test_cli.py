@@ -91,6 +91,35 @@ def test_verify_spec_error_exit_code(capsys, tmp_path):
     assert "spec error" in capsys.readouterr().err
 
 
+ICO1 = {"type": "icosphere", "radius": 1.0, "subdivisions": 1}
+
+
+def test_verify_reports_a_null_ratio_when_the_bound_underflows(capsys, tmp_path):
+    # sqrt(K) * D = 1e150 * D drives branch1 below the smallest double
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"manifold": ICO1, "checks": ["gap_lower_bound"],
+                                "budget": {"dim": 4, "kappa": 0.0, "p_exponent": 4.0,
+                                           "riem_2p": 1e300}}))
+    out = tmp_path / "huge.report.json"
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 0
+    reported, structure = json.loads(out.read_text())["outcomes"]
+    assert reported["measured"]["rhs"] == 0.0
+    assert reported["measured"]["ratio"] is None
+    assert structure["status"] == "pass"
+
+
+def test_verify_locates_a_diameter_too_large_for_the_crossing_probe(capsys, tmp_path):
+    # the bound and its rays evaluate at D = 1e200; the branch-crossing probe
+    # steps riem_2p by 1e-12 around (1/D)^2 and leaves the budget's range
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"manifold": ICO1, "checks": ["gap_lower_bound"],
+                                "budget": {"dim": 4, "kappa": 0.0, "p_exponent": 4.0,
+                                           "diameter": 1e200}}))
+    assert main(["verify", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "spec error: experiments[0].checks[0]: check 'gap_lower_bound': riem_2p must be")
+
+
 def test_report_rejects_json_that_is_not_a_report(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
@@ -151,13 +180,31 @@ def test_constants_and_bound_locate_bad_flags(capsys, argv, located):
     (["--manifold", "icosphere", "--subdiv", "1", "--k", "100"],
      "k=100 must be below the dimension 42"),
     (["--manifold", "icosphere", "--subdiv", "1", "--k", "0"], "k must be >= 1, got 0"),
-    (["--manifold", "icosphere", "--subdiv", "1", "--tol", "0"], "tol must be positive, got 0.0"),
+    (["--manifold", "icosphere", "--subdiv", "1", "--operator", "hodge", "--k", "0"],
+     "k must be >= 1, got 0"),
+    (["--manifold", "icosphere", "--subdiv", "1", "--operator", "hodge", "--k", "-1"],
+     "k must be >= 1, got -1"),
     (["--manifold", "icosphere", "--subdiv", "-1"], "subdivisions must be >= 0, got -1"),
     (["--manifold", "flat_torus", "--nx", "2"], "torus needs nx, ny >= 3, got 2, 32"),
-], ids=["k_above_dimension", "k_zero", "tol_zero", "negative_subdiv", "torus_nx_two"])
+], ids=["k_above_dimension", "k_zero", "hodge_k_zero", "hodge_k_negative", "negative_subdiv",
+        "torus_nx_two"])
 def test_spectrum_locates_bad_flags(capsys, argv, located):
     assert main(["spectrum", *argv]) == 2
     assert f"spec error: {located}" in capsys.readouterr().err
+
+
+def test_spectrum_has_no_tolerance_flag(capsys):
+    # the residual certificate's tolerance is fixed (eigen.RESIDUAL_TOL)
+    with pytest.raises(SystemExit) as exit_:
+        main(["spectrum", "--manifold", "icosphere", "--subdiv", "1", "--tol", "1e-8"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_bound_at_a_huge_diameter(capsys):
+    # sqrt(kappa D^2) and sqrt(K D^2) are formed without squaring D
+    assert main(["bound", "--diameter", "1e200", "--kappa", "1", "--riem2p", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == ["branch1 0.0", "branch2 0.0", "rhs 0.0"]
 
 
 def test_cli_imports_only_the_scipy_it_runs():

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from roughlap.eigen import (EigenConvergenceError, EigenResult, SolverConfig,
+from roughlap import eigen
+from roughlap.eigen import (RESIDUAL_TOL, EigenConvergenceError, EigenResult, SolverConfig,
                             cluster_multiplicities, first_positive,
                             smallest_eigenpairs)
 from roughlap.mesh import generate_flat_torus, generate_icosphere
@@ -41,8 +42,6 @@ def test_vectors_mass_orthonormal():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(k=0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
     L = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
         smallest_eigenpairs(L, np.ones(3), SolverConfig(k=3))  # k >= dim
@@ -50,6 +49,8 @@ def test_config_validation():
         smallest_eigenpairs(L, np.ones(2), SolverConfig(k=1))  # dim mismatch
     with pytest.raises(ValueError):
         smallest_eigenpairs(L, np.array([1.0, -1.0, 1.0]), SolverConfig(k=1))
+    with pytest.raises(ValueError, match="mass must be positive"):
+        smallest_eigenpairs(L, np.array([1.0, 0.0, 1.0]), SolverConfig(k=1))
 
 
 def _torus_pencil(torus16):
@@ -57,19 +58,22 @@ def _torus_pencil(torus16):
     return connection_laplacian_1forms(torus16, conn)
 
 
-def test_determinism_bitwise(torus16):
+def test_determinism_bitwise(torus16, monkeypatch):
     op, mass = _torus_pencil(torus16)
-    config = SolverConfig(k=5, seed=42, dense_cutoff=0)
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    config = SolverConfig(k=5, seed=42)
     a = smallest_eigenpairs(op, mass, config)
     b = smallest_eigenpairs(op, mass, config)
     assert a.iterations == b.iterations
     assert np.array_equal(a.values, b.values)
 
 
-def test_dense_sparse_oracle(torus16):
+def test_dense_sparse_oracle(torus16, monkeypatch):
     op, mass = _torus_pencil(torus16)
-    dense = smallest_eigenpairs(op, mass, SolverConfig(k=6, dense_cutoff=10 ** 6))
-    sparse = smallest_eigenpairs(op, mass, SolverConfig(k=6, dense_cutoff=0))
+    dense = smallest_eigenpairs(op, mass, SolverConfig(k=6))
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    sparse = smallest_eigenpairs(op, mass, SolverConfig(k=6))
+    assert dense.iterations == 0 and sparse.iterations > 0
     assert np.abs(dense.values - sparse.values).max() < 1e-8 * dense.scale
 
 
@@ -90,17 +94,17 @@ def _torus_hodge_pencil():
 def test_dense_path_against_full_spectrum(pencil, k, head):
     op, mass = pencil()
     config = SolverConfig(k=k)
-    assert op.dimension <= config.dense_cutoff
+    assert op.matrix.shape[0] <= eigen.DENSE_CUTOFF
     res = smallest_eigenpairs(op, mass, config)
     # oracle: every eigenpair of the whitened pencil, computed here
-    w = 1.0 / np.sqrt(mass.weights)
+    w = 1.0 / np.sqrt(mass)
     b = (sp.diags(w) @ op.matrix @ sp.diags(w)).toarray()
     full_vals, full_vecs = scipy.linalg.eigh((b + b.conj().T) / 2)
     assert res.iterations == 0
     assert np.abs(res.values - full_vals[:k]).max() <= 1e-12 * res.scale
-    gram = res.vectors.conj().T @ (mass.weights[:, None] * res.vectors)
+    gram = res.vectors.conj().T @ (mass[:, None] * res.vectors)
     assert np.abs(gram - np.eye(k)).max() < 1e-12
-    assert np.all(res.residuals <= config.tol)
+    assert np.all(res.residuals <= RESIDUAL_TOL)
     if head is not None:
         assert [c for _, c in cluster_multiplicities(full_vals[:sum(head)])] == head
         # each returned vector lies in the eigenspace of the clusters it meets
@@ -121,18 +125,21 @@ def test_monotone_under_k(torus16):
     "smallest were found: on the 2 pi torus 32x32 cotan pencil the sparse "
     "path returns 3.940 as 9th value where the dense solve has a 4th copy "
     "of 1.991, with every residual near 5e-14"))
-def test_sparse_path_finds_every_copy_of_a_cluster():
+def test_sparse_path_finds_every_copy_of_a_cluster(monkeypatch):
     op, mass = cotan_laplacian(generate_flat_torus(2 * np.pi, 2 * np.pi, 32, 32))
     sparse = smallest_eigenpairs(op, mass, SolverConfig(k=9, seed=1))
-    dense = smallest_eigenpairs(op, mass, SolverConfig(k=9, seed=1, dense_cutoff=10 ** 6))
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 10 ** 6)
+    dense = smallest_eigenpairs(op, mass, SolverConfig(k=9, seed=1))
     assert sparse.iterations > 0 and dense.iterations == 0
     assert np.abs(dense.values - sparse.values).max() < 1e-8 * dense.scale
 
 
-def test_nonconvergence_raises(torus16):
+def test_nonconvergence_raises(torus16, monkeypatch):
     op, mass = _torus_pencil(torus16)
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(eigen, "MAX_ITER", 1)
     with pytest.raises(EigenConvergenceError):
-        smallest_eigenpairs(op, mass, SolverConfig(k=5, dense_cutoff=0, max_iter=1))
+        smallest_eigenpairs(op, mass, SolverConfig(k=5))
 
 
 def test_cluster_multiplicities_example():

@@ -412,6 +412,9 @@ TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
      r"got \[2\.5\]$"),
     ({"manifold": ICO1, "checks": [{"name": "pinching", "ctx": 1}]},
      r"checks\[0\]: check 'pinching': unknown field 'ctx'$"),
+    ({"solver": {"tol": 1e-8}, "checks": []}, r"solver: unknown field 'tol'$"),
+    ({"solver": {"max_iter": 4000}, "checks": []}, r"solver: unknown field 'max_iter'$"),
+    ({"solver": {"dense_cutoff": 0}, "checks": []}, r"solver: unknown field 'dense_cutoff'$"),
 ], ids=["unknown_param", "deleted_slack", "deleted_ray_step", "missing_param",
         "solver_list", "budget_text", "negative_radius", "radius_text",
         "budget_kappa_text", "param_k_text", "param_bool_as_int", "param_grid_item_text",
@@ -422,7 +425,8 @@ TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
         "budget_kappa_bool", "budget_typo", "budget_diameter_nan", "budget_riem_inf",
         "budget_diameter_null", "budget_p_below_half", "budget_negative_kappa",
         "constants_bool", "gap_overflow", "param_k_fraction", "param_nan",
-        "param_grid_item_fraction", "param_ctx"])
+        "param_grid_item_fraction", "param_ctx", "solver_tol", "solver_max_iter",
+        "solver_dense_cutoff"])
 def test_run_suite_locates_bad_input(tmp_path, experiment, where):
     path = write_spec(tmp_path, {"experiments": [{"label": "x"}, dict(experiment, label="y")]})
     with pytest.raises(V.SpecError, match=r"^experiments\[1\]\." + where):
