@@ -69,6 +69,15 @@ def test_psd_smallest_ritz(sphere_s2, sphere_conn, monkeypatch):
         assert res.values[0] >= -1e-9 * one_norm(op)
 
 
+def test_mass_matrix_rejects_nonpositive(torus):
+    op, mass = O.cotan_laplacian(torus)
+    for bad in (0.0, -1.0):
+        broken = mass.copy()
+        broken[3] = bad
+        with pytest.raises(ValueError, match="mass must be positive"):
+            smallest(op, broken, 2)
+
+
 SURFACES = st.one_of(
     st.sampled_from([1, 2]).map(lambda s: M.generate_icosphere(1.0, s)),
     st.builds(lambda aspect, nx, ny: M.generate_flat_torus(TWO_PI, TWO_PI * aspect, nx, ny),
