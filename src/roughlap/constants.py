@@ -242,7 +242,7 @@ def sobolev_s_pq(budget: GeometryBudget, vol_ratio: float,
         raise ValueError(f"p={p} exceeds the embedding limit nq/(n-q)={n*q/(n-q)}")
     if vol_ratio <= 0 or sphere_sobolev <= 0:
         raise ValueError("vol_ratio and sphere_sobolev must be positive")
-    lam = math.sqrt(budget.kappa * budget.diameter ** 2)
+    lam = math.sqrt(budget.kappa) * budget.diameter
     if lam == 0.0:
         radius = budget.diameter / comparison_root_limit(n)
     else:
@@ -259,7 +259,7 @@ def sobolev_cs(budget: GeometryBudget, consts: AbstractConstants = AbstractConst
     m = budget.dim
     if m <= 2:
         raise ValueError(f"Sobolev exponent degenerates at dim <= 2, got {m}")
-    lam = math.sqrt(budget.kappa * budget.diameter ** 2)
+    lam = math.sqrt(budget.kappa) * budget.diameter
     return consts.c_n * budget.diameter * math.exp((m - 1) * lam)
 
 
@@ -289,7 +289,7 @@ def moser_parameters(budget: GeometryBudget, lam: float, cs: float) -> MoserPara
     if lam <= 0:
         raise ValueError(f"eigenvalue must be positive, got {lam}")
     b = lam + budget.ric_minus_p + budget.riem_2p
-    t = 4.0 * cs * math.sqrt(b) * math.sqrt(1.0 + b * budget.diameter ** 2)
+    t = 4.0 * cs * math.sqrt(b) * math.hypot(1.0, math.sqrt(b) * budget.diameter)
     alpha = 2.0 * p * n / (2.0 * p - n)
     beta = 2.0 * p * n / (2.0 * p - n + p * n)
     gamma = n * (p - 1.0) / (p * (n - 2.0))

@@ -6,10 +6,11 @@ unknowns and by shift-invert Lanczos above it (ARPACK through a seeded
 start vector, an explicit sparse LU of B - sigma*I and at most ``MAX_ITER``
 Arnoldi iterations), so the route depends on the pencil size alone.  The
 dense solve computes only the k requested pairs (LAPACK's MRRR driver on an
-index range), not the whole spectrum.  The small negative shift keeps the
-factorization definite when L has a kernel.  Every returned pair carries
-the relative residual |L x - lambda M x| / |M x|; exceeding
-``RESIDUAL_TOL`` raises, carrying the best residuals seen.
+index range), not the whole spectrum, in place on one Fortran-order array.
+The small negative shift keeps the factorization definite when L has a
+kernel.  Every returned pair carries the relative residual
+|L x - lambda M x| / |M x|; exceeding ``RESIDUAL_TOL`` raises, carrying the
+best residuals seen.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     scale = float(sp.linalg.norm(b, 1))
 
     if n <= DENSE_CUTOFF:
-        vals, vecs = eigh(b.toarray(), subset_by_index=[0, config.k - 1])
+        vals, vecs = eigh(b.toarray(order="F"), subset_by_index=[0, config.k - 1],
+                          overwrite_a=True)
         iterations = 0
     else:
         vals, vecs, iterations = _shift_invert(b, config)

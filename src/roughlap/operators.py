@@ -297,8 +297,7 @@ def rayleigh_quotient(L, M, x: np.ndarray) -> float:
 
 
 def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
-                             conn: ConnectionData | None = None
-                             ) -> list[tuple[float, float, float, float]]:
+                             conn_eigen=None) -> list[tuple[float, float, float, float]]:
     """Pair Hodge and connection-Laplacian eigenvalues through the curvature shift.
 
     On a surface the Hodge Laplacian on 1-forms equals the connection
@@ -306,8 +305,10 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
     k smallest eigenvalues satisfy mu_i = lambda_i + K.  K is estimated
     intrinsically as total curvature / area = 2*pi*chi / area.  Connection
     eigenvalues are complex-multiplicity values and are doubled to match the
-    real Hodge count.  ``conn`` is the mesh's connection when the caller
-    already has it; it is built otherwise.  Returns rows
+    real Hodge count.  ``conn_eigen`` is the mesh's connection solve
+    (an ``EigenResult``) when the caller already has one: its first
+    ceil(k/2) values are used, and it must hold that many.  Without it the
+    connection is built, assembled and solved here.  Returns rows
     (mu_i, lambda_i, K, relative mismatch).
     """
     from roughlap.eigen import SolverConfig, smallest_eigenpairs
@@ -319,13 +320,14 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
     shift = 2.0 * math.pi * euler_characteristic(mesh) / mesh.total_area
     config = solver_config or SolverConfig()
 
-    if conn is None:
-        conn = build_connection(mesh)
-    l_conn, m_conn = connection_laplacian_1forms(mesh, conn)
     k_complex = (k + 1) // 2
-    res_conn = smallest_eigenpairs(l_conn, m_conn,
-                                   replace(config, k=max(k_complex + 2, 4)))
-    rough = np.repeat(res_conn.values, 2)[:k]
+    if conn_eigen is None:
+        l_conn, m_conn = connection_laplacian_1forms(mesh, build_connection(mesh))
+        conn_eigen = smallest_eigenpairs(l_conn, m_conn,
+                                         replace(config, k=max(k_complex + 2, 4)))
+    elif len(conn_eigen.values) < k_complex:
+        raise ValueError(f"k={k} needs {k_complex} connection pairs, got {len(conn_eigen.values)}")
+    rough = np.repeat(conn_eigen.values[:k_complex], 2)[:k]
 
     l_hodge, m_hodge = hodge_laplacian_1forms(mesh)
     res_hodge = smallest_eigenpairs(l_hodge, m_hodge, replace(config, k=k + 2))

@@ -18,6 +18,7 @@ import functools
 import inspect
 import json
 import math
+import sys
 import types
 import typing
 from collections.abc import Sequence
@@ -282,7 +283,11 @@ def _factor_spectra(manifold, cutoff: float):
 
 
 class ExperimentContext:
-    """Caches the mesh, connection operators, and eigensolve per experiment."""
+    """Caches the mesh, connection operators, and eigensolve per experiment.
+
+    ``connection_eigen`` is the experiment's one connection solve, of
+    ``solver.k`` pairs whatever the check order; every check that needs
+    connection values reads it."""
 
     def __init__(self, manifold, solver: SolverConfig,
                  budget_spec: dict | None, consts: AbstractConstants,
@@ -435,14 +440,21 @@ def check_weitzenboeck(ctx: ExperimentContext, k: int = 6,
                        compare_coarser: bool = True) -> CheckOutcome:
     """Hodge = connection + curvature on the k smallest pairs, refining down.
 
-    Default tolerances: 3% on spheres, 5% on tori.  With compare_coarser the
-    maximal mismatch must strictly decrease from the next-coarser resolution
-    to this one.
+    The connection values are the experiment's one connection solve,
+    ``ctx.connection_eigen()`` at ``solver.k`` complex pairs, so k may be at
+    most 2 * solver.k; only the Hodge pencil is solved here.  Default
+    tolerances: 3% on spheres, 5% on tori.  With compare_coarser the maximal
+    mismatch must strictly decrease from the next-coarser resolution to this
+    one, whose pencils are built and solved on their own.
     """
     mesh = ctx.require_mesh("weitzenboeck")
     if tolerance is None:
         tolerance = 0.03 if isinstance(ctx.manifold, IcoSphere) else 0.05
-    rows = weitzenboeck_eigen_check(mesh, k, ctx.solver, ctx.connection())
+    if k > 2 * ctx.solver.k:
+        raise ValueError(f"k={k} exceeds 2*solver.k={2 * ctx.solver.k}: the check reads the "
+                         f"connection solve of solver.k={ctx.solver.k} complex pairs")
+    rows = weitzenboeck_eigen_check(mesh, k, ctx.solver,
+                                    ctx.connection_eigen() if k > 0 else None)
     residuals = [r[3] for r in rows]
     worst = max(residuals) if residuals else 0.0
     ok = worst <= tolerance
@@ -540,20 +552,25 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
     the threshold eps built from the budget and the abstract constants.
     The implication is asserted only when eps < 1/2; otherwise both numbers
     are reported (on spheres eigenforms vanish somewhere, so rho ~ 0 and
-    consistency requires eps >= 1/2 at honest constants).
+    consistency requires eps >= 1/2 at honest constants).  C_s or eps
+    beyond the largest double (a huge budget diameter) is reported as null.
     """
     result = ctx.connection_eigen()
     z = result.vectors[:, 0]
     lam = max(float(result.values[0]), 0.0)
     mesh = ctx.require_mesh("pinching")
     budget = ctx.budget()
-    cs = con.sobolev_cs(budget, ctx.consts)
-    eps = con.epsilon_threshold(budget, lam, cs, ctx.consts)
+    cs = eps = math.inf  # unless they fit in a double
+    try:
+        cs = con.sobolev_cs(budget, ctx.consts)
+        eps = con.epsilon_threshold(budget, lam, cs, ctx.consts)
+    except OverflowError:
+        pass
     mag2 = np.abs(z) ** 2
     rho = float(mag2.min() / mag2.max())
     kato = kato_fraction(mesh, ctx.connection(), z)
-    measured = {"rho": rho, "eps": eps, "lambda": lam,
-                "kato_fraction": kato, "sobolev_cs": cs}
+    measured = {"rho": rho, "eps": eps if eps < math.inf else None, "lambda": lam,
+                "kato_fraction": kato, "sobolev_cs": cs if cs < math.inf else None}
     if eps < 0.5:
         # rho carries eigenvector error ~ residual tolerance / spectral gap
         rho_slack = 100.0 * RESIDUAL_TOL
@@ -563,7 +580,8 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
                             bounds={"rho_min": 1.0 - 2.0 * eps - rho_slack},
                             notes="eps < 1/2: pinching implication asserted")
     return CheckOutcome(name="pinching", status="reported", measured=measured,
-                        notes="eps >= 1/2: implication vacuous, values reported")
+                        notes="eps >= 1/2: implication vacuous, values reported"
+                        if eps < math.inf else "C_s or eps overflows a double: values reported")
 
 
 def check_gap_lower_bound(ctx: ExperimentContext) -> list[CheckOutcome]:
@@ -617,19 +635,27 @@ def _branch_switch_jump(budget: GeometryBudget, consts: AbstractConstants) -> fl
 
     branch1 = (Ct/(1+s) e^-a)^q crosses branch2 = e^-a at
     s* = Ct exp(-a (q-1)/q) - 1; a crossing with s* > 0 is forced by
-    rescaling the bootstrap constant so Ct = 2 exp(a (q-1)/q).
+    rescaling the bootstrap constant so Ct = 2 exp(a (q-1)/q).  The probe
+    steps riem_2p by 1e-12 relative to riem* = (s*/D)^2, so s moves by the
+    same D-free amount at every diameter.  Where riem* or the bound value
+    exp(-a) at the crossing is not a normal double, the jump is not
+    measurable and a ValueError names budget.diameter.
     """
     n = budget.dim // 2
     p = budget.p_exponent
     q = 2.0 * p * n / (p - n)
     d = budget.diameter
     a = (2 * n - 1) * math.sqrt(budget.kappa) * d
+    riem_star = (1.0 / d) ** 2  # s* = 1 by construction
+    if not (riem_star >= sys.float_info.min and math.exp(-a) >= sys.float_info.min):
+        raise ValueError(f"budget.diameter {d!r} is too large for the branch-crossing "
+                         f"probe: its riem_2p = 1/D^2 = {riem_star!r} and its bound "
+                         f"exp(-(2n-1) sqrt(kappa) D) = {math.exp(-a)!r} (kappa "
+                         f"{budget.kappa!r}) must be normal doubles")
     ct_target = 2.0 * math.exp(a * (q - 1.0) / q)
     ct_unit = con.gap_constant(n, p, "main", replace(consts, c0_np=1.0))
     probe = replace(consts, c0_np=ct_unit / ct_target)
-    s_star = ct_target * math.exp(-a * (q - 1.0) / q) - 1.0  # = 1 by construction
-    riem_star = (s_star / d) ** 2
-    eps = 1e-12 * (1.0 + riem_star)
+    eps = 1e-12 * riem_star
     return abs(con.oneform_gap_lower_bound(replace(budget, riem_2p=riem_star - eps), probe)
                - con.oneform_gap_lower_bound(replace(budget, riem_2p=riem_star + eps), probe))
 

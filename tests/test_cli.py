@@ -109,15 +109,16 @@ def test_verify_reports_a_null_ratio_when_the_bound_underflows(capsys, tmp_path)
 
 
 def test_verify_locates_a_diameter_too_large_for_the_crossing_probe(capsys, tmp_path):
-    # the bound and its rays evaluate at D = 1e200; the branch-crossing probe
-    # steps riem_2p by 1e-12 around (1/D)^2 and leaves the budget's range
+    # the bound and its rays evaluate at D = 1e200; the branch crossing of the
+    # probe, riem_2p = (1/D)^2, underflows to 0
     spec = tmp_path / "huge.json"
     spec.write_text(json.dumps({"manifold": ICO1, "checks": ["gap_lower_bound"],
                                 "budget": {"dim": 4, "kappa": 0.0, "p_exponent": 4.0,
                                            "diameter": 1e200}}))
     assert main(["verify", "--spec", str(spec)]) == 2
     assert capsys.readouterr().err.startswith(
-        "spec error: experiments[0].checks[0]: check 'gap_lower_bound': riem_2p must be")
+        "spec error: experiments[0].checks[0]: check 'gap_lower_bound': "
+        "budget.diameter 1e+200 is too large for the branch-crossing probe")
 
 
 def test_report_rejects_json_that_is_not_a_report(capsys, tmp_path):

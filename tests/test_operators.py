@@ -323,6 +323,14 @@ def test_weitzenboeck_empty():
     assert O.weitzenboeck_eigen_check(t, 0) == []
 
 
+def test_weitzenboeck_rejects_a_connection_solve_with_too_few_pairs(torus, torus_conn):
+    two_pairs = smallest_eigenpairs(*O.connection_laplacian_1forms(torus, torus_conn),
+                                    SolverConfig(k=2))
+    assert len(O.weitzenboeck_eigen_check(torus, 4, None, two_pairs)) == 4
+    with pytest.raises(ValueError, match=r"^k=6 needs 3 connection pairs, got 2$"):
+        O.weitzenboeck_eigen_check(torus, 6, None, two_pairs)
+
+
 def test_rayleigh_eigenvector_recovers_eigenvalue(torus, torus_conn):
     op, mass = O.connection_laplacian_1forms(torus, torus_conn)
     res = smallest(op, mass, 3)

@@ -1,5 +1,7 @@
 """Verification checks and the suite driver."""
 
+import collections
+import hashlib
 import json
 import math
 
@@ -9,6 +11,7 @@ import pytest
 from roughlap.constants import AbstractConstants
 from roughlap.eigen import SolverConfig
 from roughlap.mesh import FlatTorus, IcoSphere, ProductSpec
+from roughlap import eigen
 from roughlap import operators as O
 from roughlap import verify as V
 
@@ -93,12 +96,38 @@ def test_weitzenboeck_check_no_refine(sphere_ctx):
 def test_weitzenboeck_check_uses_the_context_connection(monkeypatch):
     ctx = make_ctx(FlatTorus(TWO_PI, TWO_PI, 8, 8))
     ctx.connection()
-    built = []
-    build = O.build_connection
+    built, solved = [], []
+    build, solve = O.build_connection, eigen.smallest_eigenpairs
+
+    def recording_solve(L, M, config):
+        solved.append(L.matrix.dtype.kind)  # "c": the complex connection pencil
+        return solve(L, M, config)
+
     monkeypatch.setattr(O, "build_connection", lambda mesh: built.append(mesh) or build(mesh))
+    monkeypatch.setattr(eigen, "smallest_eigenpairs", recording_solve)
+    monkeypatch.setattr(V, "smallest_eigenpairs", recording_solve)
     out = V.check_weitzenboeck(ctx, k=4, compare_coarser=False)
     assert out.status == "pass"
     assert built == []
+    assert sorted(solved) == ["c", "f"]  # the context's connection solve and the Hodge one
+    ctx.connection_eigen()
+    assert len(solved) == 2
+
+
+@pytest.mark.parametrize("cutoff", [0, 10 ** 6], ids=["sparse", "dense"])
+@pytest.mark.parametrize("manifold", [FlatTorus(TWO_PI, TWO_PI, 8, 8), IcoSphere(1.0, 1)],
+                         ids=["torus8", "ico1"])
+def test_weitzenboeck_check_matches_a_standalone_solve(monkeypatch, manifold, cutoff):
+    # the check reads the context's k=8 connection solve; the standalone
+    # function solves the connection pencil itself at k=5
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
+    ctx = make_ctx(manifold)
+    shared = np.array(V.check_weitzenboeck(ctx, k=6, compare_coarser=False).measured["pairs"])
+    alone = np.array(O.weitzenboeck_eigen_check(ctx.require_mesh("test"), 6, ctx.solver))
+    assert np.array_equal(shared[:, 0], alone[:, 0])
+    assert np.array_equal(shared[:, 2], alone[:, 2])
+    scale = np.abs(alone[:, 1]).max()
+    np.testing.assert_allclose(shared[:, 1], alone[:, 1], rtol=0, atol=1e-12 * scale)
 
 
 def test_harmonic_alternative_torus(torus_ctx):
@@ -166,6 +195,39 @@ def test_gap_lower_bound_outcomes(torus_ctx):
     assert structure.measured["branch_switch_jump"] < 1e-9
     rhs_kappa = structure.measured["rhs_along_kappa"]
     assert all(b <= a + 1e-12 for a, b in zip(rhs_kappa, rhs_kappa[1:]))
+
+
+@pytest.mark.parametrize("diameter", [1.0, 40.0, 1e6, 1e100])
+def test_branch_crossing_probe_is_scale_free(diameter):
+    # the probe steps riem_2p relative to the crossing (1/D)^2, so the jump
+    # does not grow with D
+    ctx = make_ctx(IcoSphere(1.0, 1), budget={"dim": 4, "kappa": 0.0, "p_exponent": 4.0,
+                                              "diameter": diameter})
+    _, structure = V.check_gap_lower_bound(ctx)
+    assert structure.status == "pass"
+    assert structure.measured["branch_switch_jump"] == pytest.approx(2e-12, rel=0.01)
+
+
+def test_branch_crossing_probe_locates_an_unmeasurable_crossing():
+    # the bound exp(-3 sqrt(kappa) D) at the crossing underflows (kappa = 0,
+    # where (1/D)^2 underflows, is a CLI test)
+    ctx = make_ctx(IcoSphere(1.0, 1), budget={"dim": 4, "kappa": 0.5, "p_exponent": 4.0,
+                                              "diameter": 1e200})
+    with pytest.raises(ValueError, match=r"^budget\.diameter 1e\+200 is too large"):
+        V.check_gap_lower_bound(ctx)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_pinching_reports_nulls_at_a_huge_diameter(kappa):
+    # C_s = c_n D exp(3 sqrt(kappa) D) overflows for kappa > 0; eps overflows
+    # in both cases
+    ctx = make_ctx(IcoSphere(1.0, 1), budget={"dim": 4, "kappa": kappa, "p_exponent": 4.0,
+                                              "diameter": 1e200})
+    out = V.check_pinching(ctx)
+    assert out.status == "reported"
+    assert out.measured["eps"] is None
+    assert out.measured["sobolev_cs"] == (None if kappa else 1e200)
+    json.dumps(out.as_dict(), allow_nan=False)
 
 
 def test_gap_lower_bound_product_testbed():
@@ -415,6 +477,8 @@ TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
     ({"solver": {"tol": 1e-8}, "checks": []}, r"solver: unknown field 'tol'$"),
     ({"solver": {"max_iter": 4000}, "checks": []}, r"solver: unknown field 'max_iter'$"),
     ({"solver": {"dense_cutoff": 0}, "checks": []}, r"solver: unknown field 'dense_cutoff'$"),
+    ({"manifold": TORUS8, "solver": {"k": 3}, "checks": [{"name": "weitzenboeck", "k": 7}]},
+     r"checks\[0\]: check 'weitzenboeck': k=7 exceeds 2\*solver\.k=6: .*solver\.k=3 "),
 ], ids=["unknown_param", "deleted_slack", "deleted_ray_step", "missing_param",
         "solver_list", "budget_text", "negative_radius", "radius_text",
         "budget_kappa_text", "param_k_text", "param_bool_as_int", "param_grid_item_text",
@@ -426,7 +490,7 @@ TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
         "budget_diameter_null", "budget_p_below_half", "budget_negative_kappa",
         "constants_bool", "gap_overflow", "param_k_fraction", "param_nan",
         "param_grid_item_fraction", "param_ctx", "solver_tol", "solver_max_iter",
-        "solver_dense_cutoff"])
+        "solver_dense_cutoff", "weitzenboeck_k_above_twice_solver_k"])
 def test_run_suite_locates_bad_input(tmp_path, experiment, where):
     path = write_spec(tmp_path, {"experiments": [{"label": "x"}, dict(experiment, label="y")]})
     with pytest.raises(V.SpecError, match=r"^experiments\[1\]\." + where):
@@ -475,6 +539,30 @@ def test_budget_accepts_integral_dim(tmp_path):
                                      "checks": ["gap_lower_bound"]})
         rhs.append(V.run_suite(path).outcomes[0].measured["rhs"])
     assert rhs[0] == rhs[1] == rhs[2]
+
+
+def test_run_suite_solves_each_pencil_once(tmp_path, monkeypatch):
+    # every check that needs connection values reads the one context solve,
+    # whatever the check order; the coarser Weitzenboeck level has its own
+    solves = collections.Counter()
+    solve = eigen.smallest_eigenpairs
+
+    def counting_solve(L, M, config):
+        a = L.matrix
+        pencil = a.data.tobytes() + a.indices.tobytes() + np.asarray(M).tobytes()
+        solves[hashlib.sha256(pencil).hexdigest()] += 1
+        return solve(L, M, config)
+
+    monkeypatch.setattr(eigen, "smallest_eigenpairs", counting_solve)
+    monkeypatch.setattr(V, "smallest_eigenpairs", counting_solve)
+    checks = ["weitzenboeck", "harmonic_alternative", "killing_alternative", "pinching",
+              "lipschitz", "gap_lower_bound"]
+    path = write_spec(tmp_path, {"experiments": [
+        {"label": "t", "manifold": TORUS8, "checks": checks},
+        {"label": "s", "manifold": ICO1, "checks": checks[::-1]}]})
+    V.run_suite(path)
+    # per experiment: connection and Hodge pencils, at this level and the coarser one
+    assert sorted(solves.values()) == [1] * 8
 
 
 def test_grid_check_rejects_mesh_requirement(tmp_path):
