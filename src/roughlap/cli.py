@@ -21,7 +21,7 @@ from pathlib import Path
 
 from roughlap import constants as con
 from roughlap.constants import AbstractConstants, GeometryBudget
-from roughlap.eigen import SolverConfig, cluster_multiplicities, smallest_eigenpairs
+from roughlap.eigen import CLUSTER_GAP, SolverConfig, cluster_multiplicities, smallest_eigenpairs
 from roughlap.mesh import FlatTorus, IcoSphere, build_mesh
 from roughlap.operators import (build_connection, connection_laplacian_1forms,
                                 cotan_laplacian, hodge_eigenvalues,
@@ -101,7 +101,7 @@ def _cmd_spectrum(args) -> int:
           f"V={mesh.n_vertices} E={mesh.n_edges} F={mesh.n_faces}")
     for value, residual in zip(values, residuals):
         print(f"{float(value)!r} residual={float(residual)!r}")
-    print("# clusters (rel gap 0.02):",
+    print(f"# clusters (rel gap {CLUSTER_GAP}):",
           [(v, c) for v, c in cluster_multiplicities(values)])
     if args.csv:
         with open(args.csv, "w") as fh:

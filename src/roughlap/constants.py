@@ -58,6 +58,7 @@ __all__ = [
     "oneform_gap_branches",
     "li_yau_function_bound",
     "li_yau_predicate",
+    "li_yau_threshold",
 ]
 
 
@@ -500,13 +501,17 @@ def li_yau_function_bound(n: int, kappa: float, diameter: float, c: float) -> fl
         raise ValueError(f"dimension must be >= 2, got {n}")
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    lam_sq = kappa * diameter ** 2
-    return math.exp(-(1.0 + math.sqrt(1.0 + 2.0 * c * c * lam_sq))) / c
+    lam = math.sqrt(kappa) * diameter
+    return math.exp(-(1.0 + math.sqrt(1.0 + 2.0 * c * c * lam * lam))) / c
+
+
+def li_yau_threshold(diameter: float, kappa: float, c: float) -> float:
+    """The Li-Yau threshold c * exp(-c sqrt(kappa) D)."""
+    if c <= 0:
+        raise ValueError(f"c must be positive, got {c}")
+    return c * math.exp(-c * math.sqrt(kappa) * diameter)
 
 
 def li_yau_predicate(lambda1: float, diameter: float, kappa: float, c: float) -> bool:
-    """Whether lambda1 * D^2 >= c * exp(-c sqrt(kappa D^2)) (equality counts)."""
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    threshold = c * math.exp(-c * math.sqrt(kappa * diameter ** 2))
-    return bool(lambda1 * diameter ** 2 >= threshold)
+    """Whether lambda1 * D^2 >= :func:`li_yau_threshold` (equality counts)."""
+    return bool(lambda1 * diameter * diameter >= li_yau_threshold(diameter, kappa, c))

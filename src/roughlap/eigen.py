@@ -26,6 +26,8 @@ __all__ = [
     "RESIDUAL_TOL",
     "MAX_ITER",
     "DENSE_CUTOFF",
+    "KERNEL_TOL",
+    "CLUSTER_GAP",
     "SolverConfig",
     "EigenResult",
     "EigenConvergenceError",
@@ -38,6 +40,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-8  # largest relative residual a returned pair may carry
 MAX_ITER = 4000      # ARPACK iteration budget of the sparse path
 DENSE_CUTOFF = 800   # pencils of at most this many unknowns are solved densely
+KERNEL_TOL = 1e-8    # values at most this times the operator scale are kernel values
+CLUSTER_GAP = 0.02   # relative gap that separates two clusters
 
 
 @dataclass(frozen=True)
@@ -159,11 +163,11 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig):
     return vals, vecs, count[0]
 
 
-def cluster_multiplicities(values, rel_gap: float = 0.02) -> list[tuple[float, int]]:
+def cluster_multiplicities(values) -> list[tuple[float, int]]:
     """Greedy clustering of an ascending value list by relative gaps.
 
     Consecutive values join the current cluster while their gap is below
-    ``rel_gap`` times the larger magnitude.  Returns (cluster mean, count)
+    ``CLUSTER_GAP`` times the larger magnitude.  Returns (cluster mean, count)
     in order.
     """
     vals = np.asarray(list(values), dtype=float)
@@ -172,20 +176,20 @@ def cluster_multiplicities(values, rel_gap: float = 0.02) -> list[tuple[float, i
     clusters: list[list[float]] = [[vals[0]]]
     for prev, cur in zip(vals[:-1], vals[1:]):
         denom = max(abs(prev), abs(cur), 1e-300)
-        if (cur - prev) / denom < rel_gap:
+        if (cur - prev) / denom < CLUSTER_GAP:
             clusters[-1].append(cur)
         else:
             clusters.append([cur])
     return [(float(np.mean(c)), len(c)) for c in clusters]
 
 
-def first_positive(result: EigenResult, zero_tol: float = 1e-8) -> float | None:
-    """Smallest eigenvalue above zero_tol * operator scale; None if all below.
+def first_positive(result: EigenResult) -> float | None:
+    """Smallest eigenvalue above KERNEL_TOL * operator scale; None if all below.
 
     A None return means every computed value sits in the kernel band and
     the caller should request more pairs.
     """
-    threshold = zero_tol * result.scale
+    threshold = KERNEL_TOL * result.scale
     for v in result.values:
         if v > threshold:
             return float(v)

@@ -19,9 +19,7 @@ import inspect
 import json
 import math
 import sys
-import types
 import typing
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,8 +29,8 @@ import numpy as np
 from roughlap import constants as con
 from roughlap import spectra
 from roughlap.constants import AbstractConstants, GeometryBudget
-from roughlap.eigen import (RESIDUAL_TOL, EigenResult, SolverConfig, first_positive,
-                            smallest_eigenpairs)
+from roughlap.eigen import (KERNEL_TOL, RESIDUAL_TOL, EigenResult, SolverConfig,
+                            first_positive, smallest_eigenpairs)
 from roughlap.mesh import (FlatTorus, IcoSphere, MeshError, ProductSpec, TriangleMesh,
                            build_mesh, curvature_lp_norm, euler_characteristic,
                            graph_diameter)
@@ -62,8 +60,16 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-ZERO_MODE_TOL = 1e-8
+# the checks' grids and tolerances; no spec sets them
+ROOT_N = range(2, 9)
+ROOT_LAMBDAS = np.geomspace(1e-2, 10.0, 50)
+MOSER_T = (0.1, 1.0, 10.0, 100.0)
+MOSER_GAMMA = (1.1, 1.5, 2.0, 4.0)
+MOSER_TAIL_TOL = 1e-12
+WEITZENBOECK_K = 6  # real pairs: needs solver.k >= 3 complex ones
+KILLING_RQ_TOL = 0.02
 LIPSCHITZ_SLACK = 0.05
+BUDGET_DEFAULTS = {"dim": 4, "kappa": 0.0, "p_exponent": 4.0}  # unstated budget fields
 
 
 class SpecError(ValueError):
@@ -174,20 +180,8 @@ def _convert(value, hint):
     """``value`` as the spec typing rule makes it for ``hint``, or ValueError.
 
     A JSON number fits ``float``; an integral one (4 or 4.0) fits ``int`` and
-    is passed as an int; a boolean, NaN and +-Infinity are not numbers;
-    ``X | None`` takes null and ``Sequence[X]`` a list of X.
+    is passed as an int; a boolean, NaN and +-Infinity are not numbers.
     """
-    if typing.get_origin(hint) is types.UnionType:  # X | None
-        if value is None:
-            return None
-        (hint,) = (h for h in typing.get_args(hint) if h is not types.NoneType)
-    if typing.get_origin(hint) is Sequence:
-        if not isinstance(value, list):
-            raise ValueError
-        try:
-            return [_convert(v, typing.get_args(hint)[0]) for v in value]
-        except ValueError:
-            raise ValueError from None  # the message names the list's type
     if hint in (int, float):
         if type(value) is bool or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ValueError
@@ -331,7 +325,7 @@ class ExperimentContext:
             (a0, a1), (b0, b1) = (_factor_spectra(f, cutoff) for f in self.manifold.factors)
             value = spectra.product_oneform_spectrum(a0, a1, b0, b1, cutoff).first_positive()
         else:
-            value = first_positive(self.connection_eigen(), ZERO_MODE_TOL)
+            value = first_positive(self.connection_eigen())
         if value is None:
             raise SpecError("no positive eigenvalue found; increase solver.k")
         return value
@@ -344,7 +338,7 @@ class ExperimentContext:
     def budget(self) -> GeometryBudget:
         """Budget with unstated diameter / curvature norm filled by measurement."""
         where = f"{self.where}.budget"
-        stated = {"dim": 4, "kappa": 0.0, "p_exponent": 4.0, **self.budget_spec}
+        stated = {**BUDGET_DEFAULTS, **self.budget_spec}
         if "diameter" not in stated:
             stated["diameter"] = self.measured_diameter()
         if "riem_2p" not in stated:
@@ -360,51 +354,40 @@ class ExperimentContext:
 
 # -- grid checks (no manifold) ----------------------------------------------
 
-def check_root_sandwich_grid(n_values: Sequence[int] = range(2, 9),
-                             lambda_grid: Sequence[float] | None = None) -> CheckOutcome:
-    """Exponential floor <= lam*C(lam) <= sine integral across the full grid.
-
-    Root residuals are certified to 1e-10 relative inside comparison_root;
-    the recorded margins are the worst observed distances to either side of
-    the sandwich.
-    """
-    if lambda_grid is None:
-        lambda_grid = np.geomspace(1e-2, 10.0, 50)
-    lambda_grid = np.asarray(list(lambda_grid), dtype=float)
-    if len(lambda_grid) and lambda_grid.min() <= 0:
-        raise ValueError("lambda grid must be strictly positive")
+def check_root_sandwich_grid() -> CheckOutcome:
+    """Exponential floor <= lam*C(lam) <= sine integral on the ROOT_N x ROOT_LAMBDAS
+    grid, with the worst margins; comparison_root certifies each root to 1e-10."""
     worst_upper = math.inf
     worst_lower = math.inf
     points = 0
-    for n in n_values:
+    for n in ROOT_N:
         w = con.sin_power_integral(n)
         floor_coef = con.root_floor_coefficient(n)
-        for lam in lambda_grid:
+        for lam in ROOT_LAMBDAS:
             lam_c = lam * con.comparison_root(n, lam)
             lower = floor_coef * math.exp(-(n - 1) * lam)
             worst_upper = min(worst_upper, w - lam_c)
             worst_lower = min(worst_lower, lam_c - lower)
             points += 1
-    ok = points == 0 or (worst_upper >= 0 and worst_lower >= 0)
+    ok = worst_upper >= 0 and worst_lower >= 0
     return CheckOutcome(
         name="root_sandwich_grid",
         status="pass" if ok else "fail",
         measured={"points": points,
-                  "worst_margin_to_upper": worst_upper if points else None,
-                  "worst_margin_to_lower": worst_lower if points else None},
+                  "worst_margin_to_upper": worst_upper,
+                  "worst_margin_to_lower": worst_lower},
         bounds={"residual_rel": 1e-10},
         notes="floor*exp(-(n-1)lam) <= lam*C(lam) <= sin integral; roots certified")
 
 
-def check_moser_product_grid(t_grid: Sequence[float] = (0.1, 1.0, 10.0, 100.0),
-                             gamma_grid: Sequence[float] = (1.1, 1.5, 2.0, 4.0),
-                             tail_tol: float = 1e-12) -> CheckOutcome:
-    """Converged iteration product stays below its closed-form majorant."""
+def check_moser_product_grid() -> CheckOutcome:
+    """Converged iteration product stays below its closed-form majorant on
+    the MOSER_T x MOSER_GAMMA grid."""
     min_slack = math.inf
     points = 0
-    for t in t_grid:
-        for g in gamma_grid:
-            value, _ = con.moser_product_converged(t, g, tail_tol)
+    for t in MOSER_T:
+        for g in MOSER_GAMMA:
+            value, _ = con.moser_product_converged(t, g, MOSER_TAIL_TOL)
             bound = con.moser_product_bound(t, g)
             min_slack = min(min_slack, bound / value)
             if value > bound:
@@ -415,11 +398,9 @@ def check_moser_product_grid(t_grid: Sequence[float] = (0.1, 1.0, 10.0, 100.0),
             points += 1
     return CheckOutcome(
         name="moser_product_grid", status="pass",
-        measured={"points": points,
-                  "min_bound_over_product": None if points == 0 else min_slack},
-        bounds={"tail_tol": tail_tol},
-        notes="vacuous (empty grid)" if points == 0 else
-              "partial products converged to tail below tolerance")
+        measured={"points": points, "min_bound_over_product": min_slack},
+        bounds={"tail_tol": MOSER_TAIL_TOL},
+        notes="partial products converged to tail below tolerance")
 
 
 # -- mesh checks --------------------------------------------------------------
@@ -435,69 +416,52 @@ def _coarser(manifold):
     return None
 
 
-def check_weitzenboeck(ctx: ExperimentContext, k: int = 6,
-                       tolerance: float | None = None,
-                       compare_coarser: bool = True) -> CheckOutcome:
-    """Hodge = connection + curvature on the k smallest pairs, refining down.
-
-    The connection values are the experiment's one connection solve,
-    ``ctx.connection_eigen()`` at ``solver.k`` complex pairs, so k may be at
-    most 2 * solver.k; only the Hodge pencil is solved here.  Default
-    tolerances: 3% on spheres, 5% on tori.  With compare_coarser the maximal
-    mismatch must strictly decrease from the next-coarser resolution to this
-    one, whose pencils are built and solved on their own.
-    """
+def check_weitzenboeck(ctx: ExperimentContext) -> CheckOutcome:
+    """Hodge = connection + curvature on the WEITZENBOECK_K smallest pairs, within
+    3% on spheres and 5% on tori, the worst mismatch below the next-coarser level's.
+    Connection values come from ``ctx.connection_eigen()``; the coarser level
+    solves its own pencils."""
     mesh = ctx.require_mesh("weitzenboeck")
-    if tolerance is None:
-        tolerance = 0.03 if isinstance(ctx.manifold, IcoSphere) else 0.05
-    if k > 2 * ctx.solver.k:
-        raise ValueError(f"k={k} exceeds 2*solver.k={2 * ctx.solver.k}: the check reads the "
-                         f"connection solve of solver.k={ctx.solver.k} complex pairs")
-    rows = weitzenboeck_eigen_check(mesh, k, ctx.solver,
-                                    ctx.connection_eigen() if k > 0 else None)
-    residuals = [r[3] for r in rows]
-    worst = max(residuals) if residuals else 0.0
+    tolerance = 0.03 if isinstance(ctx.manifold, IcoSphere) else 0.05
+    if 2 * ctx.solver.k < WEITZENBOECK_K:
+        raise ValueError(f"solver.k={ctx.solver.k} is below {WEITZENBOECK_K // 2}: the check "
+                         f"compares {WEITZENBOECK_K} real pairs from the connection solve")
+    rows = weitzenboeck_eigen_check(mesh, WEITZENBOECK_K, ctx.solver, ctx.connection_eigen())
+    worst = max(r[3] for r in rows)
     ok = worst <= tolerance
     measured = {"pairs": _jsonable(rows), "max_residual": worst}
-    notes = f"curvature shift {rows[0][2]!r}" if rows else "no pairs requested"
-    if compare_coarser and rows:
-        coarse = _coarser(ctx.manifold)
-        if coarse is not None:
-            coarse_rows = weitzenboeck_eigen_check(build_mesh(coarse), k, ctx.solver)
-            coarse_worst = max(r[3] for r in coarse_rows)
-            measured["max_residual_coarse"] = coarse_worst
-            # flat tori: both discretizations coincide spectrally, so both
-            # levels sit at roundoff and "decrease" is vacuous there
-            if coarse_worst > 1e-12:
-                ok = ok and worst < coarse_worst
-            else:
-                ok = ok and worst <= 1e-12
-            notes += "; refinement must reduce the worst mismatch"
+    notes = f"curvature shift {rows[0][2]!r}"
+    coarse = _coarser(ctx.manifold)
+    if coarse is not None:
+        coarse_rows = weitzenboeck_eigen_check(build_mesh(coarse), WEITZENBOECK_K, ctx.solver)
+        coarse_worst = max(r[3] for r in coarse_rows)
+        measured["max_residual_coarse"] = coarse_worst
+        # flat tori: both discretizations coincide spectrally, so both
+        # levels sit at roundoff and "decrease" is vacuous there
+        if coarse_worst > 1e-12:
+            ok = ok and worst < coarse_worst
+        else:
+            ok = ok and worst <= 1e-12
+        notes += "; refinement must reduce the worst mismatch"
     return CheckOutcome(name="weitzenboeck", status="pass" if ok else "fail",
                         measured=measured, tolerance=tolerance, notes=notes)
 
 
-def check_harmonic_alternative(ctx: ExperimentContext,
-                               kappa: float | None = None) -> CheckOutcome:
-    """With b1 > 0 and Ric >= -kappa: parallel forms exist or the gap is <= kappa.
-
-    The flat torus satisfies the first branch: the connection kernel is the
-    parallel 2-plane.  Manifolds with b1 = 0 (spheres) are out of hypothesis
-    and reported as not applicable.
-    """
+def check_harmonic_alternative(ctx: ExperimentContext) -> CheckOutcome:
+    """With b1 > 0 and Ric >= -kappa (the budget's): parallel forms exist or the
+    gap is <= kappa.  Flat tori take the first branch; b1 = 0 is not applicable."""
     mesh = ctx.require_mesh("harmonic_alternative")
     b1 = 2 - euler_characteristic(mesh)
     if b1 <= 0:
         return CheckOutcome(name="harmonic_alternative", status="reported",
                             measured={"b1": b1},
                             notes="not applicable: first Betti number is zero")
-    if kappa is None:
-        kappa = ctx.budget_spec.get("kappa", 0.0)
+    kappa = ctx.budget_spec.get("kappa", BUDGET_DEFAULTS["kappa"])
     result = ctx.connection_eigen()
-    zero_dim_real = 2 * int(np.sum(result.values <= ZERO_MODE_TOL * result.scale))
-    fp = first_positive(result, ZERO_MODE_TOL)
+    zero_dim_real = 2 * int(np.sum(result.values <= KERNEL_TOL * result.scale))
+    fp = first_positive(result)
     kernel_branch = zero_dim_real > 0
-    gap_branch = fp is not None and fp <= kappa * (1.0 + 1e-6) + ZERO_MODE_TOL * result.scale
+    gap_branch = fp is not None and fp <= kappa * (1.0 + 1e-6) + KERNEL_TOL * result.scale
     ok = kernel_branch or gap_branch
     return CheckOutcome(
         name="harmonic_alternative",
@@ -510,15 +474,10 @@ def check_harmonic_alternative(ctx: ExperimentContext,
         notes="disjunction: nonzero parallel kernel OR first eigenvalue <= kappa")
 
 
-def check_killing_alternative(ctx: ExperimentContext,
-                              rq_tolerance: float = 0.02) -> CheckOutcome:
-    """Killing-dual Rayleigh quotient sits below the Ricci upper bound.
-
-    Spheres: the rotation generator about z, sup Ric = 1/r^2.  Flat tori:
-    the translation generator, sup Ric = 0 (boundary case, absolute slack).
-    Also asserts min-max consistency: the smallest computed eigenvalue does
-    not exceed the quotient beyond tolerance.
-    """
+def check_killing_alternative(ctx: ExperimentContext) -> CheckOutcome:
+    """Killing-dual Rayleigh quotient <= sup Ric and >= the smallest eigenvalue
+    (min-max), within KILLING_RQ_TOL.  Spheres: rotation about z, sup Ric =
+    1/r^2; flat tori: a translation, sup Ric = 0 (absolute slack)."""
     mesh = ctx.require_mesh("killing_alternative")
     conn = ctx.connection()
     op, mass = ctx.connection_operator()
@@ -532,16 +491,16 @@ def check_killing_alternative(ctx: ExperimentContext,
     rq = rayleigh_quotient(op, mass, z)
     result = ctx.connection_eigen()
     lambda_min = float(result.values[0])
-    abs_slack = ZERO_MODE_TOL * result.scale
-    ok_ricci = rq <= sup_ric * (1.0 + rq_tolerance) + abs_slack
-    ok_minmax = lambda_min <= rq + rq_tolerance * max(rq, abs_slack) + abs_slack
+    abs_slack = KERNEL_TOL * result.scale
+    ok_ricci = rq <= sup_ric * (1.0 + KILLING_RQ_TOL) + abs_slack
+    ok_minmax = lambda_min <= rq + KILLING_RQ_TOL * max(rq, abs_slack) + abs_slack
     return CheckOutcome(
         name="killing_alternative",
         status="pass" if (ok_ricci and ok_minmax) else "fail",
         measured={"rayleigh_quotient": rq, "lambda_min": lambda_min,
                   "sup_ric": sup_ric},
-        bounds={"rq_max": sup_ric * (1.0 + rq_tolerance) + abs_slack},
-        tolerance=rq_tolerance,
+        bounds={"rq_max": sup_ric * (1.0 + KILLING_RQ_TOL) + abs_slack},
+        tolerance=KILLING_RQ_TOL,
         notes="Killing dual quotient <= sup Ricci; min-max consistency")
 
 
@@ -705,20 +664,21 @@ def rigidity_implication(lambda1: float, diameter: float, kappa: float,
     """Consistency gate: a strong gap plus small curvature radius forbids
     harmonic 1-forms that are not parallel.
 
-    If the Li-Yau predicate holds and c*exp(-c sqrt(kappa D^2)) exceeds
+    If the Li-Yau predicate holds and c*exp(-c sqrt(kappa) D) exceeds
     (dim-1) kappa D^2, a harmonic non-parallel 1-form is contradictory;
-    reporting one under those conditions fails the gate.
+    reporting one under those conditions fails the gate.  A curvature term
+    beyond the largest double is reported as null.
     """
     predicate = con.li_yau_predicate(lambda1, diameter, kappa, c)
-    threshold = c * math.exp(-c * math.sqrt(kappa * diameter ** 2))
-    small_curvature = threshold > (dim - 1) * kappa * diameter ** 2
-    contradiction = predicate and small_curvature and has_nonparallel_harmonic
+    threshold = con.li_yau_threshold(diameter, kappa, c)
+    curvature = (dim - 1) * kappa * diameter * diameter
+    contradiction = predicate and threshold > curvature and has_nonparallel_harmonic
     return CheckOutcome(
         name="rigidity_implication",
         status="fail" if contradiction else "pass",
         measured={"li_yau_predicate": predicate,
                   "threshold": threshold,
-                  "curvature_term": (dim - 1) * kappa * diameter ** 2,
+                  "curvature_term": curvature if curvature < math.inf else None,
                   "has_nonparallel_harmonic": has_nonparallel_harmonic},
         notes="contradiction detected" if contradiction else
               "no contradiction under the stated conditions")

@@ -65,8 +65,7 @@ def test_verify_and_report(capsys, tmp_path):
     spec = {
         "seed": 0,
         "experiments": [{"label": "g",
-                         "checks": [{"name": "moser_product_grid",
-                                     "t_grid": [1.0], "gamma_grid": [2.0]}]}],
+                         "checks": ["moser_product_grid"]}],
     }
     spec_path = tmp_path / "suite.json"
     spec_path.write_text(json.dumps(spec))
@@ -119,6 +118,27 @@ def test_verify_locates_a_diameter_too_large_for_the_crossing_probe(capsys, tmp_
     assert capsys.readouterr().err.startswith(
         "spec error: experiments[0].checks[0]: check 'gap_lower_bound': "
         "budget.diameter 1e+200 is too large for the branch-crossing probe")
+
+
+@pytest.mark.parametrize("kappa, status, code", [(0.5, "pass", 0), (0.0, "fail", 1)])
+def test_verify_rigidity_at_a_huge_diameter(capsys, tmp_path, kappa, status, code):
+    # kappa D^2 overflows a double at kappa > 0 and is reported as null; at
+    # kappa = 0 the threshold is c = 1 > 0 and the stated form contradicts it
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"checks": [{
+        "name": "rigidity_implication", "lambda1": 1.0, "diameter": 1e200, "kappa": kappa,
+        "c": 1.0, "dim": 4, "has_nonparallel_harmonic": True}]}))
+    out = tmp_path / "huge.report.json"
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == code
+
+    def no_constant(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    (outcome,) = json.loads(out.read_text(), parse_constant=no_constant)["outcomes"]
+    assert outcome["status"] == status
+    assert outcome["measured"]["li_yau_predicate"] is True
+    assert outcome["measured"]["threshold"] == (0.0 if kappa else 1.0)
+    assert outcome["measured"]["curvature_term"] == (None if kappa else 0.0)
 
 
 def test_report_rejects_json_that_is_not_a_report(capsys, tmp_path):

@@ -241,6 +241,12 @@ def test_moser_product_bound_limit():
         con.moser_product_bound(1.0, 1.0)
 
 
+def test_moser_product_converged_rejects_gamma_at_most_one():
+    for gamma in (0.9, 1.0):
+        with pytest.raises(ValueError, match="gamma must exceed 1"):
+            con.moser_product_converged(1.0, gamma)
+
+
 def test_moser_product_partial_single_term():
     assert con.moser_product_partial(1.0, 2.0, 1) == pytest.approx(
         math.sqrt(3.0), rel=1e-14)
@@ -404,6 +410,14 @@ def test_li_yau_predicate_boundary_and_threshold():
     threshold = math.log(2.0) ** 2
     assert con.li_yau_predicate(0.5, 1.0, threshold * 1.01, 1.0) is True
     assert con.li_yau_predicate(0.5, 1.0, threshold * 0.99, 1.0) is False
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_li_yau_at_a_huge_diameter(kappa):
+    # sqrt(kappa) * D and D * D in place of sqrt(kappa D^2) and D ** 2
+    assert con.li_yau_threshold(1e200, kappa, 1.0) == (0.0 if kappa else 1.0)
+    assert con.li_yau_predicate(1.0, 1e200, kappa, 1.0) is True
+    assert con.li_yau_function_bound(2, kappa, 1e200, 1.0) == (0.0 if kappa else math.exp(-2.0))
 
 
 # -- type validation ---------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_nonconvergence_raises(torus16, monkeypatch):
 
 
 def test_cluster_multiplicities_example():
-    got = cluster_multiplicities([0.99, 1.00, 1.01, 2.0], rel_gap=0.02)
+    got = cluster_multiplicities([0.99, 1.00, 1.01, 2.0])
     assert got == [(pytest.approx(1.0), 3), (2.0, 1)]
 
 

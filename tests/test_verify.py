@@ -36,19 +36,6 @@ def sphere_ctx():
 
 # -- grid checks ----------------------------------------------------------------
 
-def test_root_sandwich_small_grid():
-    out = V.check_root_sandwich_grid(n_values=(2, 3), lambda_grid=(0.1, 1.0, 5.0))
-    assert out.status == "pass"
-    assert out.measured["points"] == 6
-    assert out.measured["worst_margin_to_upper"] >= 0
-    assert out.measured["worst_margin_to_lower"] >= 0
-
-
-def test_root_sandwich_rejects_zero_lambda():
-    with pytest.raises(ValueError):
-        V.check_root_sandwich_grid(n_values=(2,), lambda_grid=(0.0, 1.0))
-
-
 def test_moser_product_grid_default():
     out = V.check_moser_product_grid()
     assert out.status == "pass"
@@ -56,24 +43,14 @@ def test_moser_product_grid_default():
     assert out.measured["min_bound_over_product"] > 1.0
 
 
-def test_moser_product_grid_empty_vacuous():
-    out = V.check_moser_product_grid(t_grid=(), gamma_grid=())
-    assert out.status == "pass"
-    assert "vacuous" in out.notes
-
-
-def test_moser_product_grid_bad_gamma():
-    with pytest.raises(ValueError):
-        V.check_moser_product_grid(gamma_grid=(0.9,))
-
-
 # -- mesh checks -----------------------------------------------------------------
 
 def test_weitzenboeck_check_torus(torus_ctx):
     # flat tori: both levels sit at roundoff, where the check asks for a
     # mismatch <= 1e-12 instead of a decrease between two roundoff numbers
-    out = V.check_weitzenboeck(torus_ctx, k=6, tolerance=0.05)
+    out = V.check_weitzenboeck(torus_ctx)
     assert out.status == "pass"
+    assert out.tolerance == 0.05
     assert out.measured["max_residual_coarse"] <= 1e-12
     assert out.measured["max_residual"] <= 1e-12
 
@@ -81,16 +58,11 @@ def test_weitzenboeck_check_torus(torus_ctx):
 def test_weitzenboeck_check_sphere_refines(sphere_ctx):
     # curved surface: the mismatch is discretization error, and it must
     # strictly decrease from ico s=1 to s=2
-    out = V.check_weitzenboeck(sphere_ctx, k=6, tolerance=0.03)
+    out = V.check_weitzenboeck(sphere_ctx)
     assert out.status == "pass"
+    assert out.tolerance == 0.03
     assert out.measured["max_residual_coarse"] > 1e-12
     assert out.measured["max_residual"] < out.measured["max_residual_coarse"]
-
-
-def test_weitzenboeck_check_no_refine(sphere_ctx):
-    out = V.check_weitzenboeck(sphere_ctx, k=4, tolerance=0.03, compare_coarser=False)
-    assert out.status == "pass"
-    assert "max_residual_coarse" not in out.measured
 
 
 def test_weitzenboeck_check_uses_the_context_connection(monkeypatch):
@@ -106,12 +78,14 @@ def test_weitzenboeck_check_uses_the_context_connection(monkeypatch):
     monkeypatch.setattr(O, "build_connection", lambda mesh: built.append(mesh) or build(mesh))
     monkeypatch.setattr(eigen, "smallest_eigenpairs", recording_solve)
     monkeypatch.setattr(V, "smallest_eigenpairs", recording_solve)
-    out = V.check_weitzenboeck(ctx, k=4, compare_coarser=False)
+    out = V.check_weitzenboeck(ctx)
     assert out.status == "pass"
-    assert built == []
-    assert sorted(solved) == ["c", "f"]  # the context's connection solve and the Hodge one
+    # only the coarser level (torus 4x4) builds its own connection
+    assert [mesh.n_vertices for mesh in built] == [16]
+    # connection and Hodge solves, at this level (the context's) and the coarser one
+    assert sorted(solved) == ["c", "c", "f", "f"]
     ctx.connection_eigen()
-    assert len(solved) == 2
+    assert len(solved) == 4
 
 
 @pytest.mark.parametrize("cutoff", [0, 10 ** 6], ids=["sparse", "dense"])
@@ -122,7 +96,7 @@ def test_weitzenboeck_check_matches_a_standalone_solve(monkeypatch, manifold, cu
     # function solves the connection pencil itself at k=5
     monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
     ctx = make_ctx(manifold)
-    shared = np.array(V.check_weitzenboeck(ctx, k=6, compare_coarser=False).measured["pairs"])
+    shared = np.array(V.check_weitzenboeck(ctx).measured["pairs"])
     alone = np.array(O.weitzenboeck_eigen_check(ctx.require_mesh("test"), 6, ctx.solver))
     assert np.array_equal(shared[:, 0], alone[:, 0])
     assert np.array_equal(shared[:, 2], alone[:, 2])
@@ -151,9 +125,10 @@ def test_harmonic_alternative_stretched_torus():
     assert out.measured["kernel_dim_real"] == 2
 
 
-def test_killing_alternative_sphere_coarse(sphere_ctx):
-    # s=2 discretization bias ~2.4%: widen the band; default 2% holds from s=3
-    out = V.check_killing_alternative(sphere_ctx, rq_tolerance=0.05)
+def test_killing_alternative_sphere_coarse(sphere_ctx, monkeypatch):
+    # s=2 discretization bias ~2.4%: widen the band; the 2% band holds from s=3
+    monkeypatch.setattr(V, "KILLING_RQ_TOL", 0.05)
+    out = V.check_killing_alternative(sphere_ctx)
     assert out.status == "pass"
     assert out.measured["rayleigh_quotient"] == pytest.approx(1.0, abs=0.05)
     assert out.measured["sup_ric"] == 1.0
@@ -296,10 +271,7 @@ SMALL_SUITE = {
     "seed": 0,
     "experiments": [
         {"label": "grids",
-         "checks": [{"name": "root_sandwich_grid", "n_values": [2],
-                     "lambda_grid": [0.5, 2.0]},
-                    {"name": "moser_product_grid", "t_grid": [1.0],
-                     "gamma_grid": [2.0]}]},
+         "checks": ["root_sandwich_grid", "moser_product_grid"]},
         {"label": "t", "manifold": {"type": "flat_torus", "lx": TWO_PI,
                                     "ly": TWO_PI, "nx": 12, "ny": 12},
          "solver": {"k": 6},
@@ -338,8 +310,7 @@ def test_run_suite_deterministic(tmp_path):
 
 def test_run_suite_single_experiment_form(tmp_path):
     path = write_spec(tmp_path, {
-        "label": "solo", "checks": [{"name": "moser_product_grid",
-                                     "t_grid": [1.0], "gamma_grid": [2.0]}]})
+        "label": "solo", "checks": ["moser_product_grid"]})
     report = V.run_suite(path)
     assert len(report.outcomes) == 1
     assert report.outcomes[0].name == "solo:moser_product_grid"
@@ -389,6 +360,8 @@ def test_run_suite_unknown_solver_setting(tmp_path):
 
 ICO1 = {"type": "icosphere", "radius": 1.0, "subdivisions": 1}
 TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
+RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "kappa": 0.0,
+            "c": 1.0, "dim": 4, "has_nonparallel_harmonic": False}
 
 
 @pytest.mark.parametrize("experiment, where", [
@@ -408,22 +381,14 @@ TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
     ({"manifold": dict(ICO1, radius="one"), "checks": []}, r"manifold.*one"),
     ({"manifold": TORUS8, "budget": {"kappa": "x"}, "checks": ["harmonic_alternative"]},
      r"budget\.kappa: .*'x'"),
-    ({"manifold": TORUS8, "checks": [{"name": "weitzenboeck", "k": "six"}]},
-     r"checks\[0\]\.k: check 'weitzenboeck' expects int, got 'six'"),
+    ({"checks": [dict(RIGIDITY, dim="six")]},
+     r"checks\[0\]\.dim: check 'rigidity_implication' expects int, got 'six'$"),
     ({"checks": [{"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0,
                   "kappa": 0.0, "c": 1.0, "dim": 4, "has_nonparallel_harmonic": 0}]},
      r"checks\[0\]\.has_nonparallel_harmonic: .*expects bool, got 0"),
-    ({"checks": [{"name": "moser_product_grid", "t_grid": [1.0, "2"]}]},
-     r"checks\[0\]\.t_grid: .*expects Sequence\[float\]"),
     ({"manifold": TORUS8, "budget": [0.0], "checks": []}, r"budget: expected an object"),
-    ({"manifold": TORUS8, "checks": [{"name": "weitzenboeck", "k": -1}]},
-     r"checks\[0\]: check 'weitzenboeck': k must be nonnegative"),
-    ({"checks": [{"name": "root_sandwich_grid", "lambda_grid": [0.0]}]},
-     r"checks\[0\]: check 'root_sandwich_grid': lambda grid must be strictly positive"),
     ({"manifold": TORUS8, "solver": {"k": 64}, "checks": ["killing_alternative"]},
      r"checks\[0\]: check 'killing_alternative': k=64 must be below the dimension 64"),
-    ({"checks": [{"name": "root_sandwich_grid", "n_values": [9], "lambda_grid": [90.0]}]},
-     r"checks\[0\]: check 'root_sandwich_grid': .*overflows at n=9, lam=90\.0"),
     ({"manifold": ICO1, "budget": {"dim": 4.7}, "checks": ["gap_lower_bound"]},
      r"budget\.dim: expected an integer, got 4\.7"),
     ({"manifold": dict(TORUS8, nx=8.7), "checks": ["lipschitz"]},
@@ -465,35 +430,47 @@ TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
     ({"manifold": ICO1, "constants": {"c0_np": 1e-300}, "checks": ["gap_lower_bound"]},
      r"checks\[0\]: check 'gap_lower_bound': c0_np 1e-300 and c_np 1\.0 give the gap "
      r"constant Ct=.*overflows$"),
-    ({"manifold": TORUS8, "checks": [{"name": "weitzenboeck", "k": 6.5}]},
-     r"checks\[0\]\.k: check 'weitzenboeck' expects an integer, got 6\.5$"),
-    ({"checks": [{"name": "moser_product_grid", "tail_tol": math.nan}]},
-     r"checks\[0\]\.tail_tol: check 'moser_product_grid' expects float, got nan$"),
-    ({"checks": [{"name": "root_sandwich_grid", "n_values": [2.5]}]},
-     r"checks\[0\]\.n_values: check 'root_sandwich_grid' expects Sequence\[int\], "
-     r"got \[2\.5\]$"),
+    ({"checks": [dict(RIGIDITY, dim=6.5)]},
+     r"checks\[0\]\.dim: check 'rigidity_implication' expects an integer, got 6\.5$"),
+    ({"checks": [dict(RIGIDITY, lambda1=math.nan)]},
+     r"checks\[0\]\.lambda1: check 'rigidity_implication' expects float, got nan$"),
     ({"manifold": ICO1, "checks": [{"name": "pinching", "ctx": 1}]},
      r"checks\[0\]: check 'pinching': unknown field 'ctx'$"),
     ({"solver": {"tol": 1e-8}, "checks": []}, r"solver: unknown field 'tol'$"),
     ({"solver": {"max_iter": 4000}, "checks": []}, r"solver: unknown field 'max_iter'$"),
     ({"solver": {"dense_cutoff": 0}, "checks": []}, r"solver: unknown field 'dense_cutoff'$"),
-    ({"manifold": TORUS8, "solver": {"k": 3}, "checks": [{"name": "weitzenboeck", "k": 7}]},
-     r"checks\[0\]: check 'weitzenboeck': k=7 exceeds 2\*solver\.k=6: .*solver\.k=3 "),
+    ({"manifold": TORUS8, "solver": {"k": 2}, "checks": ["weitzenboeck"]},
+     r"checks\[0\]: check 'weitzenboeck': solver\.k=2 is below 3: "),
 ], ids=["unknown_param", "deleted_slack", "deleted_ray_step", "missing_param",
         "solver_list", "budget_text", "negative_radius", "radius_text",
-        "budget_kappa_text", "param_k_text", "param_bool_as_int", "param_grid_item_text",
-        "budget_list", "weitzenboeck_negative_k", "lambda_grid_zero", "solver_k_too_large",
-        "root_overflow", "budget_dim_fraction", "nx_fraction", "subdivisions_fraction",
+        "budget_kappa_text", "param_k_text", "param_bool_as_int", "budget_list",
+        "solver_k_too_large", "budget_dim_fraction", "nx_fraction", "subdivisions_fraction",
         "radius_bool", "radius_numeric_text", "manifold_typo", "manifold_missing_field",
         "product_factor_text", "solver_k_bool", "solver_k_fraction", "solver_seed_fraction",
         "budget_kappa_bool", "budget_typo", "budget_diameter_nan", "budget_riem_inf",
         "budget_diameter_null", "budget_p_below_half", "budget_negative_kappa",
         "constants_bool", "gap_overflow", "param_k_fraction", "param_nan",
-        "param_grid_item_fraction", "param_ctx", "solver_tol", "solver_max_iter",
-        "solver_dense_cutoff", "weitzenboeck_k_above_twice_solver_k"])
+        "param_ctx", "solver_tol", "solver_max_iter", "solver_dense_cutoff",
+        "weitzenboeck_k_above_twice_solver_k"])
 def test_run_suite_locates_bad_input(tmp_path, experiment, where):
     path = write_spec(tmp_path, {"experiments": [{"label": "x"}, dict(experiment, label="y")]})
     with pytest.raises(V.SpecError, match=r"^experiments\[1\]\." + where):
+        V.run_suite(path)
+
+
+@pytest.mark.parametrize("check, key", [
+    ("root_sandwich_grid", "n_values"), ("root_sandwich_grid", "lambda_grid"),
+    ("moser_product_grid", "t_grid"), ("moser_product_grid", "gamma_grid"),
+    ("moser_product_grid", "tail_tol"), ("weitzenboeck", "k"), ("weitzenboeck", "tolerance"),
+    ("weitzenboeck", "compare_coarser"), ("harmonic_alternative", "kappa"),
+    ("killing_alternative", "rq_tolerance")])
+def test_run_suite_rejects_a_check_setting(tmp_path, check, key):
+    # the checks' grids, pair count and tolerances are constants of verify
+    path = write_spec(tmp_path, {"label": "x", "manifold": TORUS8,
+                                 "checks": [{"name": check, key: None}]})
+    with pytest.raises(V.SpecError,
+                       match=rf"^experiments\[0\]\.checks\[0\]: check '{check}': "
+                             rf"unknown field '{key}'$"):
         V.run_suite(path)
 
 
@@ -520,11 +497,10 @@ def test_run_suite_locates_bad_top_level(tmp_path, spec, located):
 
 def test_integral_numbers_fit_int_fields(tmp_path):
     reports = []
-    for seed, nx, k, check_k in ((3, 8, 8, 6), (3.0, 8.0, 8.0, 6.0)):
+    for seed, nx, k, dim in ((3, 8, 8, 4), (3.0, 8.0, 8.0, 4.0)):
         path = write_spec(tmp_path, {
             "seed": seed, "label": "t", "manifold": dict(TORUS8, nx=nx), "solver": {"k": k},
-            "checks": [{"name": "weitzenboeck", "k": check_k}, "killing_alternative",
-                       {"name": "root_sandwich_grid", "n_values": [2.0, 3]}]})
+            "checks": ["weitzenboeck", "killing_alternative", dict(RIGIDITY, dim=dim)]})
         report = V.run_suite(path).as_dict()
         del report["created"], report["suite"]
         reports.append(report)
@@ -563,6 +539,28 @@ def test_run_suite_solves_each_pencil_once(tmp_path, monkeypatch):
     V.run_suite(path)
     # per experiment: connection and Hodge pencils, at this level and the coarser one
     assert sorted(solves.values()) == [1] * 8
+
+
+@pytest.mark.parametrize("base, s", [
+    ({"type": "icosphere", "radius": 1.0, "subdivisions": 2}, 3.0),
+    ({"type": "flat_torus", "lx": TWO_PI, "ly": 4.0, "nx": 12, "ny": 10}, 2.5),
+], ids=["ico2", "torus12x10"])
+def test_run_suite_is_scale_free(tmp_path, base, s):
+    # scaling the metric by s scales eigenvalues by 1/s^2 and the diameter by s
+    lengths = ("radius",) if "radius" in base else ("lx", "ly")
+    scaled = dict(base, **{key: s * base[key] for key in lengths})
+    checks = ["gap_lower_bound", "killing_alternative"]
+    path = write_spec(tmp_path, {"experiments": [
+        {"label": label, "manifold": manifold, "checks": checks}
+        for label, manifold in (("a", base), ("b", scaled))]})
+    m = {o.name: o.measured for o in V.run_suite(path).outcomes}
+    a, b = m["a:gap_lower_bound"], m["b:gap_lower_bound"]
+    assert b["lambda1"] * s * s == pytest.approx(a["lambda1"], rel=1e-12)
+    assert b["sqrt_lambda1_times_D"] == pytest.approx(a["sqrt_lambda1_times_D"], rel=1e-12)
+    # the torus quotient is zero: compared absolutely
+    rq_a = m["a:killing_alternative"]["rayleigh_quotient"]
+    rq_b = m["b:killing_alternative"]["rayleigh_quotient"]
+    assert rq_b * s * s == pytest.approx(rq_a, rel=1e-12, abs=1e-12)
 
 
 def test_grid_check_rejects_mesh_requirement(tmp_path):
