@@ -1,23 +1,23 @@
 """Explicit constants and bound evaluators for 1-form spectral gap estimates.
 
-Everything here is a pure function of its inputs.  The chain of quantities:
+Everything here is a pure function of its inputs.  The chain the program
+evaluates:
 
-* ``sin_power_integral(n)`` and ``comparison_root(n, lam)`` come from the
-  comparison-geometry Poincare inequality: ``C(lam)`` is the unique positive
-  root of ``x * int_0^lam (cosh t + x sinh t)^(n-1) dt = int_0^pi sin^(n-1)``,
-  wedged between an explicit exponential floor and the sine integral.  Both
-  take numpy and math only: the Wallis recursion, and Newton's method on
-  Gauss-Legendre moments with a second rule as certificate.
+* Root sandwich: ``comparison_root(n, lam)`` is the unique positive root C of
+  ``x * int_0^lam (cosh t + x sinh t)^(n-1) dt = w(n) = sin_power_integral(n)``,
+  and ``lam*C`` lies between the floor of ``root_floor_coefficient`` and w(n);
+  numpy and math only (Wallis recursion, Newton's method on Gauss-Legendre
+  moments with a second rule as certificate).
 * ``sobolev_cs`` turns a Ricci lower bound and a diameter bound into the
   Sobolev constant ``C_s`` of ``|f|_{2n/(n-2)} <= |f|_2 + C_s |df|_2``.
-* The Moser-iteration machinery (``moser_parameters``, ``moser_sup_bound``,
-  ``moser_product_bound``, ``gradient_sup_bound``, ``eigenform_sup_bound``)
-  bootstraps L^2 control of an eigenform and its covariant derivative to
-  sup-norm control, with every exponent spelled out.
+* Moser product ``prod_i (1 + t gamma^(i+1))^(1/gamma^(i+1))``, to a certified
+  tail (``moser_product_converged``) and its majorant ``moser_product_bound``.
 * ``epsilon_threshold`` is the dimensionless pinching threshold: when it is
   below 1/2 the first eigenform is nowhere vanishing, which is impossible on
   an even-dimensional manifold with nonzero Euler characteristic; inverting
-  that contradiction yields ``oneform_gap_lower_bound``.
+  that contradiction yields the gap bound ``oneform_gap_lower_bound``.
+
+``li_yau_threshold`` is the function-Laplacian hypothesis of the rigidity check.
 
 Dimensional constants that the estimates leave unspecified -- one depending
 on the dimension, one on (dimension, exponent), and one more from the final
@@ -36,27 +36,19 @@ import numpy as np
 __all__ = [
     "GeometryBudget",
     "AbstractConstants",
-    "MoserParameters",
     "sin_power_integral",
     "root_floor_coefficient",
     "comparison_root",
     "comparison_root_limit",
-    "poincare_radius",
-    "sobolev_s_pq",
     "sobolev_cs",
-    "moser_sup_bound",
-    "moser_parameters",
     "moser_product_bound",
     "moser_product_partial",
     "moser_product_converged",
-    "gradient_sup_bound",
-    "eigenform_sup_bound",
     "epsilon_threshold",
     "epsilon_branches",
     "gap_constant",
     "oneform_gap_lower_bound",
     "oneform_gap_branches",
-    "li_yau_function_bound",
     "li_yau_predicate",
     "li_yau_threshold",
 ]
@@ -114,19 +106,6 @@ class AbstractConstants:
         for name in ("c_n", "c_np", "c0_np"):
             if not 0 < (value := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name} must be strictly positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class MoserParameters:
-    """Derived quantities of the iteration ladder for one (budget, lambda)."""
-
-    b_value: float      # lambda + |Ric^-|_p + |Riem|_2p
-    t_value: float      # 4 C_s sqrt(B) sqrt(1 + B D^2)
-    alpha: float        # 2pn / (2p - n)
-    beta: float         # 2pn / (2p - n + pn)
-    gamma: float        # n(p-1) / (p(n-2)), > 1 whenever 2p > n and n > 2
-    gamma0: float       # 2np / (2p - n)
-    sobolev_cs: float
 
 
 def sin_power_integral(n: int) -> float:
@@ -214,41 +193,12 @@ def comparison_root_limit(n: int) -> float:
     (sqrt(5)-1 for n = 2).  Note this is strictly below w(n): the naive
     ``F(x) ~ x lam`` reading drops the x*sinh term, which contributes at
     the same order because the root scales like 1/lam.
+
+    No bound reads it: it is the closed-form oracle that the tests check
+    ``comparison_root`` against at small lam, and demo 01 prints it.
     """
     w = sin_power_integral(n)
     return (n * w + 1.0) ** (1.0 / n) - 1.0
-
-
-def poincare_radius(diameter: float, n: int, lam: float) -> float:
-    """R(lam) = D / (lam * C(lam)), the radius entering the Poincare constant."""
-    if diameter <= 0:
-        raise ValueError(f"diameter must be positive, got {diameter}")
-    return diameter / (lam * comparison_root(n, lam))
-
-
-def sobolev_s_pq(budget: GeometryBudget, vol_ratio: float,
-                 sphere_sobolev: float, q: float) -> float:
-    """Poincare constant S_{p,q} = vol_ratio^(1/p - 1/q) * R(lam) * Sigma.
-
-    ``vol_ratio`` is Vol(g)/Vol(S^n) and ``sphere_sobolev`` the Sobolev
-    constant Sigma(n, p, q) of the round unit n-sphere; neither is computed
-    here.  lam = sqrt(kappa D^2); at kappa = 0 the limiting value
-    :func:`comparison_root_limit` keeps R continuous in kappa.
-    """
-    n = budget.dim
-    p = budget.p_exponent
-    if q < 1 or p < 1 or not math.isfinite(p):
-        raise ValueError(f"need 1 <= q and 1 <= p < inf, got p={p}, q={q}")
-    if q < n and p > n * q / (n - q):
-        raise ValueError(f"p={p} exceeds the embedding limit nq/(n-q)={n*q/(n-q)}")
-    if vol_ratio <= 0 or sphere_sobolev <= 0:
-        raise ValueError("vol_ratio and sphere_sobolev must be positive")
-    lam = math.sqrt(budget.kappa) * budget.diameter
-    if lam == 0.0:
-        radius = budget.diameter / comparison_root_limit(n)
-    else:
-        radius = poincare_radius(budget.diameter, n, lam)
-    return vol_ratio ** (1.0 / p - 1.0 / q) * radius * sphere_sobolev
 
 
 def sobolev_cs(budget: GeometryBudget, consts: AbstractConstants = AbstractConstants()) -> float:
@@ -262,41 +212,6 @@ def sobolev_cs(budget: GeometryBudget, consts: AbstractConstants = AbstractConst
         raise ValueError(f"Sobolev exponent degenerates at dim <= 2, got {m}")
     lam = math.sqrt(budget.kappa) * budget.diameter
     return consts.c_n * budget.diameter * math.exp((m - 1) * lam)
-
-
-def moser_sup_bound(c: float, cs: float, l2_norm: float,
-                    consts: AbstractConstants = AbstractConstants()) -> float:
-    """Sup bound exp(c_n sqrt(c) C_s) * |u|_2 for subsolutions of u du <= c u^2."""
-    if c < 0 or cs < 0:
-        raise ValueError("c and cs must be nonnegative")
-    if l2_norm < 0:
-        raise ValueError("l2_norm must be nonnegative")
-    return math.exp(consts.c_n * math.sqrt(c) * cs) * l2_norm
-
-
-def moser_parameters(budget: GeometryBudget, lam: float, cs: float) -> MoserParameters:
-    """Fill the iteration ladder for eigenvalue lam and Sobolev constant cs.
-
-    Uses the ambient dimension n = budget.dim throughout; requires n > 2 and
-    2p > n so that gamma = n(p-1)/(p(n-2)) exceeds 1 and the product in
-    :func:`moser_product_bound` converges.
-    """
-    n = budget.dim
-    p = budget.p_exponent
-    if n <= 2:
-        raise ValueError(f"iteration ladder needs dim > 2, got {n}")
-    if 2 * p <= n:
-        raise ValueError(f"iteration ladder needs 2p > dim, got p={p}, dim={n}")
-    if lam <= 0:
-        raise ValueError(f"eigenvalue must be positive, got {lam}")
-    b = lam + budget.ric_minus_p + budget.riem_2p
-    t = 4.0 * cs * math.sqrt(b) * math.hypot(1.0, math.sqrt(b) * budget.diameter)
-    alpha = 2.0 * p * n / (2.0 * p - n)
-    beta = 2.0 * p * n / (2.0 * p - n + p * n)
-    gamma = n * (p - 1.0) / (p * (n - 2.0))
-    gamma0 = 2.0 * n * p / (2.0 * p - n)
-    return MoserParameters(b_value=b, t_value=t, alpha=alpha, beta=beta,
-                           gamma=gamma, gamma0=gamma0, sobolev_cs=cs)
 
 
 def moser_product_bound(t: float, gamma: float) -> float:
@@ -361,57 +276,43 @@ def moser_product_converged(t: float, gamma: float, tail_tol: float = 1e-12) -> 
     return moser_product_partial(t, gamma, n_terms), n_terms
 
 
-def gradient_sup_bound(params: MoserParameters, lam: float, diameter: float,
-                       l2_norm: float,
-                       consts: AbstractConstants = AbstractConstants()) -> float:
-    """Two-branch sup bound for the covariant derivative of an eigenform.
-
-    D |grad theta|_inf <= min{ c_np (1+sqrt(t))^alpha sqrt(lam D^2) |theta|_2,
-                               c_np (1+sqrt(t))^beta (sqrt(lam D^2))^(beta/alpha)
-                                   exp(c_np sqrt(lam) C_s) |theta|_2 }
-    and the function returns that min divided by D.
-    """
-    if lam < 0:
-        raise ValueError(f"eigenvalue must be nonnegative, got {lam}")
-    if l2_norm < 0:
-        raise ValueError("l2_norm must be nonnegative")
-    b1, b2 = _gradient_branches(params, lam, diameter, consts)
-    return min(b1, b2) * l2_norm / diameter
-
-
-def _gradient_branches(params: MoserParameters, lam: float, diameter: float,
-                       consts: AbstractConstants) -> tuple[float, float]:
-    x = math.sqrt(lam) * diameter
-    base = 1.0 + math.sqrt(params.t_value)
-    b1 = consts.c_np * base ** params.alpha * x
-    b2 = (consts.c_np * base ** params.beta
-          * x ** (params.beta / params.alpha)
-          * math.exp(consts.c_np * math.sqrt(lam) * params.sobolev_cs))
-    return b1, b2
-
-
-def eigenform_sup_bound(lam: float, cs: float, l2_norm: float,
-                        consts: AbstractConstants = AbstractConstants()) -> float:
-    """Sup bound exp(c_n sqrt(lam) C_s) * |theta|_2 for a rough-Laplacian eigenform."""
-    if lam < 0 or cs < 0 or l2_norm < 0:
-        raise ValueError("lam, cs and l2_norm must be nonnegative")
-    return math.exp(consts.c_n * math.sqrt(lam) * cs) * l2_norm
-
-
 def epsilon_branches(budget: GeometryBudget, lam: float, cs: float,
                      consts: AbstractConstants = AbstractConstants()) -> tuple[float, float]:
-    """Both branches of the dimensionless pinching threshold (see epsilon_threshold)."""
+    """Both branches of the dimensionless pinching threshold (see epsilon_threshold).
+
+    The Moser ladder in n = dim has B = lam + |Ric^-|_p + |Riem|_2p,
+    t = 4 C_s sqrt(B) sqrt(1 + B D^2), alpha = 2pn/(2p-n) and beta = 2pn/(2p-n+pn).
+    With x = sqrt(lam) D the branches are c_np (1+sqrt(t))^alpha x and
+    c_np (1+sqrt(t))^beta x^(beta/alpha) exp(c_np sqrt(lam) C_s).  Needs n > 2
+    and 2p > n, so that gamma = n(p-1)/(p(n-2)) > 1 and the Moser product converges.
+    """
     if lam < 0:
         raise ValueError(f"eigenvalue must be nonnegative, got {lam}")
     if lam == 0.0:
         return 0.0, 0.0
-    params = moser_parameters(budget, lam, cs)
-    return _gradient_branches(params, lam, budget.diameter, consts)
+    n = budget.dim
+    p = budget.p_exponent
+    if n <= 2:
+        raise ValueError(f"iteration ladder needs dim > 2, got {n}")
+    if 2 * p <= n:
+        raise ValueError(f"iteration ladder needs 2p > dim, got p={p}, dim={n}")
+    b = lam + budget.ric_minus_p + budget.riem_2p
+    t = 4.0 * cs * math.sqrt(b) * math.hypot(1.0, math.sqrt(b) * budget.diameter)
+    alpha = 2.0 * p * n / (2.0 * p - n)
+    beta = 2.0 * p * n / (2.0 * p - n + p * n)
+    x = math.sqrt(lam) * budget.diameter
+    base = 1.0 + math.sqrt(t)
+    b1 = consts.c_np * base ** alpha * x
+    b2 = (consts.c_np * base ** beta
+          * x ** (beta / alpha)
+          * math.exp(consts.c_np * math.sqrt(lam) * cs))
+    return b1, b2
 
 
 def epsilon_threshold(budget: GeometryBudget, lam: float, cs: float,
                       consts: AbstractConstants = AbstractConstants()) -> float:
-    """Dimensionless pinching threshold: D * gradient sup bound at unit L^2 norm.
+    """Dimensionless pinching threshold: the min of :func:`epsilon_branches`, which
+    bounds D |grad theta|_inf for an eigenform theta of unit L^2 norm.
 
     When this is below 1/2, the eigenform's pointwise norm is pinched
     (inf/sup >= 1 - 2 eps) and in particular nowhere zero.  Both branches
@@ -488,21 +389,6 @@ def oneform_gap_lower_bound(budget: GeometryBudget,
     """
     b1, b2 = oneform_gap_branches(budget, consts, delta_branch, corollary_variant)
     return min(b1, b2)
-
-
-def li_yau_function_bound(n: int, kappa: float, diameter: float, c: float) -> float:
-    """Function-Laplacian gap bound c^-1 exp(-(1 + sqrt(1 + 2 c^2 L^2))), L^2 = kappa D^2.
-
-    The classical diameter/Ricci lower bound for the first positive
-    eigenvalue of the Laplacian on functions, normalized by D^2.  The
-    constant c depends on the dimension n and is supplied by the caller.
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    lam = math.sqrt(kappa) * diameter
-    return math.exp(-(1.0 + math.sqrt(1.0 + 2.0 * c * c * lam * lam))) / c
 
 
 def li_yau_threshold(diameter: float, kappa: float, c: float) -> float:

@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 DEGENERACY_FLOOR = 1e-14  # faces below this fraction of the mean area are rejected
+# Angle defects at most this (rad) are roundoff and count as flat: a flat
+# torus carries defects of at most 2.7e-15, while the smallest true defect of
+# an icosphere is 2.7e-4 (subdivision 6).
+FLAT_DEFECT_TOL = 1e-12
 
 
 class MeshError(ValueError):
@@ -227,9 +231,17 @@ class IcoSphere:
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """Product of model manifolds; spectral composition only, no 4-d mesh."""
+    """Product of two model surfaces; spectral composition only, no 4-d mesh."""
 
     factors: tuple
+
+    def __post_init__(self) -> None:
+        if len(self.factors) != 2:
+            raise ValueError(f"factors: expected exactly two, got {len(self.factors)}")
+        for i, factor in enumerate(self.factors):
+            if not isinstance(factor, (FlatTorus, IcoSphere)):
+                raise ValueError(f"factors[{i}]: expected a flat torus or an icosphere, "
+                                 f"got {type(factor).__name__}")
 
 
 def build_mesh(manifold) -> TriangleMesh:
@@ -354,11 +366,13 @@ def curvature_lp_norm(mesh: TriangleMesh, p: float) -> float:
 
     The vertex Gauss curvature K is angle defect / dual area; on a surface
     it determines the full curvature tensor, whose squared-component norm
-    is |Riem| = 2|K|.  The norm is (sum_v area_v |2 K_v|^p / total_area)^(1/p).
+    is |Riem| = 2|K|.  The norm is (sum_v area_v |2 K_v|^p / total_area)^(1/p),
+    with defects up to ``FLAT_DEFECT_TOL`` counted as 0.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    density = np.abs(mesh.angle_defects) / mesh.vertex_areas * 2.0
+    defects = np.abs(mesh.angle_defects)
+    density = np.where(defects > FLAT_DEFECT_TOL, defects, 0.0) / mesh.vertex_areas * 2.0
     weights = mesh.vertex_areas / mesh.total_area
     return float((weights @ density ** p) ** (1.0 / p))
 

@@ -251,8 +251,12 @@ def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator,
     """
     w = edge_cotan_weights(mesh)
     w_max = np.abs(w).max()
-    if np.any(w < -NULL_WEIGHT_TOL * w_max):
-        raise MeshError("negative circumcentric edge weight: mesh is not Delaunay")
+    negative = np.flatnonzero(w < -NULL_WEIGHT_TOL * w_max)
+    if len(negative):
+        e = negative[0]
+        a, b = mesh.edges[e]
+        raise MeshError(f"edge ({a}, {b}) has negative circumcentric weight {float(w[e])!r}: "
+                        "mesh is not Delaunay")
     null = w <= NULL_WEIGHT_TOL * w_max
     _, d1 = _incidence_matrices(mesh)
     glued = abs(d1[:, null])

@@ -270,10 +270,8 @@ def _factor_spectra(manifold, cutoff: float):
     if isinstance(manifold, IcoSphere):
         return (spectra.sphere_function_spectrum(manifold.radius, cutoff),
                 spectra.sphere_oneform_rough_spectrum(manifold.radius, cutoff))
-    if isinstance(manifold, FlatTorus):
-        return (spectra.torus_function_spectrum(manifold.lx, manifold.ly, cutoff),
-                spectra.torus_oneform_rough_spectrum(manifold.lx, manifold.ly, cutoff))
-    raise SpecError(f"no analytic spectrum for product factor {manifold!r}")
+    return (spectra.torus_function_spectrum(manifold.lx, manifold.ly, cutoff),
+            spectra.torus_oneform_rough_spectrum(manifold.lx, manifold.ly, cutoff))
 
 
 class ExperimentContext:
@@ -319,8 +317,6 @@ class ExperimentContext:
 
     def first_positive_oneform(self) -> float:
         if isinstance(self.manifold, ProductSpec):
-            if len(self.manifold.factors) != 2:
-                raise SpecError("product spectra support exactly two factors")
             cutoff = 30.0  # closed-form spectra up to this eigenvalue
             (a0, a1), (b0, b1) = (_factor_spectra(f, cutoff) for f in self.manifold.factors)
             value = spectra.product_oneform_spectrum(a0, a1, b0, b1, cutoff).first_positive()

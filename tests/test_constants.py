@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gamma
@@ -144,42 +143,7 @@ def test_comparison_root_domain_errors():
             con.comparison_root(2, lam)
 
 
-def test_poincare_radius_bounds():
-    for n in (2, 3, 5):
-        for lam in (0.1, 1.0, 4.0):
-            r = con.poincare_radius(2.0, n, lam)
-            assert r >= 2.0 / con.sin_power_integral(n) - 1e-12
-            ceiling = 2.0 * math.exp((n - 1) * lam) / con.root_floor_coefficient(n)
-            assert r <= ceiling + 1e-12
-
-
-# -- Poincare / Sobolev constants ---------------------------------------------
-
-def test_sobolev_s_pq_flat_limit():
-    b = budget(dim=2, kappa=0.0, diameter=1.0, p=2.0)
-    got = con.sobolev_s_pq(b, vol_ratio=1.0, sphere_sobolev=1.0, q=2.0)
-    assert got == pytest.approx(1.0 / con.comparison_root_limit(2), rel=1e-12)
-
-
-def test_sobolev_s_pq_equal_exponents_drop_volume():
-    b = budget(dim=3, kappa=0.5, diameter=2.0, p=2.0)
-    lo = con.sobolev_s_pq(b, vol_ratio=0.1, sphere_sobolev=1.0, q=2.0)
-    hi = con.sobolev_s_pq(b, vol_ratio=10.0, sphere_sobolev=1.0, q=2.0)
-    assert lo == pytest.approx(hi, rel=1e-12)
-
-
-def test_sobolev_s_pq_linear_in_sigma():
-    b = budget(dim=3, kappa=0.2, diameter=1.0, p=2.0)
-    one = con.sobolev_s_pq(b, 1.0, 1.0, q=2.0)
-    two = con.sobolev_s_pq(b, 1.0, 2.0, q=2.0)
-    assert two == pytest.approx(2.0 * one, rel=1e-14)
-
-
-def test_sobolev_s_pq_embedding_violation():
-    b = budget(dim=4, kappa=0.0, diameter=1.0, p=10.0)
-    with pytest.raises(ValueError):
-        con.sobolev_s_pq(b, 1.0, 1.0, q=2.0)  # p > nq/(n-q) = 4
-
+# -- Sobolev constant ----------------------------------------------------------
 
 def test_sobolev_cs_values():
     assert con.sobolev_cs(budget(dim=4, kappa=0.0, diameter=1.0)) == pytest.approx(1.0)
@@ -197,39 +161,21 @@ def test_sobolev_cs_monotone():
 
 # -- Moser machinery ------------------------------------------------------------
 
-def test_moser_sup_bound_values():
-    assert con.moser_sup_bound(0.0, 5.0, 3.0) == 3.0
-    assert con.moser_sup_bound(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-14)
-
-
-@settings(max_examples=30, deadline=None)
-@given(c=st.floats(0, 10), cs=st.floats(0, 3), l2=st.floats(0, 5))
-def test_moser_sup_bound_monotone(c, cs, l2):
-    base = con.moser_sup_bound(c, cs, l2)
-    assert con.moser_sup_bound(c + 0.5, cs, l2) >= base
-    assert con.moser_sup_bound(c, cs + 0.5, l2) >= base
-    assert con.moser_sup_bound(c, cs, l2 + 0.5) >= base
-
-
 def test_moser_parameters_example():
-    p = con.moser_parameters(budget(dim=4, p=4.0), lam=1.0, cs=1.0)
-    assert p.b_value == pytest.approx(1.0)
-    assert p.t_value == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-14)
-    assert p.alpha == pytest.approx(8.0)
-    assert p.beta == pytest.approx(1.6)
-    assert p.gamma == pytest.approx(1.5)
-    assert p.gamma0 == pytest.approx(8.0)
-    assert p.alpha > p.beta > 0
-    assert p.b_value >= 1.0
+    # dim 4, p 4, lam 1, C_s 1: t = 4 sqrt(2), alpha = 8, beta = 1.6
+    base = 1.0 + math.sqrt(4.0 * math.sqrt(2.0))
+    b1, b2 = con.epsilon_branches(budget(dim=4, p=4.0), lam=1.0, cs=1.0)
+    assert b1 == pytest.approx(base ** 8, rel=1e-14)
+    assert b2 == pytest.approx(base ** 1.6 * math.e, rel=1e-14)
 
 
 def test_moser_parameters_domain():
-    with pytest.raises(ValueError):
-        con.moser_parameters(budget(dim=2, p=4.0), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        con.moser_parameters(budget(dim=4, p=1.5), 1.0, 1.0)  # 2p <= n
-    with pytest.raises(ValueError):
-        con.moser_parameters(budget(dim=4, p=4.0), 0.0, 1.0)
+    with pytest.raises(ValueError, match="dim > 2"):
+        con.epsilon_branches(budget(dim=2, p=4.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match="2p > dim"):
+        con.epsilon_branches(budget(dim=4, p=1.5), 1.0, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        con.epsilon_branches(budget(dim=4, p=4.0), -1.0, 1.0)
 
 
 def test_moser_product_bound_limit():
@@ -267,15 +213,7 @@ def test_moser_product_converged_below_bound_grid():
             assert value >= con.moser_product_partial(t, g, 1)
 
 
-# -- gradient / eigenform bounds -------------------------------------------------
-
-def test_gradient_sup_bound_homogeneous():
-    params = con.moser_parameters(budget(dim=4, p=4.0), 1.0, 1.0)
-    assert con.gradient_sup_bound(params, 1.0, 1.0, 0.0) == 0.0
-    one = con.gradient_sup_bound(params, 1.0, 1.0, 1.0)
-    two = con.gradient_sup_bound(params, 1.0, 1.0, 2.0)
-    assert two == pytest.approx(2.0 * one, rel=1e-14)
-
+# -- pinching threshold ---------------------------------------------------------
 
 def test_gradient_branches_crossover_exists():
     # fixed ladder, unit constants: branch1 - branch2 changes sign in lambda
@@ -283,7 +221,6 @@ def test_gradient_branches_crossover_exists():
     cs = 1.0
 
     def diff(lam):
-        params = con.moser_parameters(b, lam, cs)
         b1, b2 = con.epsilon_branches(b, lam, cs)
         return b1 - b2
 
@@ -293,12 +230,6 @@ def test_gradient_branches_crossover_exists():
     assert 0 < crossing < 0.5
     b1, b2 = con.epsilon_branches(b, crossing, cs)
     assert b1 == pytest.approx(b2, rel=1e-9)
-
-
-def test_eigenform_sup_bound_values():
-    assert con.eigenform_sup_bound(0.0, 3.0, 2.0) == 2.0
-    assert con.eigenform_sup_bound(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-14)
-    assert con.eigenform_sup_bound(2.0, 1.0, 1.0) > con.eigenform_sup_bound(1.0, 1.0, 1.0)
 
 
 def test_epsilon_threshold_vanishes_with_lambda():
@@ -389,19 +320,7 @@ def test_gap_lower_bound_continuous_at_branch_switch():
     assert above[0] < above[1]   # branch1 active above
 
 
-# -- function-Laplacian bound and predicate --------------------------------------
-
-def test_li_yau_function_bound_value():
-    assert con.li_yau_function_bound(2, 0.0, 1.0, 1.0) == pytest.approx(
-        math.exp(-2.0), rel=1e-14)
-
-
-def test_li_yau_function_bound_decreasing():
-    vals = [con.li_yau_function_bound(2, k, 1.0, 1.0) for k in np.linspace(0, 5, 20)]
-    assert all(b <= a for a, b in zip(vals, vals[1:]))
-    in_c = [con.li_yau_function_bound(2, 1.0, 1.0, c) for c in np.linspace(0.1, 10, 30)]
-    assert all(b <= a for a, b in zip(in_c, in_c[1:]))
-
+# -- Li-Yau threshold and predicate -------------------------------------------
 
 def test_li_yau_predicate_boundary_and_threshold():
     assert con.li_yau_predicate(1.0, 1.0, 0.0, 1.0) is True    # equality counts
@@ -417,7 +336,6 @@ def test_li_yau_at_a_huge_diameter(kappa):
     # sqrt(kappa) * D and D * D in place of sqrt(kappa D^2) and D ** 2
     assert con.li_yau_threshold(1e200, kappa, 1.0) == (0.0 if kappa else 1.0)
     assert con.li_yau_predicate(1.0, 1e200, kappa, 1.0) is True
-    assert con.li_yau_function_bound(2, kappa, 1e200, 1.0) == (0.0 if kappa else math.exp(-2.0))
 
 
 # -- type validation ---------------------------------------------------------------

@@ -240,4 +240,4 @@ def test_build_mesh_dispatch():
     assert M.build_mesh(M.IcoSphere(1.0, 0)).n_vertices == 12
     assert M.build_mesh(M.FlatTorus(1.0, 1.0, 3, 3)).n_vertices == 9
     with pytest.raises(M.MeshError):
-        M.build_mesh(M.ProductSpec(factors=(M.IcoSphere(1.0, 0),)))
+        M.build_mesh(M.ProductSpec(factors=(M.IcoSphere(1.0, 0), M.FlatTorus(1.0, 1.0, 3, 3))))

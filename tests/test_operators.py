@@ -280,6 +280,24 @@ def test_hodge_rejects_null_edge_loop(monkeypatch):
         O.hodge_laplacian_1forms(ico)
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_hodge_rejects_non_delaunay_naming_the_edge(s):
+    # an icosphere squashed in z to half its height has obtuse pairs of corners
+    ico = M.generate_icosphere(1.0, s)
+    squashed = M.TriangleMesh(ico.vertices * [1.0, 1.0, 0.5], ico.faces)
+    with pytest.raises(M.MeshError, match=r"^edge \(\d+, \d+\) has negative circumcentric "
+                                          r"weight -[\d.e-]+: mesh is not Delaunay$"):
+        O.hodge_laplacian_1forms(squashed)
+
+
+def test_hodge_assembles_a_mildly_squashed_icosphere():
+    # the positive control: at 0.7 of its height the s=2 icosphere is Delaunay
+    ico = M.generate_icosphere(1.0, 2)
+    squashed = M.TriangleMesh(ico.vertices * [1.0, 1.0, 0.7], ico.faces)
+    op, mass = O.hodge_laplacian_1forms(squashed)
+    assert op.matrix.shape[0] == squashed.n_vertices + squashed.n_faces
+
+
 def test_connection_sphere_refinement_convergence():
     # s=2 -> s=3 crosses the analytic value (error sign flip); decay is
     # monotone from s=3 on

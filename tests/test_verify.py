@@ -405,6 +405,15 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
      r"manifold: missing field 'subdivisions'$"),
     ({"manifold": {"type": "product", "factors": [ICO1, dict(ICO1, radius="x")]}, "checks": []},
      r"manifold\.factors\[1\]\.radius: expected float, got 'x'$"),
+    ({"manifold": {"type": "product", "factors": [ICO1, ICO1, ICO1]},
+      "checks": ["gap_lower_bound"]},
+     r"manifold: factors: expected exactly two, got 3$"),
+    ({"manifold": {"type": "product", "factors": [{"type": "product", "factors": [ICO1, ICO1]},
+                                                  ICO1]},
+      "checks": ["gap_lower_bound"]},
+     r"manifold: factors\[0\]: expected a flat torus or an icosphere, got ProductSpec$"),
+    ({"manifold": {"type": "product", "factors": []}, "checks": ["gap_lower_bound"]},
+     r"manifold: factors: expected exactly two, got 0$"),
     ({"manifold": ICO1, "solver": {"k": True}, "checks": ["killing_alternative"]},
      r"solver\.k: expected int, got True$"),
     ({"manifold": ICO1, "solver": {"k": 6.5}, "checks": ["killing_alternative"]},
@@ -446,7 +455,8 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
         "budget_kappa_text", "param_k_text", "param_bool_as_int", "budget_list",
         "solver_k_too_large", "budget_dim_fraction", "nx_fraction", "subdivisions_fraction",
         "radius_bool", "radius_numeric_text", "manifold_typo", "manifold_missing_field",
-        "product_factor_text", "solver_k_bool", "solver_k_fraction", "solver_seed_fraction",
+        "product_factor_text", "product_three_factors", "product_nested",
+        "product_no_factors", "solver_k_bool", "solver_k_fraction", "solver_seed_fraction",
         "budget_kappa_bool", "budget_typo", "budget_diameter_nan", "budget_riem_inf",
         "budget_diameter_null", "budget_p_below_half", "budget_negative_kappa",
         "constants_bool", "gap_overflow", "param_k_fraction", "param_nan",
@@ -557,6 +567,8 @@ def test_run_suite_is_scale_free(tmp_path, base, s):
     a, b = m["a:gap_lower_bound"], m["b:gap_lower_bound"]
     assert b["lambda1"] * s * s == pytest.approx(a["lambda1"], rel=1e-12)
     assert b["sqrt_lambda1_times_D"] == pytest.approx(a["sqrt_lambda1_times_D"], rel=1e-12)
+    # sqrt(riem_2p) * D is scale-free; on the torus both are exactly 0
+    assert b["rhs"] == pytest.approx(a["rhs"], rel=1e-12)
     # the torus quotient is zero: compared absolutely
     rq_a = m["a:killing_alternative"]["rayleigh_quotient"]
     rq_b = m["b:killing_alternative"]["rayleigh_quotient"]
