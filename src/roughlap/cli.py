@@ -99,6 +99,8 @@ def _cmd_spectrum(args) -> int:
         residuals = hodge_eigenvalues(mesh, residuals)[:args.k]
     print(f"# {args.manifold} operator={args.operator} "
           f"V={mesh.n_vertices} E={mesh.n_edges} F={mesh.n_faces}")
+    print("# solver: " + (f"shift-invert solves={result.iterations} fill={result.fill}"
+                          if result.iterations else "dense"))
     for value, residual in zip(values, residuals):
         print(f"{float(value)!r} residual={float(residual)!r}")
     print(f"# clusters (rel gap {CLUSTER_GAP}):",

@@ -8,7 +8,12 @@ Arnoldi iterations), so the route depends on the pencil size alone.  The
 dense solve computes only the k requested pairs (LAPACK's MRRR driver on an
 index range), not the whole spectrum, in place on one Fortran-order array.
 The small negative shift keeps the factorization definite when L has a
-kernel.  Every returned pair carries the relative residual
+kernel, so the LU needs no pivoting and takes a symmetric fill-reducing
+ordering: reverse Cuthill-McKee, then SuperLU's minimum degree on A + A^H
+(minimum degree alone is slow on the icosphere's subdivision numbering).
+That makes 1.5-3x less fill than SuperLU's default unsymmetric COLAMD
+ordering and keeps the row and column orders equal, so U's diagonal holds
+the LDL^H pivots.  Every returned pair carries the relative residual
 |L x - lambda M x| / |M x|; exceeding ``RESIDUAL_TOL`` raises, carrying the
 best residuals seen.
 """
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 __all__ = [
@@ -63,7 +69,8 @@ class EigenResult:
     ``scale`` is the 1-norm of the whitened operator, the natural yardstick
     for deciding whether a small eigenvalue is a kernel value.
     ``iterations`` counts inverse applications in the sparse path (0 for
-    the dense path).
+    the dense path); ``fill`` is the number of entries SuperLU stores for the
+    sparse path's L and U factors (0 for the dense path).
     """
 
     values: np.ndarray
@@ -71,6 +78,7 @@ class EigenResult:
     residuals: np.ndarray
     iterations: int
     scale: float
+    fill: int = 0
 
 
 class EigenConvergenceError(RuntimeError):
@@ -111,9 +119,9 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     if n <= DENSE_CUTOFF:
         vals, vecs = eigh(b.toarray(order="F"), subset_by_index=[0, config.k - 1],
                           overwrite_a=True)
-        iterations = 0
+        iterations = fill = 0
     else:
-        vals, vecs, iterations = _shift_invert(b, config)
+        vals, vecs, iterations, fill = _shift_invert(b, config)
 
     order = np.argsort(vals)
     vals = np.ascontiguousarray(vals[order], dtype=float)
@@ -130,7 +138,7 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
             f"residuals {residuals} exceed tol {RESIDUAL_TOL}",
             values=vals, residuals=residuals)
     return EigenResult(values=vals, vectors=x, residuals=residuals,
-                       iterations=iterations, scale=scale)
+                       iterations=iterations, scale=scale, fill=fill)
 
 
 def _shift_invert(b: sp.csr_matrix, config: SolverConfig):
@@ -139,7 +147,13 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig):
     # sigma sits just below 0, the bottom of the PSD spectrum: B - sigma*I is
     # then definite even when L has a kernel, and near the smallest values
     sigma = -1e-3 * max(diag_mean, 1e-300)
-    factor = splu((b - sigma * sp.identity(n, dtype=b.dtype, format="csr")).tocsc())
+    # ARPACK and the LU work on the relabelled pencil B[p][:, p]; the vectors
+    # are mapped back before the caller certifies them
+    p = reverse_cuthill_mckee(b, symmetric_mode=True)
+    b = b[p][:, p]
+    factor = splu((b - sigma * sp.identity(n, dtype=b.dtype, format="csr")).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
     count = [0]
 
     def solve(rhs):
@@ -153,14 +167,17 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig):
         v0 = v0 + 1j * rng.standard_normal(n)
     try:
         vals, vecs = eigsh(b, k=config.k, sigma=sigma, which="LM",
-                           v0=v0, maxiter=MAX_ITER, tol=0,
+                           v0=v0[p], maxiter=MAX_ITER, tol=0,
                            OPinv=op_inv)
     except ArpackNoConvergence as exc:
         raise EigenConvergenceError(
             f"ARPACK did not converge within {MAX_ITER} iterations",
             values=getattr(exc, "eigenvalues", None),
             residuals=None) from exc
-    return vals, vecs, count[0]
+    out = np.empty_like(vecs)
+    out[p] = vecs
+    # factor.nnz reads SuperLU's own count; factor.L and .U would copy both factors
+    return vals, out, count[0], factor.nnz
 
 
 def cluster_multiplicities(values) -> list[tuple[float, int]]:

@@ -63,6 +63,7 @@ __all__ = [
 
 HOLONOMY_TOL = 1e-8
 NULL_WEIGHT_TOL = 1e-12  # edges below this fraction of max(w) glue their faces into one cell
+KATO_FLOOR = 1e-12  # gradient densities below this times max|z| sqrt(max w) count as zero
 
 
 @dataclass
@@ -417,8 +418,11 @@ def kato_fraction(mesh: TriangleMesh, conn: ConnectionData, z: np.ndarray) -> fl
 
     Both gradients use the same per-vertex Dirichlet densities built from
     cotan edge weights (clamped at zero), so the comparison is like for
-    like.  Diagnostic only: discretization noise makes a small violating
-    fraction normal near the zeros of z.
+    like.  A density below ``KATO_FLOOR * max|z| * sqrt(max w)`` is roundoff,
+    so a vertex whose |grad |z|| is that small satisfies the inequality: a
+    parallel field gives 1.0 whatever its phase or scale.  Diagnostic only:
+    discretization noise makes a small violating fraction normal near the
+    zeros of z.
     """
     w = np.maximum(edge_cotan_weights(mesh), 0.0)
     a = np.abs(z)
@@ -433,7 +437,8 @@ def kato_fraction(mesh: TriangleMesh, conn: ConnectionData, z: np.ndarray) -> fl
     np.add.at(dens_form, j, w * diff_form)
     np.add.at(dens_abs, i, w * diff_abs)
     np.add.at(dens_abs, j, w * diff_abs)
-    ok = np.sqrt(dens_abs) <= 1.05 * np.sqrt(dens_form)
+    floor = KATO_FLOOR * a.max() * np.sqrt(w.max())
+    ok = np.sqrt(dens_abs) <= np.maximum(1.05 * np.sqrt(dens_form), floor)
     return float(np.mean(ok))
 
 

@@ -250,9 +250,13 @@ def parse_manifold(data: dict | None, where: str = "manifold"):
     if not (isinstance(kind, str) and kind in _MANIFOLDS):
         raise SpecError(f"{where}: unknown manifold type {kind!r}")
     fields = {k: v for k, v in data.items() if k != "type"}
-    if kind == "product" and isinstance(fields.get("factors"), list):
+    if kind == "product" and "factors" in fields:
+        factors = fields["factors"]
+        if not isinstance(factors, list):
+            raise SpecError(f"{where}.factors: expected a list of two manifold objects, "
+                            f"got {factors!r}")
         fields["factors"] = tuple(parse_manifold(f, f"{where}.factors[{i}]")
-                                  for i, f in enumerate(fields["factors"]))
+                                  for i, f in enumerate(factors))
     return _bind(_MANIFOLDS[kind], fields, where)
 
 

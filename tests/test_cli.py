@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,19 @@ def test_spectrum_torus(capsys, tmp_path):
               if ln and not ln.startswith("#")]
     assert abs(values[0]) < 1e-9
     assert csv.read_text().startswith("eigenvalue,residual")
+
+
+def test_spectrum_names_the_solver(capsys):
+    assert main(["spectrum", "--manifold", "icosphere", "--subdiv", "2"]) == 0
+    assert "# solver: dense\n" in capsys.readouterr().out
+    argv = ["spectrum", "--manifold", "icosphere", "--subdiv", "4", "--k", "8"]
+    lines = []
+    for _ in range(2):
+        assert main(argv) == 0
+        lines.append([ln for ln in capsys.readouterr().out.splitlines()
+                      if ln.startswith("# solver:")])
+    assert lines[0] == lines[1]   # deterministic
+    assert re.fullmatch(r"# solver: shift-invert solves=[1-9]\d* fill=[1-9]\d*", lines[0][0])
 
 
 def test_spectrum_sphere_function(capsys):

@@ -390,6 +390,16 @@ def test_kato_fraction_in_range(sphere_s2, sphere_conn):
     assert frac > 0.9  # Killing duals satisfy the pointwise inequality broadly
 
 
+def test_kato_fraction_of_a_parallel_field_is_one():
+    # both gradient densities are roundoff here; below the floor they count as zero
+    torus32 = M.generate_flat_torus(TWO_PI, TWO_PI, 32, 32)
+    conn = O.build_connection(torus32)
+    z = smallest(*O.connection_laplacian_1forms(torus32, conn), 1).vectors[:, 0]
+    for phase in (0.0, 0.3, 1.0, 2.0):
+        for scale in (1.0, 1e-3, 7.5):
+            assert O.kato_fraction(torus32, conn, scale * np.exp(1j * phase) * z) == 1.0
+
+
 # -- face gradients ------------------------------------------------------------------
 
 def test_face_gradient_bounded_for_unit_slope(torus):

@@ -414,6 +414,8 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
      r"manifold: factors\[0\]: expected a flat torus or an icosphere, got ProductSpec$"),
     ({"manifold": {"type": "product", "factors": []}, "checks": ["gap_lower_bound"]},
      r"manifold: factors: expected exactly two, got 0$"),
+    ({"manifold": {"type": "product", "factors": 3}, "checks": ["gap_lower_bound"]},
+     r"manifold\.factors: expected a list of two manifold objects, got 3$"),
     ({"manifold": ICO1, "solver": {"k": True}, "checks": ["killing_alternative"]},
      r"solver\.k: expected int, got True$"),
     ({"manifold": ICO1, "solver": {"k": 6.5}, "checks": ["killing_alternative"]},
@@ -456,7 +458,8 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
         "solver_k_too_large", "budget_dim_fraction", "nx_fraction", "subdivisions_fraction",
         "radius_bool", "radius_numeric_text", "manifold_typo", "manifold_missing_field",
         "product_factor_text", "product_three_factors", "product_nested",
-        "product_no_factors", "solver_k_bool", "solver_k_fraction", "solver_seed_fraction",
+        "product_no_factors", "product_factors_not_a_list", "solver_k_bool",
+        "solver_k_fraction", "solver_seed_fraction",
         "budget_kappa_bool", "budget_typo", "budget_diameter_nan", "budget_riem_inf",
         "budget_diameter_null", "budget_p_below_half", "budget_negative_kappa",
         "constants_bool", "gap_overflow", "param_k_fraction", "param_nan",
