@@ -13,7 +13,11 @@ ordering: reverse Cuthill-McKee, then SuperLU's minimum degree on A + A^H
 (minimum degree alone is slow on the icosphere's subdivision numbering).
 That makes 1.5-3x less fill than SuperLU's default unsymmetric COLAMD
 ordering and keeps the row and column orders equal, so U's diagonal holds
-the LDL^H pivots.  Every returned pair carries the relative residual
+the LDL^H pivots.  Their signs certify that the k smallest values were
+found (Sylvester's law of inertia): one more factorization, just under the
+largest returned value, counts the eigenvalues below it, and every missed
+pair is solved for again off the span of the pairs found, at most
+``MAX_RESOLVES`` times.  Every returned pair carries the relative residual
 |L x - lambda M x| / |M x|; exceeding ``RESIDUAL_TOL`` raises, carrying the
 best residuals seen.
 """
@@ -34,6 +38,8 @@ __all__ = [
     "DENSE_CUTOFF",
     "KERNEL_TOL",
     "CLUSTER_GAP",
+    "INERTIA_GAP",
+    "MAX_RESOLVES",
     "SolverConfig",
     "EigenResult",
     "EigenConvergenceError",
@@ -48,6 +54,8 @@ MAX_ITER = 4000      # ARPACK iteration budget of the sparse path
 DENSE_CUTOFF = 800   # pencils of at most this many unknowns are solved densely
 KERNEL_TOL = 1e-8    # values at most this times the operator scale are kernel values
 CLUSTER_GAP = 0.02   # relative gap that separates two clusters
+INERTIA_GAP = 1e-6   # relative distance below the largest returned value of the inertia count
+MAX_RESOLVES = 8     # deflated re-solves of the sparse path before a missed pair raises
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,7 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
                           overwrite_a=True)
         iterations = fill = 0
     else:
-        vals, vecs, iterations, fill = _shift_invert(b, config)
+        vals, vecs, iterations, fill = _shift_invert(b, config, scale)
 
     order = np.argsort(vals)
     vals = np.ascontiguousarray(vals[order], dtype=float)
@@ -141,7 +149,7 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
                        iterations=iterations, scale=scale, fill=fill)
 
 
-def _shift_invert(b: sp.csr_matrix, config: SolverConfig):
+def _shift_invert(b: sp.csr_matrix, config: SolverConfig, scale: float):
     n = b.shape[0]
     diag_mean = float(np.abs(b.diagonal()).mean())
     # sigma sits just below 0, the bottom of the PSD spectrum: B - sigma*I is
@@ -150,34 +158,102 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig):
     # ARPACK and the LU work on the relabelled pencil B[p][:, p]; the vectors
     # are mapped back before the caller certifies them
     p = reverse_cuthill_mckee(b, symmetric_mode=True)
-    b = b[p][:, p]
-    factor = splu((b - sigma * sp.identity(n, dtype=b.dtype, format="csr")).tocsc(),
-                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    count = [0]
-
-    def solve(rhs):
-        count[0] += 1
-        return factor.solve(rhs)
-
-    op_inv = LinearOperator(b.shape, matvec=solve, dtype=b.dtype)
+    b = b[p][:, p].tocsc()
     rng = np.random.default_rng(config.seed)
     v0 = rng.standard_normal(n)
     if np.iscomplexobj(b.data):
         v0 = v0 + 1j * rng.standard_normal(n)
+    v0 = v0[p]
+    vals, vecs, solves, fill = _lanczos(b, sigma, config.k, v0, np.empty((n, 0), b.dtype))
+    # single-vector Lanczos finds the second and later copies of a repeated
+    # value only through roundoff; the inertia count sees a missed one
+    for resolves in range(MAX_RESOLVES + 1):
+        missing = _missing_below(b, vals, scale)
+        if missing == 0:
+            break
+        if resolves == MAX_RESOLVES:
+            raise EigenConvergenceError(
+                f"{missing} of the {config.k} smallest eigenvalues still missing after "
+                f"{MAX_RESOLVES} deflated re-solves", values=vals, residuals=None)
+        # the missed pairs are the smallest ones orthogonal to every pair found
+        more, more_vecs, extra, _ = _lanczos(b, sigma, missing, v0, vecs)
+        solves += extra
+        order = np.argsort(np.concatenate([vals, more]))[:config.k]
+        vals, vecs = np.concatenate([vals, more])[order], np.hstack([vecs, more_vecs])[:, order]
+    out = np.empty_like(vecs)
+    out[p] = vecs
+    return vals, out, solves, fill
+
+
+def _factor(a: sp.spmatrix):
+    """Symmetric-ordered, unpivoted LU of a Hermitian matrix: A = L D L^H."""
+    return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+
+
+def _lanczos(b, sigma, k, v0, found):
+    """k eigenpairs of b nearest sigma off the span of ``found``, the LU solves and fill.
+
+    The factorization of B - sigma*I lives only during this call, so the
+    inertia count that follows has room for its own.
+    """
+    factor = _factor(b - sigma * sp.identity(b.shape[0], dtype=b.dtype, format="csc"))
+    # an orthonormal basis of the span: the complex path's copies of one value
+    # need not be orthogonal
+    found = np.linalg.qr(found)[0]
+    count = [0]
+
+    def solve(rhs):
+        count[0] += 1
+        x = factor.solve(rhs - found @ (found.conj().T @ rhs))
+        return x - found @ (found.conj().T @ x)
+
+    op_inv = LinearOperator(b.shape, matvec=solve, dtype=b.dtype)
     try:
-        vals, vecs = eigsh(b, k=config.k, sigma=sigma, which="LM",
-                           v0=v0[p], maxiter=MAX_ITER, tol=0,
-                           OPinv=op_inv)
+        vals, vecs = eigsh(b, k=k, sigma=sigma, which="LM", v0=v0, maxiter=MAX_ITER,
+                           tol=0, OPinv=op_inv)
     except ArpackNoConvergence as exc:
         raise EigenConvergenceError(
             f"ARPACK did not converge within {MAX_ITER} iterations",
             values=getattr(exc, "eigenvalues", None),
             residuals=None) from exc
-    out = np.empty_like(vecs)
-    out[p] = vecs
     # factor.nnz reads SuperLU's own count; factor.L and .U would copy both factors
-    return vals, out, count[0], factor.nnz
+    return vals, vecs, count[0], factor.nnz
+
+
+def _missing_below(b, vals, scale: float) -> int:
+    """How many eigenvalues of b below the last returned cluster were not returned.
+
+    The count shift sits ``INERTIA_GAP`` below the largest returned value,
+    under every roundoff copy of it, so a cluster cut at k is no miss.  When
+    every returned value is a kernel value there is nothing below to miss.
+    """
+    top = float(vals.max())
+    floor = KERNEL_TOL * scale
+    if top <= floor:
+        return 0
+    shift = max(top * (1.0 - INERTIA_GAP), floor)
+    below = _count_below(b - shift * sp.identity(b.shape[0], dtype=b.dtype, format="csc"))
+    returned = int(np.count_nonzero(vals < shift))
+    if below < returned:
+        raise EigenConvergenceError(
+            f"{returned} returned values lie below {shift:.6g} but the inertia count "
+            f"there is {below}", values=vals, residuals=None)
+    return below - returned
+
+
+def _count_below(a: sp.spmatrix) -> int:
+    """Negative eigenvalues of the Hermitian a, by Sylvester's law of inertia.
+
+    With equal row and column orders the LU is L D L^H and U's diagonal is D,
+    which has as many negative entries as a has negative eigenvalues.
+    """
+    factor = _factor(a)
+    if not np.array_equal(factor.perm_r, factor.perm_c):
+        raise EigenConvergenceError(
+            "the inertia count needed row pivoting, so U's diagonal does not hold "
+            "the pivots")
+    return int(np.count_nonzero(factor.U.diagonal().real < 0))
 
 
 def cluster_multiplicities(values) -> list[tuple[float, int]]:
