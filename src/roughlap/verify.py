@@ -30,7 +30,7 @@ from roughlap import constants as con
 from roughlap import spectra
 from roughlap.constants import AbstractConstants, GeometryBudget
 from roughlap.eigen import (KERNEL_TOL, RESIDUAL_TOL, EigenResult, SolverConfig,
-                            first_positive, smallest_eigenpairs)
+                            cluster_multiplicities, first_positive, smallest_eigenpairs)
 from roughlap.mesh import (FlatTorus, IcoSphere, MeshError, ProductSpec, TriangleMesh,
                            build_mesh, curvature_lp_norm, euler_characteristic,
                            graph_diameter)
@@ -513,6 +513,9 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
     are reported (on spheres eigenforms vanish somewhere, so rho ~ 0 and
     consistency requires eps >= 1/2 at honest constants).  C_s or eps
     beyond the largest double (a huge budget diameter) is reported as null.
+    rho and the Kato fraction read one vector of the first cluster, whose
+    multiplicity is reported: above 1 they depend on the basis the solver
+    returns for that cluster.
     """
     result = ctx.connection_eigen()
     z = result.vectors[:, 0]
@@ -529,7 +532,10 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
     rho = float(mag2.min() / mag2.max())
     kato = kato_fraction(mesh, ctx.connection(), z)
     measured = {"rho": rho, "eps": eps if eps < math.inf else None, "lambda": lam,
-                "kato_fraction": kato, "sobolev_cs": cs if cs < math.inf else None}
+                "kato_fraction": kato, "sobolev_cs": cs if cs < math.inf else None,
+                "multiplicity": cluster_multiplicities(result.values)[0][1]}
+    basis = ("; rho and kato_fraction read one vector of the first cluster, "
+             "so they depend on its basis when its multiplicity exceeds 1")
     if eps < 0.5:
         # rho carries eigenvector error ~ residual tolerance / spectral gap
         rho_slack = 100.0 * RESIDUAL_TOL
@@ -537,10 +543,11 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
         return CheckOutcome(name="pinching", status="pass" if ok else "fail",
                             measured=measured,
                             bounds={"rho_min": 1.0 - 2.0 * eps - rho_slack},
-                            notes="eps < 1/2: pinching implication asserted")
+                            notes="eps < 1/2: pinching implication asserted" + basis)
     return CheckOutcome(name="pinching", status="reported", measured=measured,
-                        notes="eps >= 1/2: implication vacuous, values reported"
-                        if eps < math.inf else "C_s or eps overflows a double: values reported")
+                        notes=("eps >= 1/2: implication vacuous, values reported"
+                               if eps < math.inf else
+                               "C_s or eps overflows a double: values reported") + basis)
 
 
 def check_gap_lower_bound(ctx: ExperimentContext) -> list[CheckOutcome]:

@@ -65,6 +65,7 @@ def test_criterion_01_dense_oracle_subdiv3(monkeypatch):
     mesh = M.generate_icosphere(1.0, 3)
     conn = O.build_connection(mesh)
     op, mass = O.connection_laplacian_1forms(mesh, conn)
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 10 ** 6)
     dense = smallest_eigenpairs(op, mass, SolverConfig(k=6))
     monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
     sparse = smallest_eigenpairs(op, mass, SolverConfig(k=6))

@@ -92,10 +92,10 @@ def _torus_hodge_pencil():
     (_sphere_connection_pencil, 5, [3, 5]),
     (_torus_hodge_pencil, 8, None),
 ], ids=["ico2_connection_k5", "torus16_hodge_k8"])
-def test_dense_path_against_full_spectrum(pencil, k, head):
+def test_dense_path_against_full_spectrum(pencil, k, head, monkeypatch):
     op, mass = pencil()
     config = SolverConfig(k=k)
-    assert op.matrix.shape[0] <= eigen.DENSE_CUTOFF
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 10 ** 6)
     res = smallest_eigenpairs(op, mass, config)
     # oracle: every eigenpair of the whitened pencil, computed here
     w = 1.0 / np.sqrt(mass)
@@ -147,15 +147,44 @@ def test_sparse_path_is_relabelling_invariant():
     assert plain.iterations > 0 and relabelled.iterations > 0
     assert [c for _, c in cluster_multiplicities(plain.values)] == [3, 5]
     assert np.abs(plain.values - relabelled.values).max() <= 1e-12 * plain.scale
-    # k = 3 + 5 closes both clusters: every vector mapped back lies in their
-    # span (an orthonormal basis of it, since the complex path's copies of one
-    # value need not be M-orthogonal)
+    for res, m in ((plain, mass), (relabelled, mass[q])):
+        gram = res.vectors.conj().T @ (m[:, None] * res.vectors)
+        assert np.abs(gram - np.eye(8)).max() <= 1e-12
+    # k = 3 + 5 closes both clusters: every vector mapped back lies in their span
     root = np.sqrt(mass)[:, None]
-    span = np.linalg.qr(root * plain.vectors)[0]
+    span = root * plain.vectors
     y = np.empty_like(relabelled.vectors)
     y[q] = relabelled.vectors
     proj = span.conj().T @ (root * y)
     assert np.linalg.norm(proj, axis=0) == pytest.approx(1.0, abs=1e-8)
+
+
+def _ico3_connection_pencil():
+    sphere = generate_icosphere(1.0, 3)
+    return connection_laplacian_1forms(sphere, build_connection(sphere))
+
+
+def _ico2_hodge_pencil():
+    return hodge_laplacian_1forms(generate_icosphere(1.0, 2))
+
+
+@pytest.mark.parametrize("k", [5, 8])
+@pytest.mark.parametrize("pencil", [_ico3_connection_pencil, _ico2_hodge_pencil,
+                                    _torus_hodge_pencil],
+                         ids=["ico3_connection", "ico2_hodge", "torus16_hodge"])
+def test_sparse_path_returns_the_dense_pairs_at_every_seed(pencil, k, monkeypatch):
+    # pencils just above the dense cutoff: the route they take may change the
+    # time, not the pairs
+    op, mass = pencil()
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 10 ** 6)
+    dense = smallest_eigenpairs(op, mass, SolverConfig(k=k))
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    for seed in range(5):
+        sparse = smallest_eigenpairs(op, mass, SolverConfig(k=k, seed=seed))
+        assert sparse.iterations > 0
+        assert np.abs(sparse.values - dense.values).max() <= 1e-12 * np.abs(dense.values).max()
+        gram = sparse.vectors.conj().T @ (mass[:, None] * sparse.vectors)
+        assert np.abs(gram - np.eye(k)).max() <= 1e-12
 
 
 def test_monotone_under_k(torus16):
@@ -196,10 +225,6 @@ def _torus16_connection_pencil():
     return _torus_pencil(generate_flat_torus(2 * np.pi, 2 * np.pi, 16, 16))
 
 
-def _ico2_hodge_pencil():
-    return hodge_laplacian_1forms(generate_icosphere(1.0, 2))
-
-
 @pytest.mark.parametrize("pencil", [
     _torus16_cotan_pencil, _torus16_connection_pencil, _torus_hodge_pencil,
     _sphere_connection_pencil, _ico2_hodge_pencil,
@@ -222,7 +247,7 @@ def test_a_dropped_copy_is_found_again(monkeypatch):
     op, mass = cotan_laplacian(generate_flat_torus(2 * np.pi, 2 * np.pi, 32, 32))
     monkeypatch.setattr(eigen, "DENSE_CUTOFF", 10 ** 6)
     dense = smallest_eigenpairs(op, mass, SolverConfig(k=9))
-    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 800)
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
     real, calls = eigen.eigsh, []
 
     def drop_a_copy(a, k, **kwargs):

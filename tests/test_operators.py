@@ -1,6 +1,8 @@
 """Discrete operators: structure, kernels, spectra against analytic oracles."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,32 @@ def test_pencils_are_hermitian_psd_with_topological_kernels(mesh):
         assert np.count_nonzero(res.values < 1e-9 * res.scale) == kernel
     hodge = O.hodge_eigenvalues(mesh, res.values)            # res: the Hodge pencil's
     assert np.count_nonzero(hodge == 0.0) == 2 - chi          # b1 harmonic forms
+
+
+def _jittered_icosphere(subdivisions, amplitude, seed):
+    # every vertex moves by up to amplitude * sqrt(3) of the shortest edge
+    sphere = M.generate_icosphere(1.0, subdivisions)
+    shift = np.random.default_rng(seed).uniform(-1.0, 1.0, sphere.vertices.shape)
+    return M.TriangleMesh(sphere.vertices + amplitude * sphere.edge_lengths.min() * shift,
+                          sphere.faces)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=st.builds(_jittered_icosphere, st.integers(0, 2), st.floats(0.0, 0.15),
+                      st.integers(0, 2 ** 32 - 1)))
+def test_jittered_icospheres_keep_gauss_bonnet_and_off_round_trip(mesh):
+    # on any closed polyhedron the angle defects and the face holonomies of
+    # the transport both total 2 pi chi
+    total = TWO_PI * M.euler_characteristic(mesh)
+    assert mesh.angle_defects.sum() == pytest.approx(total, abs=1e-9)
+    assert O.build_connection(mesh).face_curvatures.sum() == pytest.approx(total, abs=1e-9)
+    # and an OFF round trip gives the same mesh back
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.off"
+        M.save_mesh(mesh, path)
+        back = M.load_mesh(path)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.faces, mesh.faces)
 
 
 def test_transport_antisymmetry(torus_conn, torus):

@@ -153,6 +153,7 @@ def test_pinching_torus_asserts(torus_ctx):
     assert out.status == "pass"
     assert out.measured["eps"] < 0.5
     assert out.measured["rho"] > 0.999999
+    assert out.measured["multiplicity"] == 1  # the parallel field
 
 
 def test_pinching_sphere_reported(sphere_ctx):
@@ -160,6 +161,9 @@ def test_pinching_sphere_reported(sphere_ctx):
     assert out.status == "reported"
     assert out.measured["eps"] >= 0.5
     assert out.measured["rho"] < 0.1  # rotation duals vanish at the poles
+    # rho reads one vector of the 3-fold first cluster: the report says so
+    assert out.measured["multiplicity"] == 3
+    assert "depend on its basis" in out.notes
 
 
 def test_gap_lower_bound_outcomes(torus_ctx):
