@@ -3,9 +3,10 @@
 Two generators: an icosphere (subdivided icosahedron projected to the
 sphere) and a flat torus on a periodic rectangular lattice.  The torus is
 metrically *intrinsic*: every edge carries its flat length (lx/nx, ly/ny, or
-the cell diagonal), stored positions are chart coordinates for visualization
-only.  That keeps the metric exactly flat, so parallel 1-forms exist exactly
-and the analytic spectra apply without embedding distortion.
+the cell diagonal), and stored positions are the chart coordinates (u, v, 0),
+periodic in ``period``.  That keeps the metric exactly flat, so parallel
+1-forms exist exactly and the analytic spectra apply without embedding
+distortion.
 
 Connectivity uses one half-edge numbering: half-edge ``h = 3*f + s`` is side
 ``s`` of face ``f`` and runs ``faces[f, s] -> faces[f, (s+1) % 3]``.  Its
@@ -24,10 +25,9 @@ closed manifold (every edge in exactly two faces), consistent orientation
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -45,8 +45,6 @@ __all__ = [
     "euler_characteristic",
     "graph_diameter",
     "curvature_lp_norm",
-    "save_mesh",
-    "load_mesh",
 ]
 
 DEGENERACY_FLOOR = 1e-14  # faces below this fraction of the mean area are rejected
@@ -66,18 +64,16 @@ class TriangleMesh:
     Parameters
     ----------
     vertices : (V, 3) float array
-        Positions.  For intrinsic meshes these are chart coordinates only.
+        Positions.  For intrinsic meshes these are chart coordinates.
     faces : (F, 3) int array
         Consistently oriented triangles.
     edge_lengths : (F, 3) float array, optional
         Intrinsic length of every face side, entry [f, s] for half-edge
         3f+s; the two sides of one edge must have the same length.  When
         omitted, lengths come from the embedding.
-    params : (V, 2) float array, optional
-        Parameter-domain coordinates (tori: the (u, v) chart).
-    periodic : dict, optional
-        Torus periodicity record {lx, ly, nx, ny}, persisted as a sidecar;
-        chart differences of ``params`` are taken modulo (lx, ly).
+    period : (lx, ly), optional
+        Periods of a flat torus whose chart is ``vertices[:, :2]``; chart
+        differences are taken modulo them.  None for embedded meshes.
 
     Attributes
     ----------
@@ -94,8 +90,7 @@ class TriangleMesh:
         half-edge of its face.
     """
 
-    def __init__(self, vertices, faces, edge_lengths=None, params=None,
-                 periodic=None):
+    def __init__(self, vertices, faces, edge_lengths=None, period=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -104,8 +99,10 @@ class TriangleMesh:
             raise MeshError("faces must be (F, 3)")
         if self.faces.min(initial=0) < 0 or self.faces.max(initial=-1) >= len(self.vertices):
             raise MeshError("face index out of range")
-        self.params = None if params is None else np.asarray(params, dtype=float)
-        self.periodic = periodic
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise MeshError(f"vertex {bad[0]} is not finite: {self.vertices[bad[0]].tolist()}")
+        self.period = period
 
         self._build_edges()
         self._build_metric(edge_lengths)
@@ -180,7 +177,10 @@ class TriangleMesh:
         self.total_area = float(self.face_areas.sum())
 
     def _validate(self) -> None:
-        mean_area = self.face_areas.mean()
+        mean_area = float(self.face_areas.mean())
+        if not sys.float_info.min <= mean_area < math.inf:
+            raise MeshError(f"mean face area {mean_area!r} is not a positive normal double: "
+                            "the mesh scale is out of range")
         if np.any(self.face_areas <= DEGENERACY_FLOOR * mean_area):
             raise MeshError("degenerate face (area below 1e-14 of mean)")
         if np.any(self.vertex_areas <= 0):
@@ -266,15 +266,16 @@ def generate_flat_torus(lx: float, ly: float, nx: int, ny: int) -> TriangleMesh:
     """
     if nx < 3 or ny < 3:
         raise MeshError(f"torus needs nx, ny >= 3, got {nx}, {ny}")
-    if lx <= 0 or ly <= 0:
-        raise MeshError("torus side lengths must be positive")
+    for name, value in (("lx", lx), ("ly", ly)):
+        if not 0 < value < math.inf:
+            raise MeshError(f"torus side {name} must be positive and finite, got {value!r}")
     dx, dy = lx / nx, ly / ny
     diag = math.hypot(dx, dy)
     i = np.tile(np.arange(nx), ny)   # vertex id j*nx + i sits at (i*dx, j*dy)
     j = np.repeat(np.arange(ny), nx)
-    params = np.stack([i * dx, j * dy], axis=1)
     verts = np.zeros((nx * ny, 3))
-    verts[:, :2] = params
+    verts[:, 0] = i * dx
+    verts[:, 1] = j * dy
 
     # cell j*nx + i has corners a SW, b SE, c NE, d NW and makes the two
     # faces 2*(j*nx + i) and 2*(j*nx + i) + 1
@@ -289,8 +290,7 @@ def generate_flat_torus(lx: float, ly: float, nx: int, ny: int) -> TriangleMesh:
     second_len = np.where(up_right, [diag, dx, dy], [dy, dx, diag])
     faces = np.stack([first, second], axis=1).reshape(-1, 3)
     lengths = np.stack([first_len, second_len], axis=1).reshape(-1, 3)
-    return TriangleMesh(verts, faces, edge_lengths=lengths, params=params,
-                        periodic={"lx": lx, "ly": ly, "nx": nx, "ny": ny})
+    return TriangleMesh(verts, faces, edge_lengths=lengths, period=(lx, ly))
 
 
 def _icosahedron(radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +317,8 @@ def _icosahedron(radius: float) -> tuple[np.ndarray, np.ndarray]:
 
 def generate_icosphere(radius: float, subdivisions: int) -> TriangleMesh:
     """Icosahedron, 4-to-1 subdivided s times, vertices projected to radius."""
-    if radius <= 0:
-        raise MeshError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise MeshError(f"radius must be positive and finite, got {radius!r}")
     if subdivisions < 0:
         raise MeshError(f"subdivisions must be >= 0, got {subdivisions}")
     verts, faces = _icosahedron(radius)
@@ -376,65 +376,3 @@ def curvature_lp_norm(mesh: TriangleMesh, p: float) -> float:
     weights = mesh.vertex_areas / mesh.total_area
     return float((weights @ density ** p) ** (1.0 / p))
 
-
-# -- persistence -----------------------------------------------------------
-
-def save_mesh(mesh: TriangleMesh, path: str | Path) -> None:
-    """Write ASCII OFF; torus periodicity goes to a '<path>.json' sidecar."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_faces} {mesh.n_edges}\n")
-        for v in mesh.vertices:
-            fh.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-    if mesh.periodic is not None:
-        Path(str(path) + ".json").write_text(json.dumps(mesh.periodic))
-
-
-def load_mesh(path: str | Path) -> TriangleMesh:
-    """Read an ASCII OFF file of triangles.
-
-    A '<path>.json' sidecar restores the intrinsic torus metric; the OFF body
-    must then be that torus.  Malformed input raises a MeshError naming the
-    file and line.
-    """
-    path = Path(path)
-    rows = [(num, line.split()) for num, line in enumerate(path.read_text().splitlines(), 1)
-            if line.strip() and not line.startswith("#")]
-    if not rows or rows[0][1] != ["OFF"]:
-        raise MeshError(f"{path}:{rows[0][0] if rows else 1}: not an OFF file")
-
-    def numbers(k: int, what: str, convert, count: int) -> list:
-        if k >= len(rows):
-            raise MeshError(f"{path}:{rows[-1][0]}: file ends before the {what}")
-        num, tokens = rows[k]
-        try:
-            values = [convert(tok) for tok in tokens]
-        except ValueError:
-            values = []
-        if len(values) != count:
-            raise MeshError(f"{path}:{num}: expected {what}, got {' '.join(tokens)!r}")
-        return values
-
-    nv, nf, _ = numbers(1, "counts 'V F E'", int, 3)
-    if nv < 0 or nf < 0:
-        raise MeshError(f"{path}:{rows[1][0]}: negative vertex or face count")
-    verts = np.array([numbers(2 + v, "vertex 'x y z'", float, 3) for v in range(nv)],
-                     dtype=float).reshape(nv, 3)
-    faces = []
-    for f in range(nf):
-        count, *tri = numbers(2 + nv + f, "triangle '3 i j k'", int, 4)
-        if count != 3:
-            raise MeshError(f"{path}:{rows[2 + nv + f][0]}: face has {count} vertices, expected 3")
-        faces.append(tri)
-    faces = np.array(faces, dtype=np.int64).reshape(nf, 3)
-    sidecar = Path(str(path) + ".json")
-    if sidecar.exists():
-        spec = json.loads(sidecar.read_text())
-        torus = generate_flat_torus(spec["lx"], spec["ly"], spec["nx"], spec["ny"])
-        if not (np.array_equal(verts, torus.vertices) and np.array_equal(faces, torus.faces)):
-            raise MeshError(f"{path}: OFF body is not the torus described by {sidecar.name}")
-        return torus
-    return TriangleMesh(verts, faces)

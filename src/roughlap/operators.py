@@ -8,9 +8,12 @@ along an edge is a unit complex rotation obtained by intrinsic unfolding,
 and the connection Laplacian is the cotan stiffness with its off-diagonal
 weights rotated by those transports.  The Hodge 1-form Laplacian is the
 standard discrete-exterior-calculus operator on edge values,
-``*1 d0 *0^-1 d0^T *1 + d1^T *2 d1`` against the diagonal edge mass ``*1``.
+``*1 g *0^-1 g^T *1 + d1^T *2 d1`` against the diagonal edge mass ``*1``,
+where ``g`` is the vertex-to-edge difference matrix.  All three vertex
+operators -- cotan, connection and the Hodge pencil's exact block -- are
+one edge-weighted assembly, ``_laplacian``.
 
-Since ``d1 d0 = 0``, the discrete Hodge decomposition splits that pencil
+Since ``d1 g = 0``, the discrete Hodge decomposition splits that pencil
 exactly into exact forms (the cotan Laplacian on vertices), coexact forms
 (the dual-cell Laplacian ``d1 *1^-1 d1^T`` against cell areas) and ``b1``
 harmonic zeros.  On right-triangulated flat tori every cell diagonal has
@@ -68,7 +71,7 @@ KATO_FLOOR = 1e-12  # gradient densities below this times max|z| sqrt(max w) cou
 
 @dataclass
 class SparseHermitianOperator:
-    """Hermitian sparse matrix, symmetrized exactly at assembly."""
+    """Sparse matrix, exactly Hermitian as assembled."""
 
     matrix: sp.csr_matrix
 
@@ -94,12 +97,6 @@ class ConnectionData:
     face_curvatures: np.ndarray = field(repr=False)
 
 
-def _symmetrized(rows, cols, vals, n: int) -> sp.csr_matrix:
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    a.sum_duplicates()
-    return (a + a.getH()) * 0.5
-
-
 def edge_cotan_weights(mesh: TriangleMesh) -> np.ndarray:
     """w_e = (cot(alpha) + cot(beta))/2 over the two corners opposite edge e."""
     w = np.zeros(mesh.n_edges)
@@ -110,6 +107,22 @@ def edge_cotan_weights(mesh: TriangleMesh) -> np.ndarray:
     return w
 
 
+def _laplacian(mesh: TriangleMesh, w: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
+    """Vertex stiffness of the quadratic form sum_e w_e |z_a - t_e z_b|^2.
+
+    For edge e = (a, b), a < b, entry (a, b) is ``off[e]`` = -w_e t_e, with
+    t_e the transport b -> a, and entry (b, a) its conjugate, so the matrix
+    is exactly Hermitian; the diagonal sums the weights ``w`` of each
+    vertex's edges.  The cotan matrix is the case t = 1.
+    """
+    i, j = mesh.edges.T
+    a = sp.csr_matrix((np.concatenate([off, np.conj(off), w, w]),
+                       (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
+                      shape=(mesh.n_vertices,) * 2)
+    a.sum_duplicates()
+    return a.copy()  # compact: sum_duplicates leaves views of the 4E-entry input buffers
+
+
 def cotan_laplacian(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, np.ndarray]:
     """Cotan stiffness with lumped vertex-area mass.
 
@@ -117,12 +130,7 @@ def cotan_laplacian(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, np.nda
     matrix is PSD (it is the Galerkin stiffness of linear elements).
     """
     w = edge_cotan_weights(mesh)
-    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([j, i, i, j])
-    vals = np.concatenate([-w, -w, w, w])
-    matrix = _symmetrized(rows, cols, vals, mesh.n_vertices)
-    return SparseHermitianOperator(matrix), mesh.vertex_areas.copy()
+    return SparseHermitianOperator(_laplacian(mesh, w, -w)), mesh.vertex_areas.copy()
 
 
 def build_connection(mesh: TriangleMesh) -> ConnectionData:
@@ -173,8 +181,7 @@ def build_connection(mesh: TriangleMesh) -> ConnectionData:
     # face curvature sum_c (scale_c * angle_c) - pi
     shares = scales[mesh.faces] * mesh.corner_angles
     face_curv = shares[:, 0] + shares[:, 1] + shares[:, 2] - math.pi
-    _, d1 = _incidence_matrices(mesh)
-    holonomy = d1 @ rho                       # signed transports around each face
+    holonomy = _face_incidence(mesh) @ rho    # signed transports around each face
     mismatch = np.abs(_wrap_angle(holonomy - face_curv))
     if np.any(mismatch > HOLONOMY_TOL):
         f = int(np.argmax(mismatch))
@@ -200,46 +207,27 @@ def connection_laplacian_1forms(mesh: TriangleMesh, conn: ConnectionData
     flat torus, none on a sphere).
     """
     w = edge_cotan_weights(mesh)
-    n = mesh.n_vertices
-    i = mesh.edges[:, 0]
-    j = mesh.edges[:, 1]
-    rot_ji = _wrap_angle(-conn.rho)
-    off_ij = -w * np.exp(1j * rot_ji)          # row i, col j: transport j -> i
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([j, i, i, j])
-    vals = np.concatenate([off_ij, np.conj(off_ij),
-                           w.astype(complex), w.astype(complex)])
-    matrix = _symmetrized(rows, cols, vals, n)
-    return SparseHermitianOperator(matrix), mesh.vertex_areas.copy()
+    off = -w * np.exp(1j * _wrap_angle(-conn.rho))   # row a, col b: transport b -> a
+    return SparseHermitianOperator(_laplacian(mesh, w, off)), mesh.vertex_areas.copy()
 
 
-def _incidence_matrices(mesh: TriangleMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """d0: 0-cochains -> 1-cochains (E x V); d1: 1-cochains -> 2-cochains (F x E)."""
-    e = mesh.n_edges
-    v = mesh.n_vertices
-    f = mesh.n_faces
-    rows = np.repeat(np.arange(e), 2)
-    cols = mesh.edges.ravel()
-    vals = np.tile([-1.0, 1.0], e)
-    d0 = sp.coo_matrix((vals, (rows, cols)), shape=(e, v)).tocsr()
-
-    rows_f = np.repeat(np.arange(f), 3)
-    cols_e = mesh.face_edges.ravel()
+def _face_incidence(mesh: TriangleMesh) -> sp.csr_matrix:
+    """d1: 1-cochains -> 2-cochains (F x E), +1 where a face's side runs along its edge."""
     heads = mesh.faces[:, [1, 2, 0]]  # side s runs faces[:, s] -> heads[:, s]
     along = (mesh.edges[mesh.face_edges, 1] == heads)
-    vals_f = np.where(along, 1.0, -1.0).ravel()
-    d1 = sp.coo_matrix((vals_f, (rows_f, cols_e)), shape=(f, e)).tocsr()
-    return d0, d1
+    return sp.coo_matrix((np.where(along, 1.0, -1.0).ravel(),
+                          (np.repeat(np.arange(mesh.n_faces), 3), mesh.face_edges.ravel())),
+                         shape=(mesh.n_faces, mesh.n_edges)).tocsr()
 
 
 def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, np.ndarray]:
     """DEC Hodge Laplacian on 1-forms, split by the discrete Hodge decomposition.
 
-    The edge pencil *1 d0 *0^-1 d0^T *1 + d1^T *2 d1 against *1 is returned
-    as the block-diagonal pencil diag(d0^T *1 d0, dc *1^-1 dc^T) against
-    diag(*0, cell areas).  The first block is ``cotan_laplacian`` (exact
-    forms d0 f); the second is the dual-cell Laplacian (coexact forms
-    *1^-1 dc^T g), where faces glued across an edge of weight at most
+    The edge pencil *1 g *0^-1 g^T *1 + d1^T *2 d1 against *1 is returned
+    as the block-diagonal pencil diag(g^T *1 g, dc *1^-1 dc^T) against
+    diag(*0, cell areas).  The first block is the cotan matrix (exact
+    forms g f); the second is the dual-cell Laplacian (coexact forms
+    *1^-1 dc^T u), where faces glued across an edge of weight at most
     ``NULL_WEIGHT_TOL * max(w)`` form one cell and dc sums their rows of d1.
     Without null edges each face is its own cell.
 
@@ -259,7 +247,7 @@ def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator,
         raise MeshError(f"edge ({a}, {b}) has negative circumcentric weight {float(w[e])!r}: "
                         "mesh is not Delaunay")
     null = w <= NULL_WEIGHT_TOL * w_max
-    _, d1 = _incidence_matrices(mesh)
+    d1 = _face_incidence(mesh)
     glued = abs(d1[:, null])
     n_cells, cell = connected_components(glued @ glued.T, directed=False)
     if n_cells != mesh.n_faces - np.count_nonzero(null):
@@ -269,10 +257,10 @@ def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator,
                           shape=(n_cells, mesh.n_faces))
     d1_cells = (cells @ d1)[:, ~null]
     coexact = (d1_cells @ sp.diags(1.0 / w[~null]) @ d1_cells.T).tocsr()
-    exact, vertex_mass = cotan_laplacian(mesh)
-    matrix = sp.block_diag((exact.matrix, (coexact + coexact.T) * 0.5), format="csr")
+    matrix = sp.block_diag((_laplacian(mesh, w, -w), (coexact + coexact.T) * 0.5),
+                           format="csr")
     cell_areas = np.bincount(cell, weights=mesh.face_areas)
-    return SparseHermitianOperator(matrix), np.concatenate([vertex_mass, cell_areas])
+    return SparseHermitianOperator(matrix), np.concatenate([mesh.vertex_areas, cell_areas])
 
 
 def hodge_eigenvalues(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
@@ -356,14 +344,15 @@ def vertex_frames(mesh: TriangleMesh, conn: ConnectionData
 
     Embedded meshes: normal is the area-weighted face normal, e1 the
     tangential projection of the reference edge direction.  Flat tori
-    (``mesh.periodic`` set) take the reference edge direction from the
-    parameter chart, its difference wrapped by the periods, with normal +z.
+    (``mesh.period`` set) take the reference edge direction from the
+    chart ``vertices[:, :2]``, its difference wrapped by the periods, with
+    normal +z.
     """
     n_v = mesh.n_vertices
     nrm = np.zeros((n_v, 3))
-    if mesh.periodic is not None:
-        period = np.array([mesh.periodic["lx"], mesh.periodic["ly"]])
-        chart = mesh.params[conn.reference] - mesh.params
+    if mesh.period is not None:
+        period = np.array(mesh.period)
+        chart = mesh.vertices[conn.reference, :2] - mesh.vertices[:, :2]
         d = np.zeros((n_v, 3))
         d[:, :2] = chart - period * np.round(chart / period)
         nrm[:, 2] = 1.0
@@ -405,7 +394,7 @@ def rotation_field(mesh: TriangleMesh) -> np.ndarray:
 
 def constant_chart_field(mesh: TriangleMesh, direction=(1.0, 0.0)) -> np.ndarray:
     """Constant field in the flat parameter chart (translation generator)."""
-    if mesh.periodic is None:
+    if mesh.period is None:
         raise MeshError("constant chart fields need an intrinsic chart (flat torus)")
     d = np.zeros((mesh.n_vertices, 3))
     d[:, 0] = direction[0]

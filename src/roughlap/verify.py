@@ -627,16 +627,17 @@ def _branch_switch_jump(budget: GeometryBudget, consts: AbstractConstants) -> fl
 
 
 _SPHERE_TEST_FUNCTIONS = (
-    ("coord_x", lambda pos, par: pos[:, 0]),
-    ("coord_y", lambda pos, par: pos[:, 1]),
-    ("coord_z", lambda pos, par: pos[:, 2]),
+    ("coord_x", lambda pos: pos[:, 0]),
+    ("coord_y", lambda pos: pos[:, 1]),
+    ("coord_z", lambda pos: pos[:, 2]),
 )
 
+# a torus's positions are its chart (u, v, 0)
 _TORUS_TEST_FUNCTIONS = (
-    ("cos_u", lambda pos, par: np.cos(par[:, 0])),
-    ("sin_u", lambda pos, par: np.sin(par[:, 0])),
-    ("cos_v", lambda pos, par: np.cos(par[:, 1])),
-    ("cos_u_cos_v", lambda pos, par: np.cos(par[:, 0]) * np.cos(par[:, 1])),
+    ("cos_u", lambda pos: np.cos(pos[:, 0])),
+    ("sin_u", lambda pos: np.sin(pos[:, 0])),
+    ("cos_v", lambda pos: np.cos(pos[:, 1])),
+    ("cos_u_cos_v", lambda pos: np.cos(pos[:, 0]) * np.cos(pos[:, 1])),
 )
 
 
@@ -653,7 +654,7 @@ def check_lipschitz(ctx: ExperimentContext) -> CheckOutcome:
     rows = {}
     ok = True
     for name, fn in battery:
-        values = np.asarray(fn(mesh.vertices, mesh.params), dtype=float)
+        values = np.asarray(fn(mesh.vertices), dtype=float)
         osc = float(values.max() - values.min())
         grad_sup = float(face_gradient_magnitudes(mesh, values).max())
         bound = (1.0 + LIPSCHITZ_SLACK) * grad_sup * diameter

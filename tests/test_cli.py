@@ -228,6 +228,32 @@ def test_spectrum_locates_bad_flags(capsys, argv, located):
     assert f"spec error: {located}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given, located", [
+    ({"type": "icosphere", "radius": 1e-200, "subdivisions": 1},
+     "experiments[0].manifold: vertex 12 is not finite"),
+    ({"type": "icosphere", "radius": 1e-150, "subdivisions": 1},
+     "experiments[0].manifold: mean face area 0.0 is not a positive normal double: "
+     "the mesh scale is out of range"),
+    ({"type": "flat_torus", "lx": 1e300, "ly": 1e300, "nx": 8, "ny": 8},
+     "experiments[0].manifold: mean face area inf is not a positive normal double"),
+    (["--manifold", "icosphere", "--subdiv", "1", "--radius", "nan"],
+     "radius must be positive and finite, got nan"),
+    (["--manifold", "flat_torus", "--lx", "nan"],
+     "torus side lx must be positive and finite, got nan"),
+], ids=["radius_1e-200", "radius_1e-150", "torus_1e300", "radius_nan", "lx_nan"])
+def test_extreme_mesh_sizes_exit_2_located(capsys, tmp_path, given, located):
+    # underflow, overflow and NaN sizes are located, not run into NaN values
+    if isinstance(given, dict):
+        spec = tmp_path / "extreme.json"
+        spec.write_text(json.dumps({"manifold": given, "checks": ["lipschitz"]}))
+        argv = ["verify", "--spec", str(spec)]
+    else:
+        argv = ["spectrum", *given]
+    assert main(argv) == 2
+    assert f"spec error: {located}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("extreme.report.*"))
+
+
 def test_spectrum_has_no_tolerance_flag(capsys):
     # the residual certificate's tolerance is fixed (eigen.RESIDUAL_TOL)
     with pytest.raises(SystemExit) as exit_:

@@ -281,6 +281,22 @@ def test_a_pair_missed_at_every_re_solve_raises(monkeypatch):
         smallest_eigenpairs(op, mass, SolverConfig(k=9))
 
 
+@pytest.mark.xfail(strict=True, raises=EigenConvergenceError, reason=(
+    "RESIDUAL_TOL bounds |Lx - lambda Mx| / |Mx|, which carries the units of lambda: "
+    "the k=8 connection solve on an s=3 icosphere of radius 1e-3 returns residuals of "
+    "7e-8 to 1.3e-7 and raises, though r^2 lambda matches radius 1 to 3e-15 relative "
+    "and the residuals are 2e-14 to 1.1e-13 of lambda; at radius 1e6 a residual of "
+    "1e-8 against lambda_1 ~ 1e-12 would be certified"))
+def test_residual_certificate_is_scale_free():
+    scaled = []
+    for radius in (1e-3, 1.0):
+        mesh = generate_icosphere(radius, 3)
+        res = smallest_eigenpairs(*connection_laplacian_1forms(mesh, build_connection(mesh)),
+                                  SolverConfig(k=8))
+        scaled.append(radius ** 2 * res.values)
+    np.testing.assert_allclose(scaled[0], scaled[1], rtol=1e-12, atol=0.0)
+
+
 def test_nonconvergence_raises(torus16, monkeypatch):
     op, mass = _torus_pencil(torus16)
     monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)

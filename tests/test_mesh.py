@@ -173,69 +173,6 @@ def test_unequal_side_lengths_rejected():
         M.TriangleMesh(t.vertices, t.faces, edge_lengths=sides)
 
 
-# -- persistence ----------------------------------------------------------------
-
-def test_off_roundtrip_sphere(tmp_path, sphere_s2):
-    path = tmp_path / "sphere.off"
-    M.save_mesh(sphere_s2, path)
-    back = M.load_mesh(path)
-    assert back.n_vertices == sphere_s2.n_vertices
-    assert np.allclose(back.vertices, sphere_s2.vertices)
-    assert np.array_equal(back.faces, sphere_s2.faces)
-    assert np.allclose(back.edge_lengths, sphere_s2.edge_lengths)
-
-
-def test_off_roundtrip_torus_keeps_intrinsic_metric(tmp_path):
-    t = M.generate_flat_torus(TWO_PI, 4.0, 8, 6)
-    path = tmp_path / "torus.off"
-    M.save_mesh(t, path)
-    assert (tmp_path / "torus.off.json").exists()
-    back = M.load_mesh(path)
-    assert back.periodic == t.periodic
-    assert np.abs(back.angle_defects).max() < 1e-12
-    assert np.allclose(back.edge_lengths, t.edge_lengths)
-
-
-def test_load_rejects_non_off(tmp_path):
-    bad = tmp_path / "bad.off"
-    bad.write_text("PLY\n0 0 0\n")
-    with pytest.raises(M.MeshError):
-        M.load_mesh(bad)
-
-
-def test_load_checks_torus_body_against_sidecar(tmp_path):
-    t = M.generate_flat_torus(TWO_PI, TWO_PI, 8, 8)
-    path = tmp_path / "torus.off"
-    M.save_mesh(t, path)
-    lines = path.read_text().splitlines()
-    lines[1] = f"{t.n_vertices} {t.n_faces - 1} {t.n_edges}"
-    path.write_text("\n".join(lines[:-1]) + "\n")   # 127 of the 128 faces
-    with pytest.raises(M.MeshError, match="torus.off"):
-        M.load_mesh(path)
-
-
-@pytest.mark.parametrize("face_line", ["4 0 1 2", "3 0 1", "3 0 1 2 3", "3 0 1 x"],
-                         ids=["count-4", "two-indices", "four-indices", "non-integer"])
-def test_load_rejects_bad_face_line(tmp_path, face_line):
-    path = tmp_path / "tet.off"
-    path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
-                    f"3 0 2 1\n3 0 1 3\n3 1 2 3\n{face_line}\n")
-    with pytest.raises(M.MeshError, match=r"tet\.off:10:"):
-        M.load_mesh(path)
-
-
-@pytest.mark.parametrize("text, line", [("", 1), ("\n\n", 1), ("OFF\n", 1),
-                                        ("OFF\n4 4\n", 2), ("OFF\n4 four 6\n", 2),
-                                        ("OFF\n1 0 0\n0 0\n", 3)],
-                         ids=["empty", "blank", "no-counts", "two-counts", "non-integer-count",
-                              "short-vertex"])
-def test_load_rejects_empty_or_bad_header(tmp_path, text, line):
-    path = tmp_path / "bad.off"
-    path.write_text(text)
-    with pytest.raises(M.MeshError, match=rf"bad\.off:{line}:"):
-        M.load_mesh(path)
-
-
 def test_build_mesh_dispatch():
     assert M.build_mesh(M.IcoSphere(1.0, 0)).n_vertices == 12
     assert M.build_mesh(M.FlatTorus(1.0, 1.0, 3, 3)).n_vertices == 9
