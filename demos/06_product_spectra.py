@@ -8,8 +8,6 @@ Run:  python3 demos/06_product_spectra.py
 """
 
 import math
-import tempfile
-from pathlib import Path
 
 from roughlap import spectra as S
 
@@ -36,7 +34,3 @@ mixed_ab = S.product_oneform_spectrum(sphere_fn, sphere_1f, torus_fn, torus_1f, 
 mixed_ba = S.product_oneform_spectrum(torus_fn, torus_1f, sphere_fn, sphere_1f, 8.0)
 print(f"\nS^2 x T^2 == T^2 x S^2 as multisets: {mixed_ab.entries == mixed_ba.entries}")
 print("S^2 x T^2 head:", mixed_ab.entries[:4])
-
-out = Path(tempfile.gettempdir()) / "s2xs2_spectrum.csv"
-S.spectrum_to_csv(s2xs2, out)
-print(f"\nCSV written to {out}")

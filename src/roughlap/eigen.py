@@ -23,9 +23,12 @@ path's vectors orthonormal, as the dense path's are, and both paths return
 ascending values, so the route changes only the time.  ``DENSE_CUTOFF``
 sits at the measured crossover: above it complex pencils solve up to 4-6x
 faster sparse, below it pencils of up to about 250 unknowns stay faster
-dense.  Every returned pair carries the relative residual
-|L x - lambda M x| / |M x|; exceeding ``RESIDUAL_TOL`` raises, carrying the
-best residuals seen.
+dense.  The kernel band, the inertia count's floor and the residual
+certificate are fractions of ``scale``, the whitened operator's 1-norm, so
+none changes when the metric is scaled.  Each returned pair (lambda, x) is
+certified in whitened coordinates: y = M^(1/2) x is a unit vector and
+|B y - lambda y| <= ``RESIDUAL_TOL`` * scale, else the solve raises,
+carrying the residuals.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ __all__ = [
 ]
 
 
-RESIDUAL_TOL = 1e-8  # largest relative residual a returned pair may carry
+RESIDUAL_TOL = 2e-10  # largest |B y - lambda y| a returned pair may carry, in units of scale
 MAX_ITER = 4000      # ARPACK iteration budget of the sparse path
 DENSE_CUTOFF = 300   # pencils of at most this many unknowns are solved densely
 KERNEL_TOL = 1e-8    # values at most this times the operator scale are kernel values
@@ -80,8 +83,9 @@ class SolverConfig:
 class EigenResult:
     """Ascending eigenvalues with M-orthonormal vectors and residuals.
 
-    ``scale`` is the 1-norm of the whitened operator, the natural yardstick
-    for deciding whether a small eigenvalue is a kernel value.
+    ``scale`` is the 1-norm of the whitened operator B, the yardstick for
+    deciding whether a small eigenvalue is a kernel value and the unit of
+    ``residuals``: |B y - lambda y| / scale for y = M^(1/2) x.
     ``iterations`` counts inverse applications in the sparse path (0 for
     the dense path); ``fill`` is the number of entries SuperLU stores for the
     sparse path's L and U factors (0 for the dense path).
@@ -137,17 +141,13 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     else:
         vals, vecs, iterations, fill = _shift_invert(b, config, scale)
 
-    x = d_inv_sqrt[:, None] * vecs
-
-    residuals = np.empty(config.k)
-    for idx in range(config.k):
-        lhs = a @ x[:, idx] - vals[idx] * (m * x[:, idx])
-        residuals[idx] = np.linalg.norm(lhs) / np.linalg.norm(m * x[:, idx])
-    if np.any(residuals > RESIDUAL_TOL):
+    # both routes return orthonormal whitened vectors y; x = M^(-1/2) y
+    residuals = np.linalg.norm(b @ vecs - vecs * vals, axis=0) / scale
+    if not np.all(residuals <= RESIDUAL_TOL):
         raise EigenConvergenceError(
-            f"residuals {residuals} exceed tol {RESIDUAL_TOL}",
+            f"residuals {residuals} of the operator scale exceed tol {RESIDUAL_TOL}",
             values=vals, residuals=residuals)
-    return EigenResult(values=vals, vectors=x, residuals=residuals,
+    return EigenResult(values=vals, vectors=d_inv_sqrt[:, None] * vecs, residuals=residuals,
                        iterations=iterations, scale=scale, fill=fill)
 
 

@@ -158,11 +158,13 @@ class TriangleMesh:
         a = side[:, [1, 2, 0]]   # opposite each corner 0,1,2
         b = side[:, [2, 0, 1]]
         c = side[:, [0, 1, 2]]
-        cos = np.clip((b ** 2 + c ** 2 - a ** 2) / (2.0 * b * c), -1.0, 1.0)
-        self.corner_angles = np.arccos(cos)  # (F, 3), corner m at vertex faces[f, m]
-        s = side.sum(axis=1) / 2.0
-        h = s[:, None] - side
-        prod = s * h[:, 0] * h[:, 1] * h[:, 2]
+        # lengths whose squares overflow give non-finite areas; _validate locates them
+        with np.errstate(over="ignore", invalid="ignore"):
+            cos = np.clip((b ** 2 + c ** 2 - a ** 2) / (2.0 * b * c), -1.0, 1.0)
+            self.corner_angles = np.arccos(cos)  # (F, 3), corner m at vertex faces[f, m]
+            s = side.sum(axis=1) / 2.0
+            h = s[:, None] - side
+            prod = s * h[:, 0] * h[:, 1] * h[:, 2]
         if np.any(prod < 0):
             raise MeshError("triangle inequality violated by intrinsic lengths")
         self.face_areas = np.sqrt(prod)
@@ -335,7 +337,9 @@ def generate_icosphere(radius: float, subdivisions: int) -> TriangleMesh:
         ij, jk, ki = (n_v + rank[inverse]).reshape(-1, 3).T
         h = np.sort(first)
         p = 0.5 * (verts[tails[h]] + verts[heads[h]])
-        p *= (radius / np.sqrt(np.vecdot(p, p)))[:, None]
+        # a radius whose square underflows gives non-finite vertices; TriangleMesh locates them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p *= (radius / np.sqrt(np.vecdot(p, p)))[:, None]
         verts = np.vstack([verts, p])
         i, j, k = faces.T
         faces = np.stack([i, ij, ki, ij, j, jk, ki, jk, k, ij, jk, ki], axis=1).reshape(-1, 3)

@@ -24,10 +24,8 @@ complete below the requested cutoff.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 __all__ = [
     "AnalyticSpectrum",
@@ -36,7 +34,6 @@ __all__ = [
     "sphere_function_spectrum",
     "sphere_oneform_rough_spectrum",
     "product_oneform_spectrum",
-    "spectrum_to_csv",
 ]
 
 _MERGE_REL = 1e-12
@@ -189,11 +186,3 @@ def product_oneform_spectrum(m0: AnalyticSpectrum, m1: AnalyticSpectrum,
                     raw.append((s, mult1 * mult0))
     tag = f"({m0.manifold}) x ({n0.manifold})"
     return _aggregate(raw, 1, tag, cutoff)
-
-
-def spectrum_to_csv(spec: AnalyticSpectrum, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eigenvalue", "multiplicity"])
-        for v, m in spec.entries:
-            writer.writerow([repr(v), m])

@@ -29,7 +29,7 @@ import numpy as np
 from roughlap import constants as con
 from roughlap import spectra
 from roughlap.constants import AbstractConstants, GeometryBudget
-from roughlap.eigen import (KERNEL_TOL, RESIDUAL_TOL, EigenResult, SolverConfig,
+from roughlap.eigen import (KERNEL_TOL, EigenResult, SolverConfig,
                             cluster_multiplicities, first_positive, smallest_eigenpairs)
 from roughlap.mesh import (FlatTorus, IcoSphere, MeshError, ProductSpec, TriangleMesh,
                            build_mesh, curvature_lp_norm, euler_characteristic,
@@ -69,6 +69,9 @@ MOSER_TAIL_TOL = 1e-12
 WEITZENBOECK_K = 6  # real pairs: needs solver.k >= 3 complex ones
 KILLING_RQ_TOL = 0.02
 LIPSCHITZ_SLACK = 0.05
+# pinching's rho reads one computed eigenvector, whose error is about its
+# residual over the spectral gap; the bound on rho allows this much for it
+PINCHING_RHO_SLACK = 1e-6
 BUDGET_DEFAULTS = {"dim": 4, "kappa": 0.0, "p_exponent": 4.0}  # unstated budget fields
 
 
@@ -537,12 +540,10 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
     basis = ("; rho and kato_fraction read one vector of the first cluster, "
              "so they depend on its basis when its multiplicity exceeds 1")
     if eps < 0.5:
-        # rho carries eigenvector error ~ residual tolerance / spectral gap
-        rho_slack = 100.0 * RESIDUAL_TOL
-        ok = rho >= 1.0 - 2.0 * eps - rho_slack
-        return CheckOutcome(name="pinching", status="pass" if ok else "fail",
+        rho_min = 1.0 - 2.0 * eps - PINCHING_RHO_SLACK
+        return CheckOutcome(name="pinching", status="pass" if rho >= rho_min else "fail",
                             measured=measured,
-                            bounds={"rho_min": 1.0 - 2.0 * eps - rho_slack},
+                            bounds={"rho_min": rho_min},
                             notes="eps < 1/2: pinching implication asserted" + basis)
     return CheckOutcome(name="pinching", status="reported", measured=measured,
                         notes=("eps >= 1/2: implication vacuous, values reported"

@@ -241,8 +241,10 @@ def test_spectrum_locates_bad_flags(capsys, argv, located):
     (["--manifold", "flat_torus", "--lx", "nan"],
      "torus side lx must be positive and finite, got nan"),
 ], ids=["radius_1e-200", "radius_1e-150", "torus_1e300", "radius_nan", "lx_nan"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_mesh_sizes_exit_2_located(capsys, tmp_path, given, located):
-    # underflow, overflow and NaN sizes are located, not run into NaN values
+    # underflow, overflow and NaN sizes are located, not run into NaN values, and
+    # numpy warns of none of them
     if isinstance(given, dict):
         spec = tmp_path / "extreme.json"
         spec.write_text(json.dumps({"manifold": given, "checks": ["lipschitz"]}))

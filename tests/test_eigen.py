@@ -105,6 +105,10 @@ def test_dense_path_against_full_spectrum(pencil, k, head, monkeypatch):
     assert np.abs(res.values - full_vals[:k]).max() <= 1e-12 * res.scale
     gram = res.vectors.conj().T @ (mass[:, None] * res.vectors)
     assert np.abs(gram - np.eye(k)).max() < 1e-12
+    # residuals are |B y - lambda y| / scale of the unit whitened vectors
+    y = np.sqrt(mass)[:, None] * res.vectors
+    expected = np.linalg.norm(b @ y - y * res.values, axis=0) / res.scale
+    np.testing.assert_allclose(res.residuals, expected, rtol=0.0, atol=1e-15)
     assert np.all(res.residuals <= RESIDUAL_TOL)
     if head is not None:
         assert [c for _, c in cluster_multiplicities(full_vals[:sum(head)])] == head
@@ -281,20 +285,18 @@ def test_a_pair_missed_at_every_re_solve_raises(monkeypatch):
         smallest_eigenpairs(op, mass, SolverConfig(k=9))
 
 
-@pytest.mark.xfail(strict=True, raises=EigenConvergenceError, reason=(
-    "RESIDUAL_TOL bounds |Lx - lambda Mx| / |Mx|, which carries the units of lambda: "
-    "the k=8 connection solve on an s=3 icosphere of radius 1e-3 returns residuals of "
-    "7e-8 to 1.3e-7 and raises, though r^2 lambda matches radius 1 to 3e-15 relative "
-    "and the residuals are 2e-14 to 1.1e-13 of lambda; at radius 1e6 a residual of "
-    "1e-8 against lambda_1 ~ 1e-12 would be certified"))
 def test_residual_certificate_is_scale_free():
+    # residuals are fractions of the operator scale: scaling the metric scales
+    # L and lambda alike and leaves them where they were
     scaled = []
-    for radius in (1e-3, 1.0):
+    for radius in (1e-3, 1.0, 1e6):
         mesh = generate_icosphere(radius, 3)
         res = smallest_eigenpairs(*connection_laplacian_1forms(mesh, build_connection(mesh)),
                                   SolverConfig(k=8))
+        assert np.all(res.residuals <= RESIDUAL_TOL)
         scaled.append(radius ** 2 * res.values)
     np.testing.assert_allclose(scaled[0], scaled[1], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(scaled[2], scaled[1], rtol=1e-12, atol=0.0)
 
 
 def test_nonconvergence_raises(torus16, monkeypatch):

@@ -134,16 +134,6 @@ def test_parallel_form_count_function_spectra():
     assert fn.zero_multiplicity() == 1  # constants
 
 
-def test_csv_export(tmp_path):
-    spec = S.sphere_oneform_rough_spectrum(1.0, 12.0)
-    path = tmp_path / "spec.csv"
-    S.spectrum_to_csv(spec, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "eigenvalue,multiplicity"
-    assert lines[1].startswith("1.0,")
-    assert len(lines) == 1 + len(spec.entries)
-
-
 def test_values_expansion():
     spec = S.sphere_oneform_rough_spectrum(1.0, 6.0)
     vals = spec.values()

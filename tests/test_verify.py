@@ -558,10 +558,21 @@ def test_run_suite_solves_each_pencil_once(tmp_path, monkeypatch):
     assert sorted(solves.values()) == [1] * 8
 
 
+_BRANCH_CUT = (
+    "operators.encode_tangent_field rescales the frame angle arctan2(w, u) in (-pi, pi], "
+    "so it jumps by 2 pi (scale - 1) where a field points against the reference edge: "
+    "on ico s=3 two such vertices of the rotation field flip sign with the rounding of "
+    "the radius, and the Killing quotient r^2 RQ reads 1.00580235 at radius 1 against "
+    "1.00573445 at 1e-3 and 1e6 (gap_lower_bound and both statuses agree)")
+
+
 @pytest.mark.parametrize("base, s", [
     ({"type": "icosphere", "radius": 1.0, "subdivisions": 2}, 3.0),
     ({"type": "flat_torus", "lx": TWO_PI, "ly": 4.0, "nx": 12, "ny": 10}, 2.5),
-], ids=["ico2", "torus12x10"])
+    *(pytest.param({"type": "icosphere", "radius": 1.0, "subdivisions": 3}, s,
+                   marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_BRANCH_CUT))
+      for s in (1e-3, 1e6)),
+], ids=["ico2", "torus12x10", "ico3_1e-3", "ico3_1e6"])
 def test_run_suite_is_scale_free(tmp_path, base, s):
     # scaling the metric by s scales eigenvalues by 1/s^2 and the diameter by s
     lengths = ("radius",) if "radius" in base else ("lx", "ly")
