@@ -60,8 +60,7 @@ def _cmd_bound(args) -> int:
                                 p_exponent=args.p, riem_2p=args.riem2p,
                                 ric_minus_p=args.ric_minus_p)
         consts = AbstractConstants(c_n=args.c_n, c_np=args.c_np, c0_np=args.c0_np)
-        b1, b2 = con.oneform_gap_branches(budget, consts, args.delta_branch,
-                                          args.corollary_variant)
+        b1, b2 = con.oneform_gap_branches(budget, consts)
     except ValueError as exc:
         flag = _BOUND_FLAGS.get(str(exc).split()[0], "bound")
         raise SpecError(f"{flag}: {exc}") from None
@@ -161,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-n", dest="c_n", type=float, default=1.0)
     p.add_argument("--c-np", dest="c_np", type=float, default=1.0)
     p.add_argument("--c0-np", dest="c0_np", type=float, default=1.0)
-    p.add_argument("--delta-branch", choices=["main", "secondary"], default="main")
-    p.add_argument("--corollary-variant", action="store_true")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("spectrum", help="smallest eigenvalues of a model manifold")

@@ -44,6 +44,7 @@ __all__ = [
     "moser_product_bound",
     "moser_product_partial",
     "moser_product_converged",
+    "MOSER_TAIL_TOL",
     "epsilon_threshold",
     "epsilon_branches",
     "gap_constant",
@@ -260,16 +261,19 @@ def _product_tail_bound(t: float, gamma: float, n_terms: int) -> float:
     return math.log1p(t) * geo + math.log(gamma) * lin
 
 
-def moser_product_converged(t: float, gamma: float, tail_tol: float = 1e-12) -> tuple[float, int]:
-    """Partial product with enough terms that the log-tail is below tail_tol.
+MOSER_TAIL_TOL = 1e-12  # bound on the dropped log-tail of a converged Moser product
+
+
+def moser_product_converged(t: float, gamma: float) -> tuple[float, int]:
+    """Partial product with enough terms that the log-tail is below MOSER_TAIL_TOL.
 
     Returns (value, n_terms).  The tail estimate is a rigorous upper bound,
-    so the returned value is the infinite product to within exp(tail_tol).
+    so the returned value is the infinite product to within exp(MOSER_TAIL_TOL).
     """
     if gamma <= 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     n_terms = 4
-    while _product_tail_bound(t, gamma, n_terms) >= tail_tol:
+    while _product_tail_bound(t, gamma, n_terms) >= MOSER_TAIL_TOL:
         n_terms *= 2
         if n_terms > 2 ** 24:
             raise RuntimeError("product tail does not fall below tolerance")
@@ -322,35 +326,26 @@ def epsilon_threshold(budget: GeometryBudget, lam: float, cs: float,
     return min(b1, b2)
 
 
-def gap_constant(n_half: float, p: float, delta_branch: str = "main",
+def gap_constant(n_half: float, p: float,
                  consts: AbstractConstants = AbstractConstants()) -> float:
     """Combined constant of the gap bound.
 
     Equals (4 c_np)^(-1/delta) / c0_np * exp(-c_n/delta) with
-    delta = 2pn/(p-n) on the main branch and 2pn/(p-n+pn) on the secondary
-    branch (n = half-dimension).  Decreasing in every abstract constant.
+    delta = 2pn/(p-n) (n = half-dimension).  Decreasing in every abstract constant.
     """
     if p <= n_half:
         raise ValueError(f"need p > n (half-dimension), got p={p}, n={n_half}")
-    if delta_branch == "main":
-        delta = 2.0 * p * n_half / (p - n_half)
-    elif delta_branch == "secondary":
-        delta = 2.0 * p * n_half / (p - n_half + p * n_half)
-    else:
-        raise ValueError(f"delta_branch must be 'main' or 'secondary', got {delta_branch!r}")
+    delta = 2.0 * p * n_half / (p - n_half)
     return ((4.0 * consts.c_np) ** (-1.0 / delta)
             / consts.c0_np * math.exp(-consts.c_n / delta))
 
 
 def oneform_gap_branches(budget: GeometryBudget,
-                         consts: AbstractConstants = AbstractConstants(),
-                         delta_branch: str = "main",
-                         corollary_variant: bool = False) -> tuple[float, float]:
+                         consts: AbstractConstants = AbstractConstants()) -> tuple[float, float]:
     """The two branches whose min lower-bounds sqrt(lambda_1^(1)) * D.
 
     branch1 = (Ct/(1+sqrt(K D^2)) * exp(-(2n-1) sqrt(kappa D^2)))^(2pn/(p-n))
-    branch2 = exp(-(2n-1) sqrt(kappa D^2))            (displayed form)
-            = Ct * exp(-(2n-1) sqrt(kappa D^2))       (corollary variant)
+    branch2 = exp(-(2n-1) sqrt(kappa D^2))
 
     with m = 2n the ambient dimension, K the L^{2p} curvature norm and
     Ct = gap_constant(n, p).  Requires even dimension, p > n and a finite branch1.
@@ -365,7 +360,7 @@ def oneform_gap_branches(budget: GeometryBudget,
     d = budget.diameter
     a = (2 * n - 1) * math.sqrt(budget.kappa) * d
     s = math.sqrt(budget.riem_2p) * d
-    ct = gap_constant(n, p, delta_branch, consts)
+    ct = gap_constant(n, p, consts)
     try:
         branch1 = (ct / (1.0 + s) * math.exp(-a)) ** (2.0 * p * n / (p - n))
     except OverflowError:
@@ -373,21 +368,19 @@ def oneform_gap_branches(budget: GeometryBudget,
     if branch1 == math.inf:  # Ct itself may have overflowed
         raise ValueError(f"c0_np {consts.c0_np!r} and c_np {consts.c_np!r} give the gap constant "
                          f"Ct={ct!r}, and branch1 = (Ct/(1+s) e^-a)^(2pn/(p-n)) overflows")
-    branch2 = math.exp(-a) * (ct if corollary_variant else 1.0)
+    branch2 = math.exp(-a)
     return branch1, branch2
 
 
 def oneform_gap_lower_bound(budget: GeometryBudget,
-                            consts: AbstractConstants = AbstractConstants(),
-                            delta_branch: str = "main",
-                            corollary_variant: bool = False) -> float:
+                            consts: AbstractConstants = AbstractConstants()) -> float:
     """Lower bound for sqrt(lambda_1^(1)) * D on even-dimensional manifolds.
 
     Min of the two branches of :func:`oneform_gap_branches`; dimensionless,
     monotone non-increasing in kappa and in the curvature norm, and at most 1
-    in the displayed form whenever kappa >= 0.
+    whenever kappa >= 0.
     """
-    b1, b2 = oneform_gap_branches(budget, consts, delta_branch, corollary_variant)
+    b1, b2 = oneform_gap_branches(budget, consts)
     return min(b1, b2)
 
 

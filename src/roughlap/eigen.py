@@ -1,4 +1,4 @@
-"""Smallest generalized eigenpairs of (L, M), certified and deterministic.
+"""Smallest generalized eigenpairs of (L, M), certified and repeatable within a process.
 
 L is sparse Hermitian positive semidefinite, M positive diagonal.  The
 pencil is whitened through M^(-1/2), solved densely up to ``DENSE_CUTOFF``
@@ -28,7 +28,8 @@ certificate are fractions of ``scale``, the whitened operator's 1-norm, so
 none changes when the metric is scaled.  Each returned pair (lambda, x) is
 certified in whitened coordinates: y = M^(1/2) x is a unit vector and
 |B y - lambda y| <= ``RESIDUAL_TOL`` * scale, else the solve raises,
-carrying the residuals.
+carrying the residuals.  Across processes the sparse route's values may
+differ at roundoff (see :func:`smallest_eigenpairs`).
 """
 
 from __future__ import annotations
@@ -121,9 +122,12 @@ def _unpack(L, M):
 def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenResult:
     """k smallest eigenpairs of L x = lambda M x, residual-certified.
 
-    Deterministic for a fixed config seed: the dense path is direct and the
-    ARPACK path uses a seeded start vector with tol=0 (machine-precision
-    Ritz convergence).
+    Within one process a fixed config seed gives bitwise equal results: the
+    dense path is direct and the ARPACK path uses a seeded start vector with
+    tol=0 (machine-precision Ritz convergence).  Across fresh processes the
+    sparse path's values may differ at roundoff, by up to 8.9e-18 * scale in
+    5 of 4,437 solves of a seed scan; the default spec's report has stayed
+    equal apart from its timestamp in every fresh-process run compared.
     """
     a, m = _unpack(L, M)
     n = a.shape[0]

@@ -65,7 +65,6 @@ ROOT_N = range(2, 9)
 ROOT_LAMBDAS = np.geomspace(1e-2, 10.0, 50)
 MOSER_T = (0.1, 1.0, 10.0, 100.0)
 MOSER_GAMMA = (1.1, 1.5, 2.0, 4.0)
-MOSER_TAIL_TOL = 1e-12
 WEITZENBOECK_K = 6  # real pairs: needs solver.k >= 3 complex ones
 KILLING_RQ_TOL = 0.02
 LIPSCHITZ_SLACK = 0.05
@@ -390,7 +389,7 @@ def check_moser_product_grid() -> CheckOutcome:
     points = 0
     for t in MOSER_T:
         for g in MOSER_GAMMA:
-            value, _ = con.moser_product_converged(t, g, MOSER_TAIL_TOL)
+            value, _ = con.moser_product_converged(t, g)
             bound = con.moser_product_bound(t, g)
             min_slack = min(min_slack, bound / value)
             if value > bound:
@@ -402,7 +401,7 @@ def check_moser_product_grid() -> CheckOutcome:
     return CheckOutcome(
         name="moser_product_grid", status="pass",
         measured={"points": points, "min_bound_over_product": min_slack},
-        bounds={"tail_tol": MOSER_TAIL_TOL},
+        bounds={"tail_tol": con.MOSER_TAIL_TOL},
         notes="partial products converged to tail below tolerance")
 
 
@@ -620,7 +619,7 @@ def _branch_switch_jump(budget: GeometryBudget, consts: AbstractConstants) -> fl
                          f"exp(-(2n-1) sqrt(kappa) D) = {math.exp(-a)!r} (kappa "
                          f"{budget.kappa!r}) must be normal doubles")
     ct_target = 2.0 * math.exp(a * (q - 1.0) / q)
-    ct_unit = con.gap_constant(n, p, "main", replace(consts, c0_np=1.0))
+    ct_unit = con.gap_constant(n, p, replace(consts, c0_np=1.0))
     probe = replace(consts, c0_np=ct_unit / ct_target)
     eps = 1e-12 * riem_star
     return abs(con.oneform_gap_lower_bound(replace(budget, riem_2p=riem_star - eps), probe)

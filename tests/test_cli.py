@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import roughlap
+from roughlap import constants as con
 from roughlap.cli import main
+from roughlap.constants import GeometryBudget
 
 TWO_PI = 2 * math.pi
 
@@ -35,10 +37,24 @@ def test_bound_reference_value(capsys):
     assert "active branch1" in out
 
 
-def test_bound_corollary_variant(capsys):
-    assert main(["bound", "--corollary-variant"]) == 0
-    b2 = float(capsys.readouterr().out.splitlines()[1].split()[1])
-    assert b2 == pytest.approx(4.0 ** (-1.0 / 8.0) * math.exp(-1.0 / 8.0), rel=1e-12)
+@pytest.mark.parametrize("argv, budget", [
+    ([], GeometryBudget(4, 0.0, 1.0, 4.0)),
+    (["--kappa", "0.3", "--riem2p", "2"], GeometryBudget(4, 0.3, 1.0, 4.0, riem_2p=2.0)),
+    (["--dim", "6", "--p", "4"], GeometryBudget(6, 0.0, 1.0, 4.0))],
+    ids=["default", "kappa_riem", "dim6"])
+def test_bound_prints_the_library_bound(capsys, argv, budget):
+    assert main(["bound", *argv]) == 0
+    rhs = capsys.readouterr().out.splitlines()[2]
+    assert rhs == f"rhs {con.oneform_gap_lower_bound(budget)!r}"
+
+
+@pytest.mark.parametrize("argv", [["--delta-branch", "secondary"], ["--corollary-variant"]],
+                         ids=["delta_branch", "corollary_variant"])
+def test_bound_has_no_variant_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_spectrum_torus(capsys, tmp_path):

@@ -256,14 +256,7 @@ def test_gap_constant_decreasing_in_each_constant():
     assert con.gap_constant(2, 4, consts=AbstractConstants(c0_np=2.0)) < base
 
 
-def test_gap_constant_branches_differ():
-    main = con.gap_constant(2, 4, "main")
-    secondary = con.gap_constant(2, 4, "secondary")
-    # deltas: main 2pn/(p-n) = 8, secondary 2pn/(p-n+pn) = 1.6; both positive
-    assert main > 0 and secondary > 0
-    assert main != secondary
-    with pytest.raises(ValueError):
-        con.gap_constant(2, 4, "other")
+def test_gap_constant_domain():
     with pytest.raises(ValueError):
         con.gap_constant(4, 4)  # p must exceed half-dimension
 
@@ -295,12 +288,6 @@ def test_gap_lower_bound_domain():
         con.oneform_gap_lower_bound(budget(dim=3, p=4.0))
     with pytest.raises(ValueError):
         con.oneform_gap_lower_bound(budget(dim=4, p=1.5))
-
-
-def test_gap_lower_bound_corollary_variant():
-    b = budget(dim=4, p=4.0)
-    b1, b2 = con.oneform_gap_branches(b, corollary_variant=True)
-    assert b2 == pytest.approx(GAP_CONSTANT_UNIT, rel=1e-14)
 
 
 def test_gap_lower_bound_continuous_at_branch_switch():

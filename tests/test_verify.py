@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from roughlap import constants as con
 from roughlap.constants import AbstractConstants
 from roughlap.eigen import SolverConfig
 from roughlap.mesh import FlatTorus, IcoSphere, ProductSpec
@@ -41,6 +42,7 @@ def test_moser_product_grid_default():
     assert out.status == "pass"
     assert out.measured["points"] == 16
     assert out.measured["min_bound_over_product"] > 1.0
+    assert out.bounds["tail_tol"] == con.MOSER_TAIL_TOL == 1e-12
 
 
 # -- mesh checks -----------------------------------------------------------------
