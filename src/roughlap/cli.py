@@ -85,6 +85,9 @@ def _cmd_spectrum(args) -> int:
         elif args.operator == "hodge":
             op, mass = hodge_laplacian_1forms(mesh)
             # the block pencil's two constants are swapped out below
+            if args.k > len(mass) - 3:
+                raise ValueError(f"--k {args.k}: the Hodge spectrum of this mesh allows "
+                                 f"--k up to {len(mass) - 3}")
             config = replace(config, k=config.k + 2)
         else:
             op, mass = connection_laplacian_1forms(mesh, build_connection(mesh))
@@ -104,11 +107,6 @@ def _cmd_spectrum(args) -> int:
         print(f"{float(value)!r} residual={float(residual)!r}")
     print(f"# clusters (rel gap {CLUSTER_GAP}):",
           [(v, c) for v, c in cluster_multiplicities(values)])
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("eigenvalue,residual\n")
-            for value, residual in zip(values, residuals):
-                fh.write(f"{float(value)!r},{float(residual)!r}\n")
     return 0
 
 
@@ -174,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ny", type=int, default=32)
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("verify", help="run a JSON experiment spec")

@@ -65,7 +65,8 @@ ROOT_N = range(2, 9)
 ROOT_LAMBDAS = np.geomspace(1e-2, 10.0, 50)
 MOSER_T = (0.1, 1.0, 10.0, 100.0)
 MOSER_GAMMA = (1.1, 1.5, 2.0, 4.0)
-WEITZENBOECK_K = 6  # real pairs: needs solver.k >= 3 complex ones
+WEITZENBOECK_K = 6  # real pairs, read from WEITZENBOECK_K // 2 connection pairs
+CONNECTION_K = 8  # complex pairs of each experiment's connection solve
 KILLING_RQ_TOL = 0.02
 LIPSCHITZ_SLACK = 0.05
 # pinching's rho reads one computed eigenvector, whose error is about its
@@ -222,11 +223,11 @@ def _fields(target, data, where: str, skip: int = 0, subject: str = "") -> dict:
     return kwargs
 
 
-def _bind(target, data, where: str, *args, subject: str = "", **defaults):
-    """``target(*args, **defaults, **data)`` for one spec object checked by
-    :func:`_fields`; a missing required field, or a ValueError from the call,
-    is a SpecError at ``where``.  ``subject`` names the target in messages."""
-    kwargs = {**defaults, **_fields(target, data, where, len(args), subject)}
+def _bind(target, data, where: str, *args, subject: str = ""):
+    """``target(*args, **data)`` for one spec object checked by :func:`_fields`;
+    a missing required field, or a ValueError from the call, is a SpecError
+    at ``where``.  ``subject`` names the target in messages."""
+    kwargs = _fields(target, data, where, len(args), subject)
     head = _head(where, subject)
     for name, param in list(inspect.signature(target).parameters.items())[len(args):]:
         if param.default is param.empty and name not in kwargs:
@@ -284,14 +285,14 @@ class ExperimentContext:
     """Caches the mesh, connection operators, and eigensolve per experiment.
 
     ``connection_eigen`` is the experiment's one connection solve, of
-    ``solver.k`` pairs whatever the check order; every check that needs
-    connection values reads it."""
+    CONNECTION_K pairs at the spec's ``seed`` whatever the check order; every
+    check that needs connection values reads it."""
 
-    def __init__(self, manifold, solver: SolverConfig,
+    def __init__(self, manifold, seed: int,
                  budget_spec: dict | None, consts: AbstractConstants,
                  where: str = "experiment"):
         self.manifold = manifold
-        self.solver = solver
+        self.solver = SolverConfig(k=CONNECTION_K, seed=seed)
         self.budget_spec = _fields(GeometryBudget, budget_spec, f"{where}.budget")
         self.consts = consts
         self.where = where  # spec location named by errors in lazy steps
@@ -329,7 +330,7 @@ class ExperimentContext:
         else:
             value = first_positive(self.connection_eigen())
         if value is None:
-            raise SpecError("no positive eigenvalue found; increase solver.k")
+            raise SpecError(f"no positive value in the CONNECTION_K={CONNECTION_K} pairs")
         return value
 
     def measured_diameter(self) -> float:
@@ -425,9 +426,6 @@ def check_weitzenboeck(ctx: ExperimentContext) -> CheckOutcome:
     solves its own pencils."""
     mesh = ctx.require_mesh("weitzenboeck")
     tolerance = 0.03 if isinstance(ctx.manifold, IcoSphere) else 0.05
-    if 2 * ctx.solver.k < WEITZENBOECK_K:
-        raise ValueError(f"solver.k={ctx.solver.k} is below {WEITZENBOECK_K // 2}: the check "
-                         f"compares {WEITZENBOECK_K} real pairs from the connection solve")
     rows = weitzenboeck_eigen_check(mesh, WEITZENBOECK_K, ctx.solver, ctx.connection_eigen())
     worst = max(r[3] for r in rows)
     ok = worst <= tolerance
@@ -720,7 +718,7 @@ def _registry_entry(check):
 CHECK_REGISTRY = {check.__name__.removeprefix("check_"): _registry_entry(check)
                   for check in _CHECKS}
 
-_EXPERIMENT_FIELDS = ("label", "manifold", "solver", "budget", "constants", "checks")
+_EXPERIMENT_FIELDS = ("label", "manifold", "budget", "constants", "checks")
 
 
 def _suite(experiments: list, seed: int = 0) -> tuple[list, int]:
@@ -732,9 +730,9 @@ def run_suite(spec_path: str | Path) -> Report:
     """Execute a JSON experiment spec and aggregate the outcomes.
 
     The file holds either one experiment object or {"experiments": [...]};
-    each experiment names a manifold (or null for grid-only checks), solver
-    settings, a geometry budget (missing diameter / curvature norms are
-    measured from the mesh), abstract constants, and the checks to run.
+    each experiment names a manifold (or null for grid-only checks), a
+    geometry budget (missing diameter / curvature norms are measured from the
+    mesh), abstract constants, and the checks to run.
     """
     spec_path = Path(spec_path)
     try:
@@ -762,9 +760,8 @@ def run_suite(spec_path: str | Path) -> Report:
                 raise SpecError(f"{where}: unknown field {key!r}")
         label = experiment.get("label", f"experiment{e_idx}")
         manifold = parse_manifold(experiment.get("manifold"), f"{where}.manifold")
-        solver = _bind(SolverConfig, experiment.get("solver"), f"{where}.solver", seed=seed)
         consts = _bind(AbstractConstants, experiment.get("constants"), f"{where}.constants")
-        ctx = ExperimentContext(manifold, solver, experiment.get("budget"), consts, where)
+        ctx = ExperimentContext(manifold, seed, experiment.get("budget"), consts, where)
         checks = experiment.get("checks", [])
         if not isinstance(checks, list):
             raise SpecError(f"{where}.checks: expected a list")

@@ -183,8 +183,7 @@ def test_criterion_06_killing_quotients(sphere5_bundle):
 
 def test_criterion_07_torus_kernel_branch(torus64_bundle):
     """Disjunction fires through the parallel kernel, real dimension exactly 2."""
-    ctx = V.ExperimentContext(M.FlatTorus(TWO_PI, TWO_PI, 64, 64),
-                              SolverConfig(k=8),
+    ctx = V.ExperimentContext(M.FlatTorus(TWO_PI, TWO_PI, 64, 64), 0,
                               {"dim": 4, "kappa": 0.0, "p_exponent": 4.0},
                               AbstractConstants())
     ctx._cache["mesh"] = torus64_bundle["mesh"]
@@ -259,7 +258,7 @@ def test_criterion_10_sphere_diameter():
 def test_criterion_11_lipschitz_battery():
     """Oscillation bound with 5% slack on all shipped test functions."""
     for manifold in (M.FlatTorus(TWO_PI, TWO_PI, 32, 32), M.IcoSphere(1.0, 4)):
-        ctx = V.ExperimentContext(manifold, SolverConfig(k=4),
+        ctx = V.ExperimentContext(manifold, 0,
                                   {"dim": 4, "p_exponent": 4.0},
                                   AbstractConstants())
         out = V.check_lipschitz(ctx)

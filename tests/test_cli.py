@@ -57,16 +57,24 @@ def test_bound_has_no_variant_flags(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_spectrum_torus(capsys, tmp_path):
-    csv = tmp_path / "eig.csv"
+def test_spectrum_torus(capsys):
     assert main(["spectrum", "--manifold", "flat_torus", "--nx", "12", "--ny", "12",
-                 "--k", "4", "--csv", str(csv)]) == 0
+                 "--k", "4"]) == 0
     out = capsys.readouterr().out
     assert "flat_torus" in out
     values = [float(ln.split()[0]) for ln in out.splitlines()
               if ln and not ln.startswith("#")]
     assert abs(values[0]) < 1e-9
-    assert csv.read_text().startswith("eigenvalue,residual")
+
+
+def test_spectrum_has_no_csv_flag(capsys, tmp_path):
+    # stdout prints every value and residual in full (repr)
+    with pytest.raises(SystemExit) as exit_:
+        main(["spectrum", "--manifold", "flat_torus", "--nx", "12", "--ny", "12",
+              "--csv", str(tmp_path / "x")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_spectrum_names_the_solver(capsys):
@@ -193,6 +201,13 @@ def test_spectrum_sphere_hodge(capsys):
     assert values[0] == pytest.approx(2.0, rel=0.02)
 
 
+def test_spectrum_hodge_runs_at_the_largest_k(capsys):
+    # the bound that `--k 30` is refused with: ico s=0 gives 29 Hodge values
+    assert main(["spectrum", "--manifold", "icosphere", "--subdiv", "0",
+                 "--operator", "hodge", "--k", "29"]) == 0
+    assert len(_printed_values(capsys.readouterr().out)) == 29
+
+
 def test_spectrum_torus_hodge(capsys):
     assert main(["spectrum", "--manifold", "flat_torus", "--nx", "12", "--ny", "12",
                  "--operator", "hodge", "--k", "4"]) == 0
@@ -237,8 +252,13 @@ def test_constants_and_bound_locate_bad_flags(capsys, argv, located):
      "k must be >= 1, got -1"),
     (["--manifold", "icosphere", "--subdiv", "-1"], "subdivisions must be >= 0, got -1"),
     (["--manifold", "flat_torus", "--nx", "2"], "torus needs nx, ny >= 3, got 2, 32"),
+    # the Hodge pencil of ico s=0 has dimension 32, two of its pairs are constants
+    (["--manifold", "icosphere", "--subdiv", "0", "--operator", "hodge", "--k", "31"],
+     "--k 31: the Hodge spectrum of this mesh allows --k up to 29\n"),
+    (["--manifold", "icosphere", "--subdiv", "0", "--operator", "hodge", "--k", "30"],
+     "--k 30: the Hodge spectrum of this mesh allows --k up to 29\n"),
 ], ids=["k_above_dimension", "k_zero", "hodge_k_zero", "hodge_k_negative", "negative_subdiv",
-        "torus_nx_two"])
+        "torus_nx_two", "hodge_k_above_dimension", "hodge_k_one_above"])
 def test_spectrum_locates_bad_flags(capsys, argv, located):
     assert main(["spectrum", *argv]) == 2
     assert f"spec error: {located}" in capsys.readouterr().err

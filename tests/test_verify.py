@@ -10,7 +10,6 @@ import pytest
 
 from roughlap import constants as con
 from roughlap.constants import AbstractConstants
-from roughlap.eigen import SolverConfig
 from roughlap.mesh import FlatTorus, IcoSphere, ProductSpec
 from roughlap import eigen
 from roughlap import operators as O
@@ -19,8 +18,8 @@ from roughlap import verify as V
 TWO_PI = 2 * math.pi
 
 
-def make_ctx(manifold, budget=None, k=8, consts=None):
-    return V.ExperimentContext(manifold, SolverConfig(k=k),
+def make_ctx(manifold, budget=None, consts=None):
+    return V.ExperimentContext(manifold, 0,
                                budget or {"dim": 4, "kappa": 0.0, "p_exponent": 4.0},
                                consts or AbstractConstants())
 
@@ -280,7 +279,6 @@ SMALL_SUITE = {
          "checks": ["root_sandwich_grid", "moser_product_grid"]},
         {"label": "t", "manifold": {"type": "flat_torus", "lx": TWO_PI,
                                     "ly": TWO_PI, "nx": 12, "ny": 12},
-         "solver": {"k": 6},
          "budget": {"dim": 4, "kappa": 0.0, "p_exponent": 4.0},
          "checks": ["harmonic_alternative", "pinching", "lipschitz"]},
     ],
@@ -358,9 +356,10 @@ def test_run_suite_bad_manifold(tmp_path):
 
 
 def test_run_suite_unknown_solver_setting(tmp_path):
-    # the shift-invert target is always the automatic one
+    # an experiment has no solver settings: the connection solve's pair count
+    # is verify.CONNECTION_K and its seed the spec's top-level seed
     path = write_spec(tmp_path, {"label": "x", "solver": {"shift": -0.1}, "checks": []})
-    with pytest.raises(V.SpecError, match=r"experiments\[0\]\.solver.*shift"):
+    with pytest.raises(V.SpecError, match=r"^experiments\[0\]: unknown field 'solver'$"):
         V.run_suite(path)
 
 
@@ -368,6 +367,8 @@ ICO1 = {"type": "icosphere", "radius": 1.0, "subdivisions": 1}
 TORUS8 = {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}
 RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "kappa": 0.0,
             "c": 1.0, "dim": 4, "has_nonparallel_harmonic": False}
+# an experiment's old solver object, whatever it holds, is one unknown field
+NO_SOLVER = r": unknown field 'solver'$"
 
 
 @pytest.mark.parametrize("experiment, where", [
@@ -379,7 +380,7 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
      r"checks\[0\].*gap_lower_bound.*kappa_ray_step"),
     ({"checks": [{"name": "rigidity_implication", "lambda1": 1.0}]},
      r"checks\[0\].*rigidity_implication.*missing"),
-    ({"solver": [1, 2], "checks": []}, r"solver: expected an object"),
+    ({"solver": [1, 2], "checks": []}, NO_SOLVER),
     ({"manifold": ICO1, "budget": {"p_exponent": "four"}, "checks": ["gap_lower_bound"]},
      r"budget.*four"),
     ({"manifold": dict(ICO1, radius=-1.0), "checks": ["lipschitz"]},
@@ -393,8 +394,7 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
                   "kappa": 0.0, "c": 1.0, "dim": 4, "has_nonparallel_harmonic": 0}]},
      r"checks\[0\]\.has_nonparallel_harmonic: .*expects bool, got 0"),
     ({"manifold": TORUS8, "budget": [0.0], "checks": []}, r"budget: expected an object"),
-    ({"manifold": TORUS8, "solver": {"k": 64}, "checks": ["killing_alternative"]},
-     r"checks\[0\]: check 'killing_alternative': k=64 must be below the dimension 64"),
+    ({"manifold": TORUS8, "solver": {"k": 64}, "checks": ["killing_alternative"]}, NO_SOLVER),
     ({"manifold": ICO1, "budget": {"dim": 4.7}, "checks": ["gap_lower_bound"]},
      r"budget\.dim: expected an integer, got 4\.7"),
     ({"manifold": dict(TORUS8, nx=8.7), "checks": ["lipschitz"]},
@@ -422,12 +422,9 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
      r"manifold: factors: expected exactly two, got 0$"),
     ({"manifold": {"type": "product", "factors": 3}, "checks": ["gap_lower_bound"]},
      r"manifold\.factors: expected a list of two manifold objects, got 3$"),
-    ({"manifold": ICO1, "solver": {"k": True}, "checks": ["killing_alternative"]},
-     r"solver\.k: expected int, got True$"),
-    ({"manifold": ICO1, "solver": {"k": 6.5}, "checks": ["killing_alternative"]},
-     r"solver\.k: expected an integer, got 6\.5$"),
-    ({"manifold": ICO1, "solver": {"seed": 1.5}, "checks": ["killing_alternative"]},
-     r"solver\.seed: expected an integer, got 1\.5$"),
+    ({"manifold": ICO1, "solver": {"k": True}, "checks": ["killing_alternative"]}, NO_SOLVER),
+    ({"manifold": ICO1, "solver": {"k": 6.5}, "checks": ["killing_alternative"]}, NO_SOLVER),
+    ({"manifold": ICO1, "solver": {"seed": 1.5}, "checks": ["killing_alternative"]}, NO_SOLVER),
     ({"manifold": TORUS8, "budget": {"kappa": True}, "checks": ["harmonic_alternative"]},
      r"budget\.kappa: expected float, got True$"),
     ({"manifold": ICO1, "budget": {"diamter": 100}, "checks": ["gap_lower_bound"]},
@@ -453,11 +450,10 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
      r"checks\[0\]\.lambda1: check 'rigidity_implication' expects float, got nan$"),
     ({"manifold": ICO1, "checks": [{"name": "pinching", "ctx": 1}]},
      r"checks\[0\]: check 'pinching': unknown field 'ctx'$"),
-    ({"solver": {"tol": 1e-8}, "checks": []}, r"solver: unknown field 'tol'$"),
-    ({"solver": {"max_iter": 4000}, "checks": []}, r"solver: unknown field 'max_iter'$"),
-    ({"solver": {"dense_cutoff": 0}, "checks": []}, r"solver: unknown field 'dense_cutoff'$"),
-    ({"manifold": TORUS8, "solver": {"k": 2}, "checks": ["weitzenboeck"]},
-     r"checks\[0\]: check 'weitzenboeck': solver\.k=2 is below 3: "),
+    ({"solver": {"tol": 1e-8}, "checks": []}, NO_SOLVER),
+    ({"solver": {"max_iter": 4000}, "checks": []}, NO_SOLVER),
+    ({"solver": {"dense_cutoff": 0}, "checks": []}, NO_SOLVER),
+    ({"manifold": TORUS8, "solver": {"k": 2}, "checks": ["weitzenboeck"]}, NO_SOLVER),
 ], ids=["unknown_param", "deleted_slack", "deleted_ray_step", "missing_param",
         "solver_list", "budget_text", "negative_radius", "radius_text",
         "budget_kappa_text", "param_k_text", "param_bool_as_int", "budget_list",
@@ -472,8 +468,10 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
         "param_ctx", "solver_tol", "solver_max_iter", "solver_dense_cutoff",
         "weitzenboeck_k_above_twice_solver_k"])
 def test_run_suite_locates_bad_input(tmp_path, experiment, where):
+    # a location opening with ":" is the experiment itself, not one of its fields
+    at = where if where.startswith(":") else r"\." + where
     path = write_spec(tmp_path, {"experiments": [{"label": "x"}, dict(experiment, label="y")]})
-    with pytest.raises(V.SpecError, match=r"^experiments\[1\]\." + where):
+    with pytest.raises(V.SpecError, match=r"^experiments\[1\]" + at):
         V.run_suite(path)
 
 
@@ -516,9 +514,9 @@ def test_run_suite_locates_bad_top_level(tmp_path, spec, located):
 
 def test_integral_numbers_fit_int_fields(tmp_path):
     reports = []
-    for seed, nx, k, dim in ((3, 8, 8, 4), (3.0, 8.0, 8.0, 4.0)):
+    for seed, nx, dim in ((3, 8, 4), (3.0, 8.0, 4.0)):
         path = write_spec(tmp_path, {
-            "seed": seed, "label": "t", "manifold": dict(TORUS8, nx=nx), "solver": {"k": k},
+            "seed": seed, "label": "t", "manifold": dict(TORUS8, nx=nx),
             "checks": ["weitzenboeck", "killing_alternative", dict(RIGIDITY, dim=dim)]})
         report = V.run_suite(path).as_dict()
         del report["created"], report["suite"]
@@ -558,6 +556,28 @@ def test_run_suite_solves_each_pencil_once(tmp_path, monkeypatch):
     V.run_suite(path)
     # per experiment: connection and Hodge pencils, at this level and the coarser one
     assert sorted(solves.values()) == [1] * 8
+
+
+def test_connection_k_fits_the_smallest_meshes(tmp_path, monkeypatch):
+    # CONNECTION_K pairs fit the 9-vertex torus and the 12-vertex ico s=0, and
+    # cover the connection pairs the Weitzenboeck check reads
+    assert V.CONNECTION_K >= V.WEITZENBOECK_K // 2
+    contexts = []
+
+    class RecordingContext(V.ExperimentContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(V, "ExperimentContext", RecordingContext)
+    checks = ["weitzenboeck", "harmonic_alternative", "killing_alternative", "pinching",
+              "lipschitz", "gap_lower_bound"]
+    path = write_spec(tmp_path, {"experiments": [
+        {"label": "t", "manifold": dict(TORUS8, nx=3, ny=3), "checks": checks},
+        {"label": "s", "manifold": dict(ICO1, subdivisions=0), "checks": checks}]})
+    report = V.run_suite(path)
+    assert len(report.outcomes) == 2 * (len(checks) + 1)  # gap_lower_bound gives two
+    assert [len(ctx.connection_eigen().values) for ctx in contexts] == [V.CONNECTION_K] * 2
 
 
 _BRANCH_CUT = (
@@ -605,7 +625,6 @@ def test_reported_outcomes_do_not_fail_suite(tmp_path):
     path = write_spec(tmp_path, {
         "label": "s", "manifold": {"type": "icosphere", "radius": 1.0,
                                    "subdivisions": 1},
-        "solver": {"k": 6},
         "budget": {"dim": 4, "kappa": 0.0, "p_exponent": 4.0},
         "checks": ["harmonic_alternative", "pinching"]})
     report = V.run_suite(path)
