@@ -16,7 +16,7 @@ from roughlap.constants import AbstractConstants
 from roughlap.mesh import FlatTorus, IcoSphere
 from roughlap.verify import ExperimentContext, check_gap_lower_bound, check_pinching
 
-BUDGET = {"dim": 4, "kappa": 0.0, "p_exponent": 4.0, "ric_minus_p": 0.0}
+BUDGET = {"dim": 4, "kappa": 0.0, "p_exponent": 4.0}
 
 for manifold in (FlatTorus(2 * math.pi, 2 * math.pi, 24, 24), IcoSphere(1.0, 3)):
     ctx = ExperimentContext(manifold, 0, BUDGET, AbstractConstants())

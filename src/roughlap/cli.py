@@ -50,15 +50,14 @@ def _cmd_constants(args) -> int:
 # The `bound` flag that sets each GeometryBudget and AbstractConstants field;
 # their range errors open with the name of the field they reject.
 _BOUND_FLAGS = {"dim": "--dim", "kappa": "--kappa", "diameter": "--diameter",
-                "p_exponent": "--p", "riem_2p": "--riem2p", "ric_minus_p": "--ric-minus-p",
+                "p_exponent": "--p", "riem_2p": "--riem2p",
                 "c_n": "--c-n", "c_np": "--c-np", "c0_np": "--c0-np"}
 
 
 def _cmd_bound(args) -> int:
     try:
         budget = GeometryBudget(dim=args.dim, kappa=args.kappa, diameter=args.diameter,
-                                p_exponent=args.p, riem_2p=args.riem2p,
-                                ric_minus_p=args.ric_minus_p)
+                                p_exponent=args.p, riem_2p=args.riem2p)
         consts = AbstractConstants(c_n=args.c_n, c_np=args.c_np, c0_np=args.c0_np)
         b1, b2 = con.oneform_gap_branches(budget, consts)
     except ValueError as exc:
@@ -153,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--diameter", type=float, default=1.0)
     p.add_argument("--riem2p", type=float, default=0.0)
-    p.add_argument("--ric-minus-p", type=float, default=0.0)
     p.add_argument("--p", type=float, default=4.0)
     p.add_argument("--c-n", dest="c_n", type=float, default=1.0)
     p.add_argument("--c-np", dest="c_np", type=float, default=1.0)

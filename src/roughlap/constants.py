@@ -12,7 +12,7 @@ evaluates:
   Sobolev constant ``C_s`` of ``|f|_{2n/(n-2)} <= |f|_2 + C_s |df|_2``.
 * Moser product ``prod_i (1 + t gamma^(i+1))^(1/gamma^(i+1))``, to a certified
   tail (``moser_product_converged``) and its majorant ``moser_product_bound``.
-* ``epsilon_threshold`` is the dimensionless pinching threshold: when it is
+* ``epsilon_threshold`` is the pinching threshold (C_s from ``sobolev_cs``):
   below 1/2 the first eigenform is nowhere vanishing, which is impossible on
   an even-dimensional manifold with nonzero Euler characteristic; inverting
   that contradiction yields the gap bound ``oneform_gap_lower_bound``.
@@ -57,14 +57,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeometryBudget:
-    """Hypothesis package feeding every bound.
+    """The estimate's hypotheses -- Ricci lower bound, diameter bound, curvature norm.
 
     dim          ambient dimension m (for the gap bound m = 2n must be even)
     kappa        Ricci lower-bound parameter, Ric >= -(m-1)*kappa, kappa >= 0
     diameter     diameter upper bound D > 0
     p_exponent   integrability exponent p of the curvature norms
     riem_2p      normalized L^{2p} norm of the full curvature tensor
-    ric_minus_p  normalized L^p norm of the negative part of Ricci
     """
 
     dim: int
@@ -72,7 +71,6 @@ class GeometryBudget:
     diameter: float
     p_exponent: float
     riem_2p: float = 0.0
-    ric_minus_p: float = 0.0
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -81,9 +79,8 @@ class GeometryBudget:
             raise ValueError(f"diameter must be positive and finite, got {self.diameter}")
         if not 0 <= self.kappa < math.inf:
             raise ValueError(f"kappa must be >= 0 and finite, got {self.kappa}")
-        for name in ("riem_2p", "ric_minus_p"):
-            if not 0 <= (value := getattr(self, name)) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        if not 0 <= self.riem_2p < math.inf:
+            raise ValueError(f"riem_2p must be nonnegative and finite, got {self.riem_2p}")
         if not 0 < self.p_exponent < math.inf:
             raise ValueError(f"p_exponent must be positive and finite, got {self.p_exponent}")
 
@@ -280,11 +277,11 @@ def moser_product_converged(t: float, gamma: float) -> tuple[float, int]:
     return moser_product_partial(t, gamma, n_terms), n_terms
 
 
-def epsilon_branches(budget: GeometryBudget, lam: float, cs: float,
+def epsilon_branches(budget: GeometryBudget, lam: float,
                      consts: AbstractConstants = AbstractConstants()) -> tuple[float, float]:
     """Both branches of the dimensionless pinching threshold (see epsilon_threshold).
 
-    The Moser ladder in n = dim has B = lam + |Ric^-|_p + |Riem|_2p,
+    The Moser ladder in n = dim has B = lam + |Riem|_2p, C_s = sobolev_cs(budget, consts),
     t = 4 C_s sqrt(B) sqrt(1 + B D^2), alpha = 2pn/(2p-n) and beta = 2pn/(2p-n+pn).
     With x = sqrt(lam) D the branches are c_np (1+sqrt(t))^alpha x and
     c_np (1+sqrt(t))^beta x^(beta/alpha) exp(c_np sqrt(lam) C_s).  Needs n > 2
@@ -300,7 +297,8 @@ def epsilon_branches(budget: GeometryBudget, lam: float, cs: float,
         raise ValueError(f"iteration ladder needs dim > 2, got {n}")
     if 2 * p <= n:
         raise ValueError(f"iteration ladder needs 2p > dim, got p={p}, dim={n}")
-    b = lam + budget.ric_minus_p + budget.riem_2p
+    cs = sobolev_cs(budget, consts)
+    b = lam + budget.riem_2p
     t = 4.0 * cs * math.sqrt(b) * math.hypot(1.0, math.sqrt(b) * budget.diameter)
     alpha = 2.0 * p * n / (2.0 * p - n)
     beta = 2.0 * p * n / (2.0 * p - n + p * n)
@@ -313,7 +311,7 @@ def epsilon_branches(budget: GeometryBudget, lam: float, cs: float,
     return b1, b2
 
 
-def epsilon_threshold(budget: GeometryBudget, lam: float, cs: float,
+def epsilon_threshold(budget: GeometryBudget, lam: float,
                       consts: AbstractConstants = AbstractConstants()) -> float:
     """Dimensionless pinching threshold: the min of :func:`epsilon_branches`, which
     bounds D |grad theta|_inf for an eigenform theta of unit L^2 norm.
@@ -322,7 +320,7 @@ def epsilon_threshold(budget: GeometryBudget, lam: float, cs: float,
     (inf/sup >= 1 - 2 eps) and in particular nowhere zero.  Both branches
     vanish with sqrt(lam D^2), so eps -> 0 as lam -> 0.
     """
-    b1, b2 = epsilon_branches(budget, lam, cs, consts)
+    b1, b2 = epsilon_branches(budget, lam, consts)
     return min(b1, b2)
 
 
@@ -388,6 +386,10 @@ def li_yau_threshold(diameter: float, kappa: float, c: float) -> float:
     """The Li-Yau threshold c * exp(-c sqrt(kappa) D)."""
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
+    if not 0 < diameter < math.inf:
+        raise ValueError(f"diameter must be positive and finite, got {diameter}")
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be >= 0 and finite, got {kappa}")
     return c * math.exp(-c * math.sqrt(kappa) * diameter)
 
 

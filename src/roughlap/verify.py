@@ -409,9 +409,11 @@ def check_moser_product_grid() -> CheckOutcome:
 # -- mesh checks --------------------------------------------------------------
 
 def _coarser(manifold):
+    """The next-coarser model mesh, or None where the input is the coarsest."""
     if isinstance(manifold, FlatTorus):
-        return FlatTorus(manifold.lx, manifold.ly,
-                         max(manifold.nx // 2, 3), max(manifold.ny // 2, 3))
+        coarse = FlatTorus(manifold.lx, manifold.ly,
+                           max(manifold.nx // 2, 3), max(manifold.ny // 2, 3))
+        return None if coarse == manifold else coarse
     if isinstance(manifold, IcoSphere):
         if manifold.subdivisions < 1:
             return None
@@ -448,15 +450,15 @@ def check_weitzenboeck(ctx: ExperimentContext) -> CheckOutcome:
 
 
 def check_harmonic_alternative(ctx: ExperimentContext) -> CheckOutcome:
-    """With b1 > 0 and Ric >= -kappa (the budget's): parallel forms exist or the
-    gap is <= kappa.  Flat tori take the first branch; b1 = 0 is not applicable."""
+    """With b1 > 0 and Ric >= -kappa (``ctx.budget()``'s): parallel forms exist or
+    the gap is <= kappa.  Flat tori take the first branch; b1 = 0 is not applicable."""
     mesh = ctx.require_mesh("harmonic_alternative")
+    kappa = ctx.budget().kappa
     b1 = 2 - euler_characteristic(mesh)
     if b1 <= 0:
         return CheckOutcome(name="harmonic_alternative", status="reported",
                             measured={"b1": b1},
                             notes="not applicable: first Betti number is zero")
-    kappa = ctx.budget_spec.get("kappa", BUDGET_DEFAULTS["kappa"])
     result = ctx.connection_eigen()
     zero_dim_real = 2 * int(np.sum(result.values <= KERNEL_TOL * result.scale))
     fp = first_positive(result)
@@ -525,7 +527,7 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
     cs = eps = math.inf  # unless they fit in a double
     try:
         cs = con.sobolev_cs(budget, ctx.consts)
-        eps = con.epsilon_threshold(budget, lam, cs, ctx.consts)
+        eps = con.epsilon_threshold(budget, lam, ctx.consts)
     except OverflowError:
         pass
     mag2 = np.abs(z) ** 2
@@ -675,6 +677,10 @@ def rigidity_implication(lambda1: float, diameter: float, kappa: float,
     reporting one under those conditions fails the gate.  A curvature term
     beyond the largest double is reported as null.
     """
+    if not 0 <= lambda1 < math.inf:
+        raise ValueError(f"lambda1 must be nonnegative and finite, got {lambda1}")
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
     predicate = con.li_yau_predicate(lambda1, diameter, kappa, c)
     threshold = con.li_yau_threshold(diameter, kappa, c)
     curvature = (dim - 1) * kappa * diameter * diameter

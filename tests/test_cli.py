@@ -48,8 +48,10 @@ def test_bound_prints_the_library_bound(capsys, argv, budget):
     assert rhs == f"rhs {con.oneform_gap_lower_bound(budget)!r}"
 
 
-@pytest.mark.parametrize("argv", [["--delta-branch", "secondary"], ["--corollary-variant"]],
-                         ids=["delta_branch", "corollary_variant"])
+# the bound has one formula, and its budget only the estimate's hypotheses (no |Ric^-|_p)
+@pytest.mark.parametrize("argv", [["--delta-branch", "secondary"], ["--corollary-variant"],
+                                  ["--ric-minus-p", "0"]],
+                         ids=["delta_branch", "corollary_variant", "ric_minus_p"])
 def test_bound_has_no_variant_flags(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["bound", *argv])
@@ -226,7 +228,6 @@ def test_spectrum_torus_hodge(capsys):
     (["bound", "--dim", "3"], "--dim: dim must be even and >= 4"),
     (["bound", "--diameter", "-1"], "--diameter: diameter must be positive"),
     (["bound", "--p", "1"], "--p: p_exponent must exceed the half-dimension 2"),
-    (["bound", "--ric-minus-p", "-1"], "--ric-minus-p: ric_minus_p must be nonnegative"),
     (["bound", "--c0-np", "0"], "--c0-np: c0_np must be strictly positive"),
     (["bound", "--diameter", "nan"], "--diameter: diameter must be positive and finite, got nan"),
     (["bound", "--diameter", "inf"], "--diameter: diameter must be positive and finite, got inf"),
@@ -235,7 +236,7 @@ def test_spectrum_torus_hodge(capsys):
     (["bound", "--c0-np", "1e-300"],
      "--c0-np: c0_np 1e-300 and c_np 1.0 give the gap constant Ct=7.42"),
 ], ids=["lambda_zero", "n_one", "root_overflow", "odd_dim", "negative_diameter",
-        "small_p", "negative_ric", "zero_c0", "nan_diameter", "inf_diameter", "nan_kappa",
+        "small_p", "zero_c0", "nan_diameter", "inf_diameter", "nan_kappa",
         "nan_c_n", "gap_overflow"])
 def test_constants_and_bound_locate_bad_flags(capsys, argv, located):
     assert main(argv) == 2

@@ -13,9 +13,9 @@ from roughlap import constants as con
 from roughlap.constants import AbstractConstants, GeometryBudget
 
 
-def budget(dim=4, kappa=0.0, diameter=1.0, p=4.0, riem=0.0, ric=0.0):
+def budget(dim=4, kappa=0.0, diameter=1.0, p=4.0, riem=0.0):
     return GeometryBudget(dim=dim, kappa=kappa, diameter=diameter,
-                          p_exponent=p, riem_2p=riem, ric_minus_p=ric)
+                          p_exponent=p, riem_2p=riem)
 
 
 # -- sine integral and floor coefficient -------------------------------------
@@ -161,21 +161,24 @@ def test_sobolev_cs_monotone():
 
 # -- Moser machinery ------------------------------------------------------------
 
-def test_moser_parameters_example():
+def test_epsilon_branches_example():
     # dim 4, p 4, lam 1, C_s 1: t = 4 sqrt(2), alpha = 8, beta = 1.6
+    b = budget(dim=4, p=4.0)
+    assert con.sobolev_cs(b) == 1.0
     base = 1.0 + math.sqrt(4.0 * math.sqrt(2.0))
-    b1, b2 = con.epsilon_branches(budget(dim=4, p=4.0), lam=1.0, cs=1.0)
+    b1, b2 = con.epsilon_branches(b, lam=1.0)
     assert b1 == pytest.approx(base ** 8, rel=1e-14)
     assert b2 == pytest.approx(base ** 1.6 * math.e, rel=1e-14)
 
 
-def test_moser_parameters_domain():
+def test_epsilon_branches_domain():
+    # the ladder's own errors come first, before sobolev_cs's own dim <= 2 error
     with pytest.raises(ValueError, match="dim > 2"):
-        con.epsilon_branches(budget(dim=2, p=4.0), 1.0, 1.0)
+        con.epsilon_branches(budget(dim=2, p=4.0), 1.0)
     with pytest.raises(ValueError, match="2p > dim"):
-        con.epsilon_branches(budget(dim=4, p=1.5), 1.0, 1.0)
+        con.epsilon_branches(budget(dim=4, p=1.5), 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        con.epsilon_branches(budget(dim=4, p=4.0), -1.0, 1.0)
+        con.epsilon_branches(budget(dim=4, p=4.0), -1.0)
 
 
 def test_moser_product_bound_limit():
@@ -218,26 +221,27 @@ def test_moser_product_converged_below_bound_grid():
 def test_gradient_branches_crossover_exists():
     # fixed ladder, unit constants: branch1 - branch2 changes sign in lambda
     b = budget(dim=4, p=4.0)
-    cs = 1.0
+    assert con.sobolev_cs(b) == 1.0
 
     def diff(lam):
-        b1, b2 = con.epsilon_branches(b, lam, cs)
+        b1, b2 = con.epsilon_branches(b, lam)
         return b1 - b2
 
     assert diff(1e-9) < 0          # tiny lambda: branch1 below
     assert diff(0.5) > 0           # moderate lambda: branch2 below
     crossing = brentq(diff, 1e-9, 0.5)
     assert 0 < crossing < 0.5
-    b1, b2 = con.epsilon_branches(b, crossing, cs)
+    b1, b2 = con.epsilon_branches(b, crossing)
     assert b1 == pytest.approx(b2, rel=1e-9)
 
 
 def test_epsilon_threshold_vanishes_with_lambda():
     b = budget(dim=4, p=4.0)
-    assert con.epsilon_threshold(b, 0.0, 1.0) == 0.0
-    tiny = con.epsilon_threshold(b, 1e-20, 1.0)
+    assert con.sobolev_cs(b) == 1.0
+    assert con.epsilon_threshold(b, 0.0) == 0.0
+    tiny = con.epsilon_threshold(b, 1e-20)
     assert 0 < tiny < 1e-9
-    assert con.epsilon_threshold(b, 1e-10, 1.0) > tiny
+    assert con.epsilon_threshold(b, 1e-10) > tiny
 
 
 # -- gap bound -----------------------------------------------------------------
@@ -343,10 +347,10 @@ def test_abstract_constants_validation():
         AbstractConstants(c0_np=-1.0)
 
 
-@pytest.mark.parametrize("field", ["diameter", "kappa", "p", "riem", "ric"])
+@pytest.mark.parametrize("field", ["diameter", "kappa", "p", "riem"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_budget_rejects_non_finite(field, value):
-    name = {"p": "p_exponent", "riem": "riem_2p", "ric": "ric_minus_p"}.get(field, field)
+    name = {"p": "p_exponent", "riem": "riem_2p"}.get(field, field)
     with pytest.raises(ValueError, match=rf"^{name} must be .* and finite, got"):
         budget(**{field: value})
 

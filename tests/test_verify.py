@@ -66,6 +66,14 @@ def test_weitzenboeck_check_sphere_refines(sphere_ctx):
     assert out.measured["max_residual"] < out.measured["max_residual_coarse"]
 
 
+def test_weitzenboeck_check_coarsest_torus_has_no_coarser_level():
+    # halving a 3x3 torus gives the 3x3 torus again, which is no coarser level
+    assert V._coarser(FlatTorus(TWO_PI, TWO_PI, 3, 3)) is None
+    out = V.check_weitzenboeck(make_ctx(FlatTorus(TWO_PI, TWO_PI, 3, 3)))
+    assert "max_residual_coarse" not in out.measured
+    assert "refinement" not in out.notes
+
+
 def test_weitzenboeck_check_uses_the_context_connection(monkeypatch):
     ctx = make_ctx(FlatTorus(TWO_PI, TWO_PI, 8, 8))
     ctx.connection()
@@ -454,6 +462,24 @@ NO_SOLVER = r": unknown field 'solver'$"
     ({"solver": {"max_iter": 4000}, "checks": []}, NO_SOLVER),
     ({"solver": {"dense_cutoff": 0}, "checks": []}, NO_SOLVER),
     ({"manifold": TORUS8, "solver": {"k": 2}, "checks": ["weitzenboeck"]}, NO_SOLVER),
+    ({"manifold": ICO1, "budget": {"ric_minus_p": 0.0}, "checks": ["gap_lower_bound"]},
+     r"budget: unknown field 'ric_minus_p'$"),
+    # harmonic_alternative reads the validated budget, whatever b1 is
+    ({"manifold": TORUS8, "budget": {"kappa": -1.0}, "checks": ["harmonic_alternative"]},
+     r"budget: kappa must be >= 0 and finite, got -1\.0$"),
+    ({"manifold": ICO1, "budget": {"kappa": -1.0}, "checks": ["harmonic_alternative"]},
+     r"budget: kappa must be >= 0 and finite, got -1\.0$"),
+    # rigidity hypotheses outside the contract, even with a form that would contradict them
+    ({"checks": [dict(RIGIDITY, diameter=-1.0, has_nonparallel_harmonic=True)]},
+     r"checks\[0\]: check 'rigidity_implication': diameter must be positive and finite, "
+     r"got -1\.0$"),
+    ({"checks": [dict(RIGIDITY, lambda1=-1.0, has_nonparallel_harmonic=True)]},
+     r"checks\[0\]: check 'rigidity_implication': lambda1 must be nonnegative and finite, "
+     r"got -1\.0$"),
+    ({"checks": [dict(RIGIDITY, kappa=-1.0, has_nonparallel_harmonic=True)]},
+     r"checks\[0\]: check 'rigidity_implication': kappa must be >= 0 and finite, got -1\.0$"),
+    ({"checks": [dict(RIGIDITY, dim=1, has_nonparallel_harmonic=True)]},
+     r"checks\[0\]: check 'rigidity_implication': dim must be >= 2, got 1$"),
 ], ids=["unknown_param", "deleted_slack", "deleted_ray_step", "missing_param",
         "solver_list", "budget_text", "negative_radius", "radius_text",
         "budget_kappa_text", "param_k_text", "param_bool_as_int", "budget_list",
@@ -466,7 +492,10 @@ NO_SOLVER = r": unknown field 'solver'$"
         "budget_diameter_null", "budget_p_below_half", "budget_negative_kappa",
         "constants_bool", "gap_overflow", "param_k_fraction", "param_nan",
         "param_ctx", "solver_tol", "solver_max_iter", "solver_dense_cutoff",
-        "weitzenboeck_k_above_twice_solver_k"])
+        "weitzenboeck_k_above_twice_solver_k", "budget_ric_minus_p",
+        "harmonic_negative_kappa_torus", "harmonic_negative_kappa_b1_zero",
+        "rigidity_negative_diameter", "rigidity_negative_lambda1", "rigidity_negative_kappa",
+        "rigidity_dim_one"])
 def test_run_suite_locates_bad_input(tmp_path, experiment, where):
     # a location opening with ":" is the experiment itself, not one of its fields
     at = where if where.startswith(":") else r"\." + where
