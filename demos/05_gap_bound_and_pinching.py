@@ -26,13 +26,10 @@ for manifold in (FlatTorus(2 * math.pi, 2 * math.pi, 24, 24), IcoSphere(1.0, 3))
     print(f"  pinching: status={pinch.status}, eps={m['eps']:.4g}, "
           f"rho={m['rho']:.4g}, lambda={m['lambda']:.4g}")
     print(f"  Kato-inequality fraction: {m['kato_fraction']:.3f}")
-    reported, structure = check_gap_lower_bound(ctx)
-    r = reported.measured
+    r = check_gap_lower_bound(ctx).measured
     print(f"  gap bound: sqrt(lambda1)*D = {r['sqrt_lambda1_times_D']:.4f}, "
           f"rhs = {r['rhs']:.4e} ({r['active_branch']}), "
           f"ratio = {r['ratio']:.4g}")
-    print(f"  structure: {structure.status} "
-          f"(branch-switch jump {structure.measured['branch_switch_jump']:.1e})")
     print()
 
 print("ratios >> 1 are expected: the bound holds at any admissible abstract")

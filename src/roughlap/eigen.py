@@ -34,6 +34,7 @@ differ at roundoff (see :func:`smallest_eigenpairs`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,16 +138,26 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     b = sp.diags(d_inv_sqrt) @ a @ sp.diags(d_inv_sqrt)
     b = ((b + b.getH()) * 0.5).tocsr()
     scale = float(sp.linalg.norm(b, 1))
+    # the solve runs on B / 2^e, 2^e the power of two nearest scale: exact in
+    # floating point, and it keeps ARPACK's absolute convergence floor at one
+    # fraction of scale whatever the size of the metric
+    unit = 2.0 ** round(math.log2(scale)) if 0 < scale < math.inf else 1.0
+    b = b / unit
 
-    if n <= DENSE_CUTOFF:
-        vals, vecs = eigh(b.toarray(order="F"), subset_by_index=[0, config.k - 1],
-                          overwrite_a=True)
-        iterations = fill = 0
-    else:
-        vals, vecs, iterations, fill = _shift_invert(b, config, scale)
+    try:
+        if n <= DENSE_CUTOFF:
+            vals, vecs = eigh(b.toarray(order="F"), subset_by_index=[0, config.k - 1],
+                              overwrite_a=True)
+            iterations = fill = 0
+        else:
+            vals, vecs, iterations, fill = _shift_invert(b, config, scale / unit)
+    except EigenConvergenceError as exc:
+        exc.values = None if exc.values is None else exc.values * unit
+        raise
 
     # both routes return orthonormal whitened vectors y; x = M^(-1/2) y
-    residuals = np.linalg.norm(b @ vecs - vecs * vals, axis=0) / scale
+    residuals = np.linalg.norm(b @ vecs - vecs * vals, axis=0) / (scale / unit)
+    vals = vals * unit
     if not np.all(residuals <= RESIDUAL_TOL):
         raise EigenConvergenceError(
             f"residuals {residuals} of the operator scale exceed tol {RESIDUAL_TOL}",

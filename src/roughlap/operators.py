@@ -304,7 +304,7 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
     connection is built, assembled and solved here.  Returns rows
     (mu_i, lambda_i, K, relative mismatch).
     """
-    from roughlap.eigen import SolverConfig, smallest_eigenpairs
+    from roughlap.eigen import KERNEL_TOL, SolverConfig, smallest_eigenpairs
 
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -326,12 +326,12 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
     res_hodge = smallest_eigenpairs(l_hodge, m_hodge, replace(config, k=k + 2))
     hodge = hodge_eigenvalues(mesh, res_hodge.values)[:k]
 
-    span = max(abs(hodge[-1]), abs(rough[-1]) + abs(shift), 1e-30)
+    scale = conn_eigen.scale
     out = []
     for mu, lam in zip(hodge, rough):
-        # spec'd relative mismatch |mu - (lam+K)| / mu; kernel pairs (mu ~ 0)
-        # are normalized by the spectral span instead
-        denom = abs(mu) if abs(mu) > 1e-6 * span else span
+        # spec'd relative mismatch |mu - (lam+K)| / mu; kernel pairs (mu in the
+        # connection solve's kernel band) are fractions of its operator scale
+        denom = abs(mu) if abs(mu) > KERNEL_TOL * scale else scale
         out.append((float(mu), float(lam), shift, float(abs(mu - lam - shift) / denom)))
     return out
 

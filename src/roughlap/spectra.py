@@ -82,7 +82,7 @@ def _aggregate(values_mults, form_degree: int, manifold: str,
     pairs = sorted(values_mults)
     merged: list[list] = []
     for v, m in pairs:
-        if merged and v - merged[-1][0] <= _MERGE_REL * max(1.0, abs(v)):
+        if merged and v - merged[-1][0] <= _MERGE_REL * abs(v):
             merged[-1][1] += m
         else:
             merged.append([v, m])

@@ -213,7 +213,13 @@ def test_criterion_08_gap_bound_evaluator():
         GeometryBudget(4, 0.0, 1.0, 4.0, riem_2p=r)) for r in np.linspace(0, 10, 10)]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
-    jump = V._branch_switch_jump(budget, AbstractConstants())
+    # kappa = 0, D = 1: branch1 = (Ct/(1+s))^8 crosses branch2 = 1 at s* = Ct - 1,
+    # with Ct > 1 from a small bootstrap constant
+    consts = AbstractConstants(c0_np=0.3)
+    riem_star = (con.gap_constant(2, 4.0, consts) - 1.0) ** 2
+    lo, hi = (con.oneform_gap_lower_bound(GeometryBudget(4, 0.0, 1.0, 4.0, riem_2p=r), consts)
+              for r in (riem_star * (1 - 1e-11), riem_star * (1 + 1e-11)))
+    jump = abs(hi - lo)
     print(f"criterion 8: branch-switch jump {jump:.3e}")
     assert jump < 1e-9
 

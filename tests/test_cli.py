@@ -141,23 +141,26 @@ def test_verify_reports_a_null_ratio_when_the_bound_underflows(capsys, tmp_path)
                                            "riem_2p": 1e300}}))
     out = tmp_path / "huge.report.json"
     assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 0
-    reported, structure = json.loads(out.read_text())["outcomes"]
+    [reported] = json.loads(out.read_text())["outcomes"]
     assert reported["measured"]["rhs"] == 0.0
     assert reported["measured"]["ratio"] is None
-    assert structure["status"] == "pass"
 
 
-def test_verify_locates_a_diameter_too_large_for_the_crossing_probe(capsys, tmp_path):
-    # the bound and its rays evaluate at D = 1e200; the branch crossing of the
-    # probe, riem_2p = (1/D)^2, underflows to 0
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_verify_reports_the_gap_bound_at_a_huge_diameter(capsys, tmp_path, kappa):
     spec = tmp_path / "huge.json"
     spec.write_text(json.dumps({"manifold": ICO1, "checks": ["gap_lower_bound"],
-                                "budget": {"dim": 4, "kappa": 0.0, "p_exponent": 4.0,
+                                "budget": {"dim": 4, "kappa": kappa, "p_exponent": 4.0,
                                            "diameter": 1e200}}))
-    assert main(["verify", "--spec", str(spec)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "spec error: experiments[0].checks[0]: check 'gap_lower_bound': "
-        "budget.diameter 1e+200 is too large for the branch-crossing probe")
+    out = tmp_path / "huge.report.json"
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 0
+    [reported] = json.loads(out.read_text())["outcomes"]
+    m = reported["measured"]
+    assert reported["status"] == "reported"
+    assert m["diameter"] == 1e200
+    # sqrt(riem_2p) * D = 1e200 * sqrt(riem_2p) drives branch1 to 0
+    assert m["rhs"] == m["branch1"] == 0.0
+    assert m["ratio"] is None
 
 
 @pytest.mark.parametrize("kappa, status, code", [(0.5, "pass", 0), (0.0, "fail", 1)])

@@ -2,9 +2,11 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gamma
@@ -309,6 +311,67 @@ def test_gap_lower_bound_continuous_at_branch_switch():
     above = con.oneform_gap_branches(budget(dim=4, riem=riem_star * 1.1, p=4.0), consts)
     assert below[0] > below[1]   # branch2 active below the crossing
     assert above[0] < above[1]   # branch1 active above
+
+
+def _decades(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# the bound's inputs: dim, p above dim/2, the scale-free kappa D^2 and
+# riem_2p D^2 across decades, D, and the constants; ranges where the bound
+# (exponent 2pn/(p-n) <= 40 on factors >= e^-22) is a finite double
+GAP_INPUTS = st.fixed_dictionaries({
+    "dim": st.sampled_from([4, 6, 8]), "p_above": st.floats(1.0, 8.0),
+    "kappa_d2": st.one_of(st.just(0.0), _decades(1e-6, 10.0)),
+    "riem_d2": st.one_of(st.just(0.0), _decades(1e-6, 1e4)),
+    "diameter": _decades(1e-3, 1e6),
+    "consts": st.builds(AbstractConstants, _decades(1e-2, 1e2), _decades(1e-2, 1e2),
+                        _decades(1e-2, 1e2))})
+
+
+def _scaled_budget(x, **moved):
+    x = {**x, **moved}
+    d = x["diameter"]
+    return budget(dim=x["dim"], kappa=x["kappa_d2"] / d / d, diameter=d,
+                  p=x["dim"] // 2 + x["p_above"], riem=x["riem_d2"] / d / d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=GAP_INPUTS, more_kappa=_decades(1e-6, 10.0), more_riem=_decades(1e-6, 1e4))
+def test_gap_lower_bound_is_non_increasing(x, more_kappa, more_riem):
+    rhs = con.oneform_gap_lower_bound(_scaled_budget(x), x["consts"])
+    assert 0 <= rhs < math.inf
+    for larger in (_scaled_budget(x, kappa_d2=x["kappa_d2"] + more_kappa),
+                   _scaled_budget(x, riem_d2=x["riem_d2"] + more_riem)):
+        assert con.oneform_gap_lower_bound(larger, x["consts"]) <= rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=GAP_INPUTS, other_diameter=_decades(1e-3, 1e6))
+def test_gap_lower_bound_depends_on_the_diameter_only_through_the_scale_free_inputs(
+        x, other_diameter):
+    rhs = con.oneform_gap_lower_bound(_scaled_budget(x), x["consts"])
+    assume(rhs >= sys.float_info.min)
+    moved = con.oneform_gap_lower_bound(_scaled_budget(x, diameter=other_diameter),
+                                        x["consts"])
+    assert moved == pytest.approx(rhs, rel=1e-12, abs=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=GAP_INPUTS, s_star=_decades(1e-3, 1e3))
+def test_gap_lower_bound_is_continuous_at_a_branch_crossing(x, s_star):
+    # branch1 = (Ct/(1+s) e^-a)^delta meets branch2 = e^-a at s* when
+    # Ct = (1+s*) e^(a (delta-1)/delta); Ct scales as 1/c0_np
+    n, p = x["dim"] // 2, x["dim"] // 2 + x["p_above"]
+    delta = 2.0 * p * n / (p - n)
+    a = (2 * n - 1) * math.sqrt(x["kappa_d2"])
+    ct_unit = con.gap_constant(n, p, replace(x["consts"], c0_np=1.0))
+    ct = (1 + s_star) * math.exp(a * (delta - 1) / delta)
+    consts = replace(x["consts"], c0_np=ct_unit / ct)
+    lo, hi = (con.oneform_gap_lower_bound(_scaled_budget(x, riem_d2=s_star ** 2 * f), consts)
+              for f in (1 - 1e-11, 1 + 1e-11))
+    assert lo == pytest.approx(math.exp(-a), rel=1e-9)
+    assert hi == pytest.approx(lo, rel=1e-9)
 
 
 # -- Li-Yau threshold and predicate -------------------------------------------

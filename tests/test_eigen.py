@@ -281,8 +281,10 @@ def test_a_pair_missed_at_every_re_solve_raises(monkeypatch):
         return vals[keep], vecs[:, keep]
 
     monkeypatch.setattr(eigen, "eigsh", drop_the_smallest)
-    with pytest.raises(EigenConvergenceError, match="still missing after"):
+    with pytest.raises(EigenConvergenceError, match="still missing after") as exc:
         smallest_eigenpairs(op, mass, SolverConfig(k=9))
+    # the values carried are in the units of lambda: the torus's first one is 1
+    assert exc.value.values.min() == pytest.approx(1.0, rel=0.01)
 
 
 def test_residual_certificate_is_scale_free():
@@ -297,6 +299,28 @@ def test_residual_certificate_is_scale_free():
         scaled.append(radius ** 2 * res.values)
     np.testing.assert_allclose(scaled[0], scaled[1], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(scaled[2], scaled[1], rtol=1e-12, atol=0.0)
+
+
+def _ico_pencil(kind, subdivisions, radius):
+    mesh = generate_icosphere(radius, subdivisions)
+    if kind == "hodge":
+        return hodge_laplacian_1forms(mesh)
+    return connection_laplacian_1forms(mesh, build_connection(mesh))
+
+
+@pytest.mark.parametrize("kind, subdivisions, radius", [
+    ("hodge", 2, 1e-10), ("hodge", 2, 1e-15), ("hodge", 2, 1e-20), ("connection", 3, 1e-20)])
+def test_sparse_path_is_certified_at_a_small_radius(kind, subdivisions, radius):
+    # the solve runs on B over the power of two nearest its scale, so ARPACK's
+    # absolute convergence floor does not depend on the radius; values and
+    # scale stay in the units of lambda
+    ref = smallest_eigenpairs(*_ico_pencil(kind, subdivisions, 1.0), SolverConfig(k=8))
+    op, mass = _ico_pencil(kind, subdivisions, radius)
+    for seed in range(4):
+        res = smallest_eigenpairs(op, mass, SolverConfig(k=8, seed=seed))
+        assert np.all(res.residuals <= RESIDUAL_TOL)
+        assert res.scale * radius ** 2 == pytest.approx(ref.scale, rel=1e-12)
+        assert np.abs(res.values * radius ** 2 - ref.values).max() <= 1e-10 * ref.scale
 
 
 def test_nonconvergence_raises(torus16, monkeypatch):

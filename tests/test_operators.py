@@ -372,6 +372,24 @@ def test_weitzenboeck_sphere(sphere_s2):
     assert max(r[3] for r in rows) < 0.03
 
 
+def test_weitzenboeck_mismatch_is_scale_free():
+    # mismatches are relative to mu, or to the operator scale on kernel pairs,
+    # never to an absolute floor: radius 1e20 reads what radius 1 reads
+    worst = [max(r[3] for r in O.weitzenboeck_eigen_check(M.generate_icosphere(radius, 2), 6))
+             for radius in (1.0, 1e20)]
+    assert worst[1] == pytest.approx(worst[0], abs=1e-9)
+    assert worst[0] > 0.01
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_weitzenboeck_kernel_pairs_alone(k):
+    # every row is a kernel pair of the flat torus: its roundoff is measured
+    # against the operator scale, not against itself
+    rows = O.weitzenboeck_eigen_check(M.generate_flat_torus(2 * math.pi, 2 * math.pi, 8, 8), k)
+    assert len(rows) == k
+    assert max(r[3] for r in rows) <= 1e-12
+
+
 def test_weitzenboeck_empty():
     t = M.generate_flat_torus(1.0, 1.0, 4, 4)
     assert O.weitzenboeck_eigen_check(t, 0) == []

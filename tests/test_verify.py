@@ -106,7 +106,7 @@ def test_weitzenboeck_check_matches_a_standalone_solve(monkeypatch, manifold, cu
     monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
     ctx = make_ctx(manifold)
     shared = np.array(V.check_weitzenboeck(ctx).measured["pairs"])
-    alone = np.array(O.weitzenboeck_eigen_check(ctx.require_mesh("test"), 6, ctx.solver))
+    alone = np.array(O.weitzenboeck_eigen_check(ctx.require_mesh(), 6, ctx.solver))
     assert np.array_equal(shared[:, 0], alone[:, 0])
     assert np.array_equal(shared[:, 2], alone[:, 2])
     scale = np.abs(alone[:, 1]).max()
@@ -176,33 +176,21 @@ def test_pinching_sphere_reported(sphere_ctx):
 
 
 def test_gap_lower_bound_outcomes(torus_ctx):
-    reported, structure = V.check_gap_lower_bound(torus_ctx)
-    assert reported.status == "reported"
-    assert reported.measured["lambda1"] == pytest.approx(1.0, rel=0.02)
-    assert structure.status == "pass"
-    assert structure.measured["branch_switch_jump"] < 1e-9
-    rhs_kappa = structure.measured["rhs_along_kappa"]
-    assert all(b <= a + 1e-12 for a, b in zip(rhs_kappa, rhs_kappa[1:]))
+    out = V.check_gap_lower_bound(torus_ctx)
+    assert out.status == "reported"
+    assert out.measured["lambda1"] == pytest.approx(1.0, rel=0.02)
+    assert out.measured["rhs"] == min(out.measured["branch1"], out.measured["branch2"])
 
 
-@pytest.mark.parametrize("diameter", [1.0, 40.0, 1e6, 1e100])
-def test_branch_crossing_probe_is_scale_free(diameter):
-    # the probe steps riem_2p relative to the crossing (1/D)^2, so the jump
-    # does not grow with D
-    ctx = make_ctx(IcoSphere(1.0, 1), budget={"dim": 4, "kappa": 0.0, "p_exponent": 4.0,
-                                              "diameter": diameter})
-    _, structure = V.check_gap_lower_bound(ctx)
-    assert structure.status == "pass"
-    assert structure.measured["branch_switch_jump"] == pytest.approx(2e-12, rel=0.01)
-
-
-def test_branch_crossing_probe_locates_an_unmeasurable_crossing():
-    # the bound exp(-3 sqrt(kappa) D) at the crossing underflows (kappa = 0,
-    # where (1/D)^2 underflows, is a CLI test)
-    ctx = make_ctx(IcoSphere(1.0, 1), budget={"dim": 4, "kappa": 0.5, "p_exponent": 4.0,
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_gap_lower_bound_reports_a_huge_diameter(kappa):
+    ctx = make_ctx(IcoSphere(1.0, 1), budget={"dim": 4, "kappa": kappa, "p_exponent": 4.0,
                                               "diameter": 1e200})
-    with pytest.raises(ValueError, match=r"^budget\.diameter 1e\+200 is too large"):
-        V.check_gap_lower_bound(ctx)
+    out = V.check_gap_lower_bound(ctx)
+    assert out.status == "reported"
+    assert out.measured["diameter"] == 1e200
+    assert out.measured["rhs"] == con.oneform_gap_lower_bound(ctx.budget())
+    json.dumps(out.as_dict(), allow_nan=False)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
@@ -222,10 +210,25 @@ def test_gap_lower_bound_product_testbed():
     ctx = make_ctx(ProductSpec((IcoSphere(1.0, 0), IcoSphere(1.0, 0))),
                    budget={"dim": 4, "kappa": 0.0, "p_exponent": 4.0,
                            "riem_2p": 2.0 * math.sqrt(2.0)})
-    reported, structure = V.check_gap_lower_bound(ctx)
-    assert reported.measured["lambda1"] == 1.0
-    assert reported.measured["diameter"] == pytest.approx(math.pi * math.sqrt(2.0))
-    assert structure.status == "pass"
+    out = V.check_gap_lower_bound(ctx)
+    assert out.measured["lambda1"] == 1.0
+    assert out.measured["diameter"] == pytest.approx(math.pi * math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("radius", [0.1, 1.0, 1e3, 1e7])
+def test_product_gap_is_scale_free(radius):
+    # the factors' closed-form spectra are cut at (2 pi / max D_f)^2 and merge
+    # equal values relatively, both of which scale with the metric
+    sphere = IcoSphere(radius, 0)
+    ctx = make_ctx(ProductSpec((sphere, sphere)), budget={"riem_2p": 1.0})
+    assert ctx.first_positive_oneform() * radius ** 2 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_product_gap_with_a_large_torus_factor():
+    # a torus of side 1000 lists only the spectrum below (2 pi / D)^2
+    ctx = make_ctx(ProductSpec((FlatTorus(1000.0, 1000.0, 3, 3), IcoSphere(1.0, 0))),
+                   budget={"riem_2p": 1.0})
+    assert ctx.first_positive_oneform() == pytest.approx((TWO_PI / 1000.0) ** 2, rel=1e-12)
 
 
 def test_product_requires_explicit_riem():
@@ -245,7 +248,7 @@ def test_lipschitz_check(torus_ctx, sphere_ctx):
 def test_lipschitz_constant_function(sphere_ctx):
     # constant functions oscillate zero against any bound
     from roughlap.operators import face_gradient_magnitudes
-    mesh = sphere_ctx.require_mesh("test")
+    mesh = sphere_ctx.require_mesh()
     grads = face_gradient_magnitudes(mesh, np.ones(mesh.n_vertices))
     assert grads.max() < 1e-12
 
@@ -605,7 +608,7 @@ def test_connection_k_fits_the_smallest_meshes(tmp_path, monkeypatch):
         {"label": "t", "manifold": dict(TORUS8, nx=3, ny=3), "checks": checks},
         {"label": "s", "manifold": dict(ICO1, subdivisions=0), "checks": checks}]})
     report = V.run_suite(path)
-    assert len(report.outcomes) == 2 * (len(checks) + 1)  # gap_lower_bound gives two
+    assert len(report.outcomes) == 2 * len(checks)
     assert [len(ctx.connection_eigen().values) for ctx in contexts] == [V.CONNECTION_K] * 2
 
 
@@ -647,6 +650,23 @@ def test_run_suite_is_scale_free(tmp_path, base, s):
 def test_grid_check_rejects_mesh_requirement(tmp_path):
     path = write_spec(tmp_path, {"label": "x", "checks": ["lipschitz"]})
     with pytest.raises(V.SpecError, match="meshable"):
+        V.run_suite(path)
+
+
+_MESH_CHECKS = ["weitzenboeck", "harmonic_alternative", "killing_alternative", "pinching",
+                "lipschitz", "gap_lower_bound"]
+_PRODUCT = {"type": "product", "factors": [dict(ICO1, subdivisions=0)] * 2}
+
+
+@pytest.mark.parametrize("manifold, check", [
+    *((None, check) for check in _MESH_CHECKS),
+    # a product's gap bound is its closed-form testbed and needs no mesh
+    *((_PRODUCT, check) for check in _MESH_CHECKS if check != "gap_lower_bound")])
+def test_mesh_requirement_names_the_check(tmp_path, manifold, check):
+    path = write_spec(tmp_path, {"label": "x", "manifold": manifold,
+                                 "budget": {"riem_2p": 1.0}, "checks": [check]})
+    with pytest.raises(V.SpecError, match=rf"^experiments\[0\]\.checks\[0\]: check '{check}': "
+                                          r"needs a meshable manifold"):
         V.run_suite(path)
 
 
