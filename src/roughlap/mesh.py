@@ -308,12 +308,7 @@ def _icosahedron(radius: float) -> tuple[np.ndarray, np.ndarray]:
         [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
         [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
-    ], dtype=np.int64)
-    # enforce outward orientation (positive signed volume)
-    vol = np.einsum("ij,ij->", verts[faces[:, 0]],
-                    np.cross(verts[faces[:, 1]], verts[faces[:, 2]]))
-    if vol < 0:
-        faces = faces[:, [0, 2, 1]]
+    ], dtype=np.int64)  # outward: positive signed volume
     return verts, faces
 
 

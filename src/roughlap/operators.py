@@ -24,7 +24,8 @@ Per-vertex frames use length-normalized angle coordinates: the corner
 angles around each vertex are rescaled to sum to 2*pi.  With that choice
 the transport rotations around any face compose to exactly the face's share
 of curvature, distributing each angle defect over its incident corners, and
-the per-face holonomies sum to 2*pi*chi (checked at build time).
+the per-face holonomies sum to 2*pi*chi (checked at build time).  Tangent
+fields are encoded in these same frames (``encode_tangent_field``).
 
 Everything is computed on the mesh's half-edge numbering (half-edge
 ``h = 3*f + s`` runs ``faces[f, s] -> faces[f, (s+1) % 3]``, opposite
@@ -56,7 +57,6 @@ __all__ = [
     "weitzenboeck_eigen_check",
     "rayleigh_quotient",
     "edge_cotan_weights",
-    "vertex_frames",
     "encode_tangent_field",
     "rotation_field",
     "constant_chart_field",
@@ -85,15 +85,17 @@ class ConnectionData:
         from the frame at a to the frame at b.  The transport b -> a is
         -rho[e], wrapped into (-pi, pi].
     scales : (V,) array, 2*pi / (total corner angle at v).
-    reference : (V,) array, the neighbour whose edge is the frame's zero
-        direction at v (the lowest-numbered neighbour).
+    phi : (3F,) array, the angle of half-edge h in the frame at its tail:
+        the corner angles swept from the frame's zero direction (the edge
+        to the lowest-numbered neighbour), rescaled by ``scales``.  Tangent
+        fields are encoded in these frames (``encode_tangent_field``).
     face_curvatures : (F,) array, the holonomy of each face (its share of
         the angle defects).
     """
 
     rho: np.ndarray
     scales: np.ndarray
-    reference: np.ndarray
+    phi: np.ndarray = field(repr=False)
     face_curvatures: np.ndarray = field(repr=False)
 
 
@@ -186,8 +188,7 @@ def build_connection(mesh: TriangleMesh) -> ConnectionData:
     if np.any(mismatch > HOLONOMY_TOL):
         f = int(np.argmax(mismatch))
         raise MeshError(f"holonomy inconsistency on face {f}: {holonomy[f]} vs {face_curv[f]}")
-    return ConnectionData(rho=rho, scales=scales, reference=heads[start],
-                          face_curvatures=face_curv)
+    return ConnectionData(rho=rho, scales=scales, phi=phi, face_curvatures=face_curv)
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:
@@ -338,53 +339,41 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
 
 # -- tangent-field sampling --------------------------------------------------
 
-def vertex_frames(mesh: TriangleMesh, conn: ConnectionData
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal frame (e1, e2, normal) per vertex, e1 along the reference edge.
-
-    Embedded meshes: normal is the area-weighted face normal, e1 the
-    tangential projection of the reference edge direction.  Flat tori
-    (``mesh.period`` set) take the reference edge direction from the
-    chart ``vertices[:, :2]``, its difference wrapped by the periods, with
-    normal +z.
-    """
-    n_v = mesh.n_vertices
-    nrm = np.zeros((n_v, 3))
-    if mesh.period is not None:
-        period = np.array(mesh.period)
-        chart = mesh.vertices[conn.reference, :2] - mesh.vertices[:, :2]
-        d = np.zeros((n_v, 3))
-        d[:, :2] = chart - period * np.round(chart / period)
-        nrm[:, 2] = 1.0
-    else:
-        face_normals = np.cross(
-            mesh.vertices[mesh.faces[:, 1]] - mesh.vertices[mesh.faces[:, 0]],
-            mesh.vertices[mesh.faces[:, 2]] - mesh.vertices[mesh.faces[:, 0]])
-        np.add.at(nrm, mesh.faces.ravel(), np.repeat(face_normals, 3, axis=0))
-        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        d = mesh.vertices[conn.reference] - mesh.vertices
-        d -= np.vecdot(d, nrm)[:, None] * nrm
-    e1 = d / np.sqrt(np.vecdot(d, d))[:, None]
-    e2 = np.cross(nrm, e1)
-    return e1, e2, nrm
-
-
 def encode_tangent_field(mesh: TriangleMesh, conn: ConnectionData,
                          vectors: np.ndarray) -> np.ndarray:
-    """Project a 3D vector field to the tangent planes and encode per vertex.
+    """Encode a 3D vector field per vertex in the connection's own frames.
 
-    The complex coordinate keeps the tangential magnitude; the frame angle
-    is rescaled by the vertex's angle-normalization factor, matching the
-    convention of the transport angles.
+    The field is projected to the tangent plane of the area-weighted vertex
+    normal; its magnitude is kept.  Its direction is lifted along that
+    normal into the plane of every incident corner, and the corner whose
+    wedge contains it most deeply gives the angle: the in-face angle from
+    the corner's first half-edge h, rescaled by ``conn.scales``, plus the
+    frame angle ``conn.phi[h]``.  Across the edge between two corners both
+    give the same angle, so the encoding is continuous around every
+    one-ring, and Rayleigh quotients are free of scale and of vertex labels.
+    Flat tori (``mesh.period`` set) read half-edges as chart differences
+    wrapped by the periods.
     """
-    e1, e2, nrm = vertex_frames(mesh, conn)
+    tails = mesh.faces.ravel()
+    d = mesh.vertices[mesh.faces[:, [1, 2, 0]].ravel()] - mesh.vertices[tails]
+    if mesh.period is not None:
+        period = np.array(mesh.period)
+        d[:, :2] -= period * np.round(d[:, :2] / period)
+    doubled = np.cross(d[0::3], -d[2::3])       # face normal times twice the area
+    normal = np.zeros((mesh.n_vertices, 3))
+    np.add.at(normal, tails, np.repeat(doubled, 3, axis=0))
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
     v = np.asarray(vectors, dtype=float)
-    tangential = v - np.sum(v * nrm, axis=1, keepdims=True) * nrm
-    u = np.sum(tangential * e1, axis=1)
-    w = np.sum(tangential * e2, axis=1)
-    mag = np.hypot(u, w)
-    theta = np.arctan2(w, u)
-    return mag * np.exp(1j * conn.scales * theta)
+    tangential = v - np.vecdot(v, normal)[:, None] * normal
+    n_face = np.repeat(doubled / (2.0 * mesh.face_areas)[:, None], 3, axis=0)
+    t, n_vert = tangential[tails], normal[tails]
+    lifted = t - (np.vecdot(t, n_face) / np.vecdot(n_vert, n_face))[:, None] * n_vert
+    theta = np.arctan2(np.vecdot(lifted, np.cross(n_face, d)), np.vecdot(lifted, d))
+    depth = np.maximum(-theta, theta - mesh.corner_angles.ravel())  # < 0 inside the corner
+    best = np.lexsort((depth, tails))
+    h = best[np.searchsorted(tails[best], np.arange(mesh.n_vertices))]
+    magnitude = np.sqrt(np.vecdot(tangential, tangential))
+    return magnitude * np.exp(1j * (conn.phi[h] + conn.scales * theta[h]))
 
 
 def rotation_field(mesh: TriangleMesh) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI subcommands, run in process."""
 
+import csv
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import roughlap
 from roughlap import constants as con
 from roughlap.cli import main
 from roughlap.constants import GeometryBudget
+from roughlap.verify import WEITZENBOECK_K
 
 TWO_PI = 2 * math.pi
 
@@ -190,6 +192,29 @@ def test_report_rejects_json_that_is_not_a_report(capsys, tmp_path):
     assert main(["report", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert "spec error" in err and "empty.json" in err and "'outcomes'" in err
+
+
+def test_report_rerenders_the_csv_verify_wrote(capsys, tmp_path):
+    spec = tmp_path / "w.json"
+    spec.write_text(json.dumps({"label": "w", "manifold": dict(ICO1, subdivisions=2),
+                                "checks": ["weitzenboeck"]}))
+    out = tmp_path / "w.report.json"
+    assert main(["verify", "--spec", str(spec), "--out", str(out)]) == 0
+    table = out.with_suffix(".csv")
+    written = table.read_text()
+    table.unlink()
+    assert main(["report", "--input", str(out), "--format", "csv"]) == 0
+    assert table.read_text() == written
+    # list fields are one cell, their entries joined by ';'
+    [pairs] = [row for row in csv.DictReader(written.splitlines()) if row["field"] == "pairs"]
+    assert len(pairs["value"].split(";")) == WEITZENBOECK_K
+
+    not_json = tmp_path / "notes.txt"
+    not_json.write_text("no report here\n")
+    capsys.readouterr()
+    assert main(["report", "--input", str(not_json)]) == 2
+    err = capsys.readouterr().err
+    assert "spec error" in err and "not a JSON report" in err
 
 
 def _printed_values(out):

@@ -41,6 +41,14 @@ def test_icosphere_counts():
         assert sphere.n_faces == 20 * 4 ** s
 
 
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_icosphere_is_outward(s):
+    # positive signed volume: faces run counterclockwise seen from outside
+    sphere = M.generate_icosphere(1.0, s)
+    a, b, c = (sphere.vertices[sphere.faces[:, m]] for m in range(3))
+    assert np.vecdot(a, np.cross(b, c)).sum() / 6.0 > 0.0
+
+
 def test_icosphere_rejects_bad_args():
     with pytest.raises(M.MeshError):
         M.generate_icosphere(0.0, 1)

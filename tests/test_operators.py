@@ -164,8 +164,8 @@ def test_sphere_holonomy_totals_4pi(sphere_conn):
                                   lambda: M.generate_flat_torus(TWO_PI, TWO_PI, 9, 7)],
                          ids=["ico2", "torus9x7"])
 def test_relabelling_invariance(make):
-    # a vertex permutation changes every reference neighbour of the one-ring
-    # walk but no spectrum, total curvature or kernel
+    # a vertex permutation changes the zero direction of every vertex frame
+    # but no spectrum, total curvature, kernel or Killing quotient
     mesh = make()
     perm = np.random.default_rng(5).permutation(mesh.n_vertices)  # new v is old perm[v]
     relabelled = M.TriangleMesh(mesh.vertices[perm], np.argsort(perm)[mesh.faces],
@@ -182,6 +182,14 @@ def test_relabelling_invariance(make):
         ref = smallest(*before, 6)
         got = smallest(*after, 6)
         assert np.abs(got.values - ref.values).max() < 1e-10 * ref.scale
+    if chi == 2:
+        before_conn = O.build_connection(mesh)
+        before_op, before_mass = O.connection_laplacian_1forms(mesh, before_conn)
+        rq = O.rayleigh_quotient(before_op, before_mass, O.encode_tangent_field(
+            mesh, before_conn, O.rotation_field(mesh)))
+        got = O.rayleigh_quotient(conn_op, conn_mass, O.encode_tangent_field(
+            relabelled, conn, O.rotation_field(relabelled)))
+        assert got == pytest.approx(rq, rel=1e-12)
     if chi == 0:
         res = smallest(conn_op, conn_mass, 2)
         assert abs(res.values[0]) < 1e-9 * res.scale   # one complex = two real dims
@@ -426,7 +434,22 @@ def test_killing_rotation_quotient(sphere_s3):
     conn = O.build_connection(sphere_s3)
     op, mass = O.connection_laplacian_1forms(sphere_s3, conn)
     z = O.encode_tangent_field(sphere_s3, conn, O.rotation_field(sphere_s3))
-    assert O.rayleigh_quotient(op, mass, z) == pytest.approx(1.0, abs=0.02)
+    assert O.rayleigh_quotient(op, mass, z) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_killing_quotient_is_scale_free(s):
+    # r^2 RQ of the rotation field: the encoding has no branch cut to cross
+    # as rounding moves with the radius
+    scaled = []
+    for r in (1.0, 1e-3, 1e6):
+        mesh = M.generate_icosphere(r, s)
+        conn = O.build_connection(mesh)
+        op, mass = O.connection_laplacian_1forms(mesh, conn)
+        z = O.encode_tangent_field(mesh, conn, O.rotation_field(mesh))
+        scaled.append(r * r * O.rayleigh_quotient(op, mass, z))
+    assert scaled[1] == pytest.approx(scaled[0], rel=1e-12)
+    assert scaled[2] == pytest.approx(scaled[0], rel=1e-12)
 
 
 def test_translation_field_is_parallel(torus, torus_conn):
