@@ -124,13 +124,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     report = Report.from_json(args.input)
-    out = Path(args.out) if args.out else None
-    if args.format == "csv":
-        target = out or Path(args.input).with_suffix(".csv")
-        report.write_csv(target)
-    else:
-        target = out or Path(args.input).with_suffix(".md")
-        report.write_markdown(target)
+    suffix, write = ((".csv", report.write_csv) if args.format == "csv"
+                     else (".md", report.write_markdown))
+    target = Path(args.out) if args.out else Path(args.input).with_suffix(suffix)
+    write(target)
     print(f"# wrote {target}")
     return 0
 

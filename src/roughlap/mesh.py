@@ -356,8 +356,8 @@ def graph_diameter(mesh: TriangleMesh) -> float:
     diameter (pi sqrt 2 on 2 pi flat tori, about 1.06 pi on unit icospheres).
     """
     sources = np.unique(np.linspace(0, mesh.n_vertices - 1, 64).astype(int))
-    # finite: the constructor rejects disconnected meshes
-    return float(dijkstra(mesh.adjacency().tocsr(), directed=False, indices=sources).max())
+    # finite: meshes are connected; directed: the adjacency is symmetric
+    return float(dijkstra(mesh.adjacency().tocsr(), directed=True, indices=sources).max())
 
 
 def curvature_lp_norm(mesh: TriangleMesh, p: float) -> float:
@@ -366,12 +366,14 @@ def curvature_lp_norm(mesh: TriangleMesh, p: float) -> float:
     The vertex Gauss curvature K is angle defect / dual area; on a surface
     it determines the full curvature tensor, whose squared-component norm
     is |Riem| = 2|K|.  The norm is (sum_v area_v |2 K_v|^p / total_area)^(1/p),
-    with defects up to ``FLAT_DEFECT_TOL`` counted as 0.
+    with defects up to ``FLAT_DEFECT_TOL`` counted as 0.  Densities are
+    divided by their largest, so no power over- or underflows at any scale.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     defects = np.abs(mesh.angle_defects)
     density = np.where(defects > FLAT_DEFECT_TOL, defects, 0.0) / mesh.vertex_areas * 2.0
+    m = density.max() or 1.0  # a flat mesh: every density is 0
     weights = mesh.vertex_areas / mesh.total_area
-    return float((weights @ density ** p) ** (1.0 / p))
+    return float(m * (weights @ (density / m) ** p) ** (1.0 / p))
 

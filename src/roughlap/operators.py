@@ -277,7 +277,8 @@ def hodge_eigenvalues(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
 
 
 def rayleigh_quotient(L, M, x: np.ndarray) -> float:
-    """(x^H L x) / (x^H M x) for the generalized pencil; real and nonnegative."""
+    """(x^H L x) / (x^H M x) for the generalized pencil; real and nonnegative:
+    its imaginary part is at most 1e-9 of |x|^H |L| |x|, which scales with L and x."""
     a = L.matrix if isinstance(L, SparseHermitianOperator) else L
     m = np.asarray(M)
     x = np.asarray(x)
@@ -285,7 +286,7 @@ def rayleigh_quotient(L, M, x: np.ndarray) -> float:
     if denom <= 0.0:
         raise ValueError("Rayleigh quotient needs x with positive mass norm")
     num = np.vdot(x, a @ x)
-    if abs(num.imag) > 1e-9 * max(abs(num.real), 1.0):
+    if abs(num.imag) > 1e-9 * np.vdot(abs(x), abs(a) @ abs(x)):
         raise ValueError(f"quadratic form not real: {num}")
     return float(num.real / denom)
 
@@ -300,9 +301,9 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
     intrinsically as total curvature / area = 2*pi*chi / area.  Connection
     eigenvalues are complex-multiplicity values and are doubled to match the
     real Hodge count.  ``conn_eigen`` is the mesh's connection solve
-    (an ``EigenResult``) when the caller already has one: its first
-    ceil(k/2) values are used, and it must hold that many.  Without it the
-    connection is built, assembled and solved here.  Returns rows
+    (an ``EigenResult``); without it one is solved here at ``solver_config``
+    (default ``SolverConfig()``).  Its first ceil(k/2) values are used, and
+    it must hold that many.  Returns rows
     (mu_i, lambda_i, K, relative mismatch).
     """
     from roughlap.eigen import KERNEL_TOL, SolverConfig, smallest_eigenpairs
@@ -316,10 +317,9 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
 
     k_complex = (k + 1) // 2
     if conn_eigen is None:
-        l_conn, m_conn = connection_laplacian_1forms(mesh, build_connection(mesh))
-        conn_eigen = smallest_eigenpairs(l_conn, m_conn,
-                                         replace(config, k=max(k_complex + 2, 4)))
-    elif len(conn_eigen.values) < k_complex:
+        conn_eigen = smallest_eigenpairs(
+            *connection_laplacian_1forms(mesh, build_connection(mesh)), config)
+    if len(conn_eigen.values) < k_complex:
         raise ValueError(f"k={k} needs {k_complex} connection pairs, got {len(conn_eigen.values)}")
     rough = np.repeat(conn_eigen.values[:k_complex], 2)[:k]
 

@@ -157,14 +157,10 @@ class Report:
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):  # numpy scalars: float, int, bool
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -281,11 +277,12 @@ def _factor_spectra(manifold, cutoff: float):
 
 
 class ExperimentContext:
-    """Caches the mesh, connection operators, and eigensolve per experiment.
+    """Caches the mesh, connection operators, and eigensolve per mesh level.
 
-    ``connection_eigen`` is the experiment's one connection solve, of
+    ``connection_eigen`` is the level's one connection solve, of
     CONNECTION_K pairs at the spec's ``seed`` whatever the check order; every
-    check that needs connection values reads it."""
+    check that needs connection values reads it.  ``coarser()`` is the
+    next-coarser level's context."""
 
     def __init__(self, manifold, seed: int,
                  budget_spec: dict | None, consts: AbstractConstants,
@@ -321,6 +318,19 @@ class ExperimentContext:
     def connection_eigen(self) -> EigenResult:
         return self._cached("conn_eig", lambda: smallest_eigenpairs(
             *self.connection_operator(), self.solver))
+
+    def coarser(self) -> ExperimentContext | None:
+        """The next-coarser model level, or None where this one is the coarsest
+        (ico s=0, and the 3x3 torus, which halves to itself)."""
+        m = self.manifold
+        if isinstance(m, FlatTorus):
+            coarse = FlatTorus(m.lx, m.ly, max(m.nx // 2, 3), max(m.ny // 2, 3))
+        elif isinstance(m, IcoSphere) and m.subdivisions >= 1:
+            coarse = IcoSphere(m.radius, m.subdivisions - 1)
+        else:
+            coarse = m
+        return None if coarse == m else self._cached("coarser", lambda: ExperimentContext(
+            coarse, self.solver.seed, self.budget_spec, self.consts, self.where))
 
     def first_positive_oneform(self) -> float:
         if isinstance(self.manifold, ProductSpec):
@@ -410,42 +420,28 @@ def check_moser_product_grid() -> CheckOutcome:
 
 # -- mesh checks --------------------------------------------------------------
 
-def _coarser(manifold):
-    """The next-coarser model mesh, or None where the input is the coarsest."""
-    if isinstance(manifold, FlatTorus):
-        coarse = FlatTorus(manifold.lx, manifold.ly,
-                           max(manifold.nx // 2, 3), max(manifold.ny // 2, 3))
-        return None if coarse == manifold else coarse
-    if isinstance(manifold, IcoSphere):
-        if manifold.subdivisions < 1:
-            return None
-        return IcoSphere(manifold.radius, manifold.subdivisions - 1)
-    return None
+def _weitzenboeck_rows(level: ExperimentContext) -> list:
+    return weitzenboeck_eigen_check(level.require_mesh(), WEITZENBOECK_K, level.solver,
+                                    level.connection_eigen())
 
 
 def check_weitzenboeck(ctx: ExperimentContext) -> CheckOutcome:
     """Hodge = connection + curvature on the WEITZENBOECK_K smallest pairs, within
     3% on spheres and 5% on tori, the worst mismatch below the next-coarser level's.
-    Connection values come from ``ctx.connection_eigen()``; the coarser level
-    solves its own pencils."""
-    mesh = ctx.require_mesh()
+    Both levels read their context's connection solve (``ctx.coarser()``)."""
     tolerance = 0.03 if isinstance(ctx.manifold, IcoSphere) else 0.05
-    rows = weitzenboeck_eigen_check(mesh, WEITZENBOECK_K, ctx.solver, ctx.connection_eigen())
+    rows = _weitzenboeck_rows(ctx)
     worst = max(r[3] for r in rows)
     ok = worst <= tolerance
     measured = {"pairs": _jsonable(rows), "max_residual": worst}
     notes = f"curvature shift {rows[0][2]!r}"
-    coarse = _coarser(ctx.manifold)
+    coarse = ctx.coarser()
     if coarse is not None:
-        coarse_rows = weitzenboeck_eigen_check(build_mesh(coarse), WEITZENBOECK_K, ctx.solver)
-        coarse_worst = max(r[3] for r in coarse_rows)
+        coarse_worst = max(r[3] for r in _weitzenboeck_rows(coarse))
         measured["max_residual_coarse"] = coarse_worst
         # flat tori: both discretizations coincide spectrally, so both
         # levels sit at roundoff and "decrease" is vacuous there
-        if coarse_worst > 1e-12:
-            ok = ok and worst < coarse_worst
-        else:
-            ok = ok and worst <= 1e-12
+        ok = ok and (worst < coarse_worst or worst <= 1e-12)
         notes += "; refinement must reduce the worst mismatch"
     return CheckOutcome(name="weitzenboeck", status="pass" if ok else "fail",
                         measured=measured, tolerance=tolerance, notes=notes)

@@ -109,6 +109,20 @@ def test_graph_diameter_against_all_pairs(make):
         assert d == exact
 
 
+@pytest.mark.parametrize("make", [
+    lambda: M.generate_icosphere(1.0, 3),
+    lambda: M.generate_flat_torus(TWO_PI, 3.0, 9, 7),
+], ids=["ico3", "torus9x7"])
+def test_graph_diameter_directed_search_reads_the_undirected_distances(make):
+    # the adjacency is symmetric, so a directed search finds the same paths
+    mesh = make()
+    g = mesh.adjacency().tocsr()
+    sources = np.unique(np.linspace(0, mesh.n_vertices - 1, 64).astype(int))
+    undirected = dijkstra(g, directed=False, indices=sources)
+    assert np.array_equal(dijkstra(g, directed=True, indices=sources), undirected)
+    assert M.graph_diameter(mesh) == undirected.max()
+
+
 def test_curvature_norm_torus_vanishes(torus16):
     # angle defects are pure roundoff on the intrinsically flat metric
     assert M.curvature_lp_norm(torus16, 2.0) < 1e-10
@@ -131,6 +145,17 @@ def test_curvature_norm_refinement_convergence():
         errors.append(abs(M.curvature_lp_norm(sphere, 2.0) - 2.0))
     assert errors[1] < errors[0]
     assert errors[2] < errors[1]
+
+
+@pytest.mark.parametrize("p", [2.0, 8.0])
+def test_curvature_norm_is_scale_free(p):
+    # |Riem| scales as r^-2; no power of it may overflow or underflow on the
+    # way, at any radius the mesh accepts
+    base = M.curvature_lp_norm(M.generate_icosphere(1.0, 3), p)
+    for r in (1e-30, 1e-15, 1e-3, 1e6, 1e15, 1e30):
+        got = r * r * M.curvature_lp_norm(M.generate_icosphere(r, 3), p)
+        assert got == pytest.approx(base, rel=1e-12)
+    assert M.curvature_lp_norm(M.generate_flat_torus(1e-30, 1e-30, 8, 8), p) == 0.0
 
 
 def test_curvature_norm_domain(torus16):

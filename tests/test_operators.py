@@ -430,6 +430,20 @@ def test_rayleigh_scale_invariant(torus, torus_conn):
         O.rayleigh_quotient(op, mass, np.zeros(n, dtype=complex))
 
 
+@pytest.mark.parametrize("radius", [1.0, 1e-6])
+def test_rayleigh_rejects_a_non_hermitian_form_at_any_scale(radius):
+    # op + i I is not Hermitian; its imaginary part is judged against a
+    # magnitude that shrinks with the form, not against an absolute floor
+    mesh = M.generate_icosphere(radius, 2)
+    conn = O.build_connection(mesh)
+    op, mass = O.connection_laplacian_1forms(mesh, conn)
+    z = O.encode_tangent_field(mesh, conn, O.rotation_field(mesh))
+    assert radius ** 2 * O.rayleigh_quotient(op, mass, z) == pytest.approx(1.0, abs=1e-3)
+    skew = op.matrix + 1j * sp.identity(op.matrix.shape[0], format="csr")
+    with pytest.raises(ValueError, match="quadratic form not real"):
+        O.rayleigh_quotient(skew, mass, z)
+
+
 def test_killing_rotation_quotient(sphere_s3):
     conn = O.build_connection(sphere_s3)
     op, mass = O.connection_laplacian_1forms(sphere_s3, conn)

@@ -68,49 +68,69 @@ def test_weitzenboeck_check_sphere_refines(sphere_ctx):
 
 def test_weitzenboeck_check_coarsest_torus_has_no_coarser_level():
     # halving a 3x3 torus gives the 3x3 torus again, which is no coarser level
-    assert V._coarser(FlatTorus(TWO_PI, TWO_PI, 3, 3)) is None
-    out = V.check_weitzenboeck(make_ctx(FlatTorus(TWO_PI, TWO_PI, 3, 3)))
+    ctx = make_ctx(FlatTorus(TWO_PI, TWO_PI, 3, 3))
+    assert ctx.coarser() is None
+    out = V.check_weitzenboeck(ctx)
     assert "max_residual_coarse" not in out.measured
     assert "refinement" not in out.notes
+
+
+@pytest.mark.parametrize("manifold, coarse", [
+    (FlatTorus(TWO_PI, 3.0, 9, 7), FlatTorus(TWO_PI, 3.0, 4, 3)),
+    (FlatTorus(TWO_PI, TWO_PI, 3, 8), FlatTorus(TWO_PI, TWO_PI, 3, 4)),
+    (IcoSphere(2.0, 2), IcoSphere(2.0, 1)),
+    (IcoSphere(2.0, 0), None),
+    (None, None),
+    (ProductSpec((IcoSphere(1.0, 1), IcoSphere(1.0, 1))), None),
+])
+def test_coarser_is_the_next_model_level(manifold, coarse):
+    ctx = V.ExperimentContext(manifold, 7, {"kappa": 0.5}, AbstractConstants(c_n=2.0))
+    level = ctx.coarser()
+    if coarse is None:
+        assert level is None
+        return
+    assert level is ctx.coarser()  # cached
+    assert level.manifold == coarse
+    assert level.solver == ctx.solver
+    assert level.budget_spec == ctx.budget_spec and level.consts is ctx.consts
 
 
 def test_weitzenboeck_check_uses_the_context_connection(monkeypatch):
     ctx = make_ctx(FlatTorus(TWO_PI, TWO_PI, 8, 8))
     ctx.connection()
     built, solved = [], []
-    build, solve = O.build_connection, eigen.smallest_eigenpairs
+    build, solve = V.build_connection, eigen.smallest_eigenpairs
 
     def recording_solve(L, M, config):
-        solved.append(L.matrix.dtype.kind)  # "c": the complex connection pencil
+        solved.append((L.matrix.dtype.kind, L.matrix.shape[0]))  # "c": connection pencil
         return solve(L, M, config)
 
-    monkeypatch.setattr(O, "build_connection", lambda mesh: built.append(mesh) or build(mesh))
+    monkeypatch.setattr(V, "build_connection", lambda mesh: built.append(mesh) or build(mesh))
     monkeypatch.setattr(eigen, "smallest_eigenpairs", recording_solve)
     monkeypatch.setattr(V, "smallest_eigenpairs", recording_solve)
-    out = V.check_weitzenboeck(ctx)
-    assert out.status == "pass"
-    # only the coarser level (torus 4x4) builds its own connection
+    for _ in range(2):
+        assert V.check_weitzenboeck(ctx).status == "pass"
+    # only the coarser level (torus 4x4) builds a connection, and once
     assert [mesh.n_vertices for mesh in built] == [16]
-    # connection and Hodge solves, at this level (the context's) and the coarser one
-    assert sorted(solved) == ["c", "c", "f", "f"]
+    # one connection solve per level; the Hodge pencils are solved per call
+    assert sorted(c for c in solved if c[0] == "c") == [("c", 16), ("c", 64)]
+    assert sorted(c for c in solved if c[0] == "f") == [("f", 32)] * 2 + [("f", 128)] * 2
     ctx.connection_eigen()
-    assert len(solved) == 4
+    ctx.coarser().connection_eigen()
+    assert len(solved) == 6
 
 
 @pytest.mark.parametrize("cutoff", [0, 10 ** 6], ids=["sparse", "dense"])
 @pytest.mark.parametrize("manifold", [FlatTorus(TWO_PI, TWO_PI, 8, 8), IcoSphere(1.0, 1)],
                          ids=["torus8", "ico1"])
 def test_weitzenboeck_check_matches_a_standalone_solve(monkeypatch, manifold, cutoff):
-    # the check reads the context's k=8 connection solve; the standalone
-    # function solves the connection pencil itself at k=5
+    # the check reads the context's connection solve; the standalone
+    # function solves the same pencil itself at the same config
     monkeypatch.setattr(eigen, "DENSE_CUTOFF", cutoff)
     ctx = make_ctx(manifold)
-    shared = np.array(V.check_weitzenboeck(ctx).measured["pairs"])
-    alone = np.array(O.weitzenboeck_eigen_check(ctx.require_mesh(), 6, ctx.solver))
-    assert np.array_equal(shared[:, 0], alone[:, 0])
-    assert np.array_equal(shared[:, 2], alone[:, 2])
-    scale = np.abs(alone[:, 1]).max()
-    np.testing.assert_allclose(shared[:, 1], alone[:, 1], rtol=0, atol=1e-12 * scale)
+    shared = V.check_weitzenboeck(ctx).measured["pairs"]
+    alone = O.weitzenboeck_eigen_check(ctx.require_mesh(), 6, ctx.solver)
+    assert shared == [list(row) for row in alone]
 
 
 def test_harmonic_alternative_torus(torus_ctx):
@@ -568,7 +588,8 @@ def test_budget_accepts_integral_dim(tmp_path):
 
 def test_run_suite_solves_each_pencil_once(tmp_path, monkeypatch):
     # every check that needs connection values reads the one context solve,
-    # whatever the check order; the coarser Weitzenboeck level has its own
+    # whatever the check order; the coarser Weitzenboeck level is a context
+    # of its own, with its own cached connection solve
     solves = collections.Counter()
     solve = eigen.smallest_eigenpairs
 
