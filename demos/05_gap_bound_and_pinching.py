@@ -25,7 +25,6 @@ for manifold in (FlatTorus(2 * math.pi, 2 * math.pi, 24, 24), IcoSphere(1.0, 3))
     m = pinch.measured
     print(f"  pinching: status={pinch.status}, eps={m['eps']:.4g}, "
           f"rho={m['rho']:.4g}, lambda={m['lambda']:.4g}")
-    print(f"  Kato-inequality fraction: {m['kato_fraction']:.3f}")
     r = check_gap_lower_bound(ctx).measured
     print(f"  gap bound: sqrt(lambda1)*D = {r['sqrt_lambda1_times_D']:.4f}, "
           f"rhs = {r['rhs']:.4e} ({r['active_branch']}), "

@@ -79,6 +79,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -115,8 +117,14 @@ def _unpack(L, M):
         raise ValueError("operator must be square")
     if len(m) != a.shape[0]:
         raise ValueError(f"mass dimension {len(m)} != operator dimension {a.shape[0]}")
-    if np.any(m <= 0):
-        raise ValueError("mass must be positive")
+    bad = np.flatnonzero(~(np.isfinite(m) & (m > 0)))
+    if len(bad):
+        raise ValueError(f"mass must be positive and finite: entry {bad[0]} is {m[bad[0]]}")
+    bad = np.flatnonzero(~np.isfinite(a.data))
+    if len(bad):
+        coo = a.tocoo()  # keeps the order of a.data
+        raise ValueError(f"operator entries must be finite: entry ({coo.row[bad[0]]}, "
+                         f"{coo.col[bad[0]]}) is {a.data[bad[0]]}")
     return a, m
 
 

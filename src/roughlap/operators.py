@@ -60,13 +60,11 @@ __all__ = [
     "encode_tangent_field",
     "rotation_field",
     "constant_chart_field",
-    "kato_fraction",
     "face_gradient_magnitudes",
 ]
 
 HOLONOMY_TOL = 1e-8
 NULL_WEIGHT_TOL = 1e-12  # edges below this fraction of max(w) glue their faces into one cell
-KATO_FLOOR = 1e-12  # gradient densities below this times max|z| sqrt(max w) count as zero
 
 
 @dataclass
@@ -389,35 +387,6 @@ def constant_chart_field(mesh: TriangleMesh, direction=(1.0, 0.0)) -> np.ndarray
     d[:, 0] = direction[0]
     d[:, 1] = direction[1]
     return d
-
-
-def kato_fraction(mesh: TriangleMesh, conn: ConnectionData, z: np.ndarray) -> float:
-    """Fraction of vertices where |grad |z|| <= 1.05 |grad z| discretely.
-
-    Both gradients use the same per-vertex Dirichlet densities built from
-    cotan edge weights (clamped at zero), so the comparison is like for
-    like.  A density below ``KATO_FLOOR * max|z| * sqrt(max w)`` is roundoff,
-    so a vertex whose |grad |z|| is that small satisfies the inequality: a
-    parallel field gives 1.0 whatever its phase or scale.  Diagnostic only:
-    discretization noise makes a small violating fraction normal near the
-    zeros of z.
-    """
-    w = np.maximum(edge_cotan_weights(mesh), 0.0)
-    a = np.abs(z)
-    i = mesh.edges[:, 0]
-    j = mesh.edges[:, 1]
-    rot_ji = _wrap_angle(-conn.rho)
-    diff_form = np.abs(z[i] - np.exp(1j * rot_ji) * z[j]) ** 2
-    diff_abs = (a[i] - a[j]) ** 2
-    dens_form = np.zeros(mesh.n_vertices)
-    dens_abs = np.zeros(mesh.n_vertices)
-    np.add.at(dens_form, i, w * diff_form)
-    np.add.at(dens_form, j, w * diff_form)
-    np.add.at(dens_abs, i, w * diff_abs)
-    np.add.at(dens_abs, j, w * diff_abs)
-    floor = KATO_FLOOR * a.max() * np.sqrt(w.max())
-    ok = np.sqrt(dens_abs) <= np.maximum(1.05 * np.sqrt(dens_form), floor)
-    return float(np.mean(ok))
 
 
 def face_gradient_magnitudes(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:

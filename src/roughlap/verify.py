@@ -35,9 +35,8 @@ from roughlap.mesh import (FlatTorus, IcoSphere, MeshError, ProductSpec, Triangl
                            graph_diameter)
 from roughlap.operators import (build_connection, connection_laplacian_1forms,
                                 constant_chart_field, encode_tangent_field,
-                                face_gradient_magnitudes, kato_fraction,
-                                rayleigh_quotient, rotation_field,
-                                weitzenboeck_eigen_check)
+                                face_gradient_magnitudes, rayleigh_quotient,
+                                rotation_field, weitzenboeck_eigen_check)
 
 __all__ = [
     "SpecError",
@@ -421,14 +420,14 @@ def check_moser_product_grid() -> CheckOutcome:
 # -- mesh checks --------------------------------------------------------------
 
 def _weitzenboeck_rows(level: ExperimentContext) -> list:
-    return weitzenboeck_eigen_check(level.require_mesh(), WEITZENBOECK_K, level.solver,
-                                    level.connection_eigen())
+    return level._cached("weitzenboeck", lambda: weitzenboeck_eigen_check(
+        level.require_mesh(), WEITZENBOECK_K, level.solver, level.connection_eigen()))
 
 
 def check_weitzenboeck(ctx: ExperimentContext) -> CheckOutcome:
     """Hodge = connection + curvature on the WEITZENBOECK_K smallest pairs, within
     3% on spheres and 5% on tori, the worst mismatch below the next-coarser level's.
-    Both levels read their context's connection solve (``ctx.coarser()``)."""
+    Each level's rows are computed once and cached in its context (``ctx.coarser()``)."""
     tolerance = 0.03 if isinstance(ctx.manifold, IcoSphere) else 0.05
     rows = _weitzenboeck_rows(ctx)
     worst = max(r[3] for r in rows)
@@ -513,14 +512,12 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
     are reported (on spheres eigenforms vanish somewhere, so rho ~ 0 and
     consistency requires eps >= 1/2 at honest constants).  C_s or eps
     beyond the largest double (a huge budget diameter) is reported as null.
-    rho and the Kato fraction read one vector of the first cluster, whose
-    multiplicity is reported: above 1 they depend on the basis the solver
-    returns for that cluster.
+    rho reads one vector of the first cluster: when its reported multiplicity
+    exceeds 1, rho depends on the basis the solver returns.
     """
     result = ctx.connection_eigen()
     z = result.vectors[:, 0]
     lam = max(float(result.values[0]), 0.0)
-    mesh = ctx.require_mesh()
     budget = ctx.budget()
     cs = eps = math.inf  # unless they fit in a double
     try:
@@ -530,12 +527,11 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
         pass
     mag2 = np.abs(z) ** 2
     rho = float(mag2.min() / mag2.max())
-    kato = kato_fraction(mesh, ctx.connection(), z)
     measured = {"rho": rho, "eps": eps if eps < math.inf else None, "lambda": lam,
-                "kato_fraction": kato, "sobolev_cs": cs if cs < math.inf else None,
+                "sobolev_cs": cs if cs < math.inf else None,
                 "multiplicity": cluster_multiplicities(result.values)[0][1]}
-    basis = ("; rho and kato_fraction read one vector of the first cluster, "
-             "so they depend on its basis when its multiplicity exceeds 1")
+    basis = ("; rho reads one vector of the first cluster, "
+             "so it may depend on its basis when its multiplicity exceeds 1")
     if eps < 0.5:
         rho_min = 1.0 - 2.0 * eps - PINCHING_RHO_SLACK
         return CheckOutcome(name="pinching", status="pass" if rho >= rho_min else "fail",
@@ -673,6 +669,7 @@ _EXPERIMENT_FIELDS = ("label", "manifold", "budget", "constants", "checks")
 
 def _suite(experiments: list, seed: int = 0) -> tuple[list, int]:
     """The top level of a spec: its experiments and the solver seed."""
+    SolverConfig(seed=seed)  # the solver's seed rule, applied before any solve
     return experiments, seed
 
 

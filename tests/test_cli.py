@@ -286,8 +286,12 @@ def test_constants_and_bound_locate_bad_flags(capsys, argv, located):
      "--k 31: the Hodge spectrum of this mesh allows --k up to 29\n"),
     (["--manifold", "icosphere", "--subdiv", "0", "--operator", "hodge", "--k", "30"],
      "--k 30: the Hodge spectrum of this mesh allows --k up to 29\n"),
+    # the seed is checked before the solver route (dense at s=1, sparse at s=4) is taken
+    (["--manifold", "icosphere", "--subdiv", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--manifold", "icosphere", "--subdiv", "4", "--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["k_above_dimension", "k_zero", "hodge_k_zero", "hodge_k_negative", "negative_subdiv",
-        "torus_nx_two", "hodge_k_above_dimension", "hodge_k_one_above"])
+        "torus_nx_two", "hodge_k_above_dimension", "hodge_k_one_above", "seed_negative_dense",
+        "seed_negative_sparse"])
 def test_spectrum_locates_bad_flags(capsys, argv, located):
     assert main(["spectrum", *argv]) == 2
     assert f"spec error: {located}" in capsys.readouterr().err

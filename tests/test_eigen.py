@@ -43,6 +43,8 @@ def test_vectors_mass_orthonormal():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(k=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SolverConfig(seed=-1)
     L = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
         smallest_eigenpairs(L, np.ones(3), SolverConfig(k=3))  # k >= dim
@@ -52,6 +54,28 @@ def test_config_validation():
         smallest_eigenpairs(L, np.array([1.0, -1.0, 1.0]), SolverConfig(k=1))
     with pytest.raises(ValueError, match="mass must be positive"):
         smallest_eigenpairs(L, np.array([1.0, 0.0, 1.0]), SolverConfig(k=1))
+
+
+@pytest.mark.parametrize("route", ["dense", "sparse"])
+@pytest.mark.parametrize("where", ["L", "M"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_pencils_are_rejected_at_their_index(sphere_s2, monkeypatch,
+                                                        route, where, bad):
+    # an infinite mass once gave a spurious kernel value on the sphere, and a
+    # NaN reached LAPACK or SuperLU unlocated
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 10 ** 6 if route == "dense" else 0)
+    op, mass = connection_laplacian_1forms(sphere_s2, build_connection(sphere_s2))
+    a = op.matrix.copy()
+    if where == "M":
+        mass = mass.copy()
+        mass[5] = bad
+        located = rf"^mass must be positive and finite: entry 5 is {bad}$"
+    else:
+        col = a.indices[a.indptr[3] + 1]
+        a[3, col] = bad
+        located = rf"^operator entries must be finite: entry \(3, {col}\) is "
+    with pytest.raises(ValueError, match=located):
+        smallest_eigenpairs(a, mass, SolverConfig(k=4))
 
 
 def _torus_pencil(torus16):

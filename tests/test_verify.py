@@ -112,12 +112,12 @@ def test_weitzenboeck_check_uses_the_context_connection(monkeypatch):
         assert V.check_weitzenboeck(ctx).status == "pass"
     # only the coarser level (torus 4x4) builds a connection, and once
     assert [mesh.n_vertices for mesh in built] == [16]
-    # one connection solve per level; the Hodge pencils are solved per call
+    # one connection solve and one Hodge solve per level, whatever the call count
     assert sorted(c for c in solved if c[0] == "c") == [("c", 16), ("c", 64)]
-    assert sorted(c for c in solved if c[0] == "f") == [("f", 32)] * 2 + [("f", 128)] * 2
+    assert sorted(c for c in solved if c[0] == "f") == [("f", 32), ("f", 128)]
     ctx.connection_eigen()
     ctx.coarser().connection_eigen()
-    assert len(solved) == 6
+    assert len(solved) == 4
 
 
 @pytest.mark.parametrize("cutoff", [0, 10 ** 6], ids=["sparse", "dense"])
@@ -193,6 +193,12 @@ def test_pinching_sphere_reported(sphere_ctx):
     # rho reads one vector of the 3-fold first cluster: the report says so
     assert out.measured["multiplicity"] == 3
     assert "depend on its basis" in out.notes
+
+
+@pytest.mark.parametrize("level", ["torus_ctx", "sphere_ctx"])
+def test_pinching_measures_rho_and_the_threshold(request, level):
+    out = V.check_pinching(request.getfixturevalue(level))
+    assert set(out.measured) == {"rho", "eps", "lambda", "sobolev_cs", "multiplicity"}
 
 
 def test_gap_lower_bound_outcomes(torus_ctx):
@@ -557,8 +563,14 @@ def test_run_suite_rejects_a_check_setting(tmp_path, check, key):
     ({"seed": 1.5, "label": "x", "checks": []}, r"^seed: expected an integer, got 1\.5$"),
     ({"experiments": [], "sede": 1}, r"^unknown field 'sede'$"),
     ({"experiments": {"label": "x"}}, r"^experiments: expected list, got \{'label': 'x'\}$"),
+    # the solver route, dense at ico s=2 and sparse at s=3, changes only the time
+    ({"seed": -1, "label": "x", "manifold": dict(ICO1, subdivisions=2), "checks": ["pinching"]},
+     r"^seed must be >= 0, got -1$"),
+    ({"seed": -1, "experiments": [{"manifold": dict(ICO1, subdivisions=3),
+                                   "checks": ["pinching"]}]}, r"^seed must be >= 0, got -1$"),
 ], ids=["experiment_typo", "single_form_typo", "seed_inside_experiment", "seed_text",
-        "seed_list", "seed_fraction", "top_level_typo", "experiments_object"])
+        "seed_list", "seed_fraction", "top_level_typo", "experiments_object",
+        "seed_negative_dense", "seed_negative_sparse"])
 def test_run_suite_locates_bad_top_level(tmp_path, spec, located):
     with pytest.raises(V.SpecError, match=located):
         V.run_suite(write_spec(tmp_path, spec))
