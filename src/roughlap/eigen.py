@@ -1,16 +1,17 @@
-"""Smallest generalized eigenpairs of (L, M), certified and repeatable within a process.
+"""Smallest generalized eigenpairs of (L, M), certified and repeatable for a fixed seed.
 
 L is sparse Hermitian positive semidefinite, M positive diagonal.  The
 pencil is whitened through M^(-1/2), solved densely up to ``DENSE_CUTOFF``
-unknowns and by shift-invert Lanczos above it (ARPACK through a seeded
-start vector, an explicit sparse LU of B - sigma*I and at most ``MAX_ITER``
-Arnoldi iterations), so the route depends on the pencil size alone.  The
-dense solve computes only the k requested pairs (LAPACK's MRRR driver on an
-index range), not the whole spectrum, in place on one Fortran-order array.
-The small negative shift keeps the factorization definite when L has a
-kernel, so the LU needs no pivoting and takes a symmetric fill-reducing
-ordering: reverse Cuthill-McKee, then SuperLU's minimum degree on A + A^H
-(minimum degree alone is slow on the icosphere's subdivision numbering).
+unknowns and by shift-invert Lanczos above it (ARPACK with every start and
+restart vector drawn from the seed, an explicit sparse LU of B - sigma*I and
+at most ``MAX_ITER`` Arnoldi iterations), so the route depends on the pencil
+size alone.  The dense solve computes only the k requested pairs (LAPACK's
+MRRR driver on an index range), not the whole spectrum, in place on one
+Fortran-order array.  The small negative shift keeps the factorization
+definite when L has a kernel, so the LU needs no pivoting and takes a
+symmetric fill-reducing ordering: reverse Cuthill-McKee, then SuperLU's
+minimum degree on A + A^H (minimum degree alone is slow on the icosphere's
+subdivision numbering).
 That makes 1.5-3x less fill than SuperLU's default unsymmetric COLAMD
 ordering and keeps the row and column orders equal, so U's diagonal holds
 the LDL^H pivots.  Their signs certify that the k smallest values were
@@ -23,13 +24,12 @@ path's vectors orthonormal, as the dense path's are, and both paths return
 ascending values, so the route changes only the time.  ``DENSE_CUTOFF``
 sits at the measured crossover: above it complex pencils solve up to 4-6x
 faster sparse, below it pencils of up to about 250 unknowns stay faster
-dense.  The kernel band, the inertia count's floor and the residual
-certificate are fractions of ``scale``, the whitened operator's 1-norm, so
-none changes when the metric is scaled.  Each returned pair (lambda, x) is
-certified in whitened coordinates: y = M^(1/2) x is a unit vector and
-|B y - lambda y| <= ``RESIDUAL_TOL`` * scale, else the solve raises,
-carrying the residuals.  Across processes the sparse route's values may
-differ at roundoff (see :func:`smallest_eigenpairs`).
+dense.  The shift, the kernel band, the inertia count's floor and the
+residual certificate are fractions of ``scale``, the whitened operator's
+1-norm, so none changes when the metric is scaled.  Each returned pair
+(lambda, x) is certified in whitened coordinates: y = M^(1/2) x is a unit
+vector and |B y - lambda y| <= ``RESIDUAL_TOL`` * scale, else the solve
+raises, carrying the residuals.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, eigsh, splu
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -71,7 +71,7 @@ MAX_RESOLVES = 8     # deflated re-solves of the sparse path before a missed pai
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """k smallest pairs and the seed of the sparse path's start vector."""
+    """k smallest pairs and the seed of the sparse path's ARPACK generator."""
 
     k: int = 6
     seed: int = 0
@@ -131,12 +131,11 @@ def _unpack(L, M):
 def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenResult:
     """k smallest eigenpairs of L x = lambda M x, residual-certified.
 
-    Within one process a fixed config seed gives bitwise equal results: the
-    dense path is direct and the ARPACK path uses a seeded start vector with
-    tol=0 (machine-precision Ritz convergence).  Across fresh processes the
-    sparse path's values may differ at roundoff, by up to 8.9e-18 * scale in
-    5 of 4,437 solves of a seed scan; the default spec's report has stayed
-    equal apart from its timestamp in every fresh-process run compared.
+    A fixed config seed gives bitwise equal results, in one process or
+    across processes, on one numpy/scipy build: the dense path is direct,
+    and ARPACK draws its start vector and every restart vector from a
+    generator seeded by ``config.seed`` and runs at tol=0
+    (machine-precision Ritz convergence).
     """
     a, m = _unpack(L, M)
     n = a.shape[0]
@@ -176,20 +175,17 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
 
 def _shift_invert(b: sp.csr_matrix, config: SolverConfig, scale: float):
     n = b.shape[0]
-    diag_mean = float(np.abs(b.diagonal()).mean())
-    # sigma sits just below 0, the bottom of the PSD spectrum: B - sigma*I is
-    # then definite even when L has a kernel, and near the smallest values
-    sigma = -1e-3 * max(diag_mean, 1e-300)
+    # sigma sits just below 0, the bottom of the PSD spectrum, on the scale
+    # every other tolerance reads: B - sigma*I is then definite even when L
+    # has a kernel, and near the smallest values
+    sigma = -1e-5 * (scale or 1.0)
     # ARPACK and the LU work on the relabelled pencil B[p][:, p]; the vectors
     # are mapped back before the caller certifies them
     p = reverse_cuthill_mckee(b, symmetric_mode=True)
     b = b[p][:, p].tocsc()
+    # ARPACK draws its start vector and every restart vector from the seed
     rng = np.random.default_rng(config.seed)
-    v0 = rng.standard_normal(n)
-    if np.iscomplexobj(b.data):
-        v0 = v0 + 1j * rng.standard_normal(n)
-    v0 = v0[p]
-    vals, vecs, solves, fill = _lanczos(b, sigma, config.k, v0, np.empty((n, 0), b.dtype))
+    vals, vecs, solves, fill = _lanczos(b, sigma, config.k, rng, np.empty((n, 0), b.dtype))
     # single-vector Lanczos finds the second and later copies of a repeated
     # value only through roundoff; the inertia count sees a missed one
     for resolves in range(MAX_RESOLVES + 1):
@@ -201,7 +197,7 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig, scale: float):
                 f"{missing} of the {config.k} smallest eigenvalues still missing after "
                 f"{MAX_RESOLVES} deflated re-solves", values=vals, residuals=None)
         # the missed pairs are the smallest ones orthogonal to every pair found
-        more, more_vecs, extra, _ = _lanczos(b, sigma, missing, v0, vecs)
+        more, more_vecs, extra, _ = _lanczos(b, sigma, missing, rng, vecs)
         solves += extra
         order = np.argsort(np.concatenate([vals, more]))[:config.k]
         vals, vecs = np.concatenate([vals, more])[order], np.hstack([vecs, more_vecs])[:, order]
@@ -222,7 +218,7 @@ def _factor(a: sp.spmatrix):
                 options=dict(SymmetricMode=True))
 
 
-def _lanczos(b, sigma, k, v0, found):
+def _lanczos(b, sigma, k, rng, found):
     """k eigenpairs of b nearest sigma off the span of ``found``, the LU solves and fill.
 
     The factorization of B - sigma*I lives only during this call, so the
@@ -240,16 +236,18 @@ def _lanczos(b, sigma, k, v0, found):
         return x - found @ (found.conj().T @ x)
 
     op_inv = LinearOperator(b.shape, matvec=solve, dtype=b.dtype)
+    # eigsh hands complex pencils to eigs without the generator
+    solver = eigs if np.iscomplexobj(b.data) else eigsh
     try:
-        vals, vecs = eigsh(b, k=k, sigma=sigma, which="LM", v0=v0, maxiter=MAX_ITER,
-                           tol=0, OPinv=op_inv)
+        vals, vecs = solver(b, k=k, sigma=sigma, which="LM", maxiter=MAX_ITER, tol=0,
+                            OPinv=op_inv, rng=rng)
     except ArpackNoConvergence as exc:
         raise EigenConvergenceError(
             f"ARPACK did not converge within {MAX_ITER} iterations",
             values=getattr(exc, "eigenvalues", None),
             residuals=None) from exc
     # factor.nnz reads SuperLU's own count; factor.L and .U would copy both factors
-    return vals, vecs, count[0], factor.nnz
+    return vals.real, vecs, count[0], factor.nnz
 
 
 def _missing_below(b, vals, scale: float) -> int:

@@ -83,16 +83,6 @@ def _torus_pencil(torus16):
     return connection_laplacian_1forms(torus16, conn)
 
 
-def test_determinism_bitwise(torus16, monkeypatch):
-    op, mass = _torus_pencil(torus16)
-    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
-    config = SolverConfig(k=5, seed=42)
-    a = smallest_eigenpairs(op, mass, config)
-    b = smallest_eigenpairs(op, mass, config)
-    assert a.iterations == b.iterations
-    assert np.array_equal(a.values, b.values)
-
-
 def test_dense_sparse_oracle(torus16, monkeypatch):
     op, mass = _torus_pencil(torus16)
     dense = smallest_eigenpairs(op, mass, SolverConfig(k=6))
@@ -159,7 +149,7 @@ def test_sparse_factorization_fill_beats_default_ordering(pencil):
     # oracle: SuperLU's default ordering and pivoting on the same shifted matrix
     w = 1.0 / np.sqrt(mass)
     b = sp.diags(w) @ op.matrix @ sp.diags(w)
-    sigma = -1e-3 * np.abs(b.diagonal()).mean()
+    sigma = -1e-5 * res.scale
     default = splu((b - sigma * sp.identity(b.shape[0], format="csc")).tocsc())
     assert res.iterations > 0
     assert 0 < res.fill <= 0.75 * default.nnz
@@ -251,6 +241,83 @@ def _torus16_cotan_pencil():
 
 def _torus16_connection_pencil():
     return _torus_pencil(generate_flat_torus(2 * np.pi, 2 * np.pi, 16, 16))
+
+
+def _torus24_hodge_pencil():
+    return hodge_laplacian_1forms(generate_flat_torus(2 * np.pi, 2 * np.pi, 24, 24))
+
+
+def _results_equal(a, b):
+    return (a.iterations == b.iterations and a.fill == b.fill
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("values", "vectors", "residuals")))
+
+
+@pytest.mark.parametrize("pencil, seed", [
+    (_torus16_connection_pencil, 42),
+    # complex pencil: eigs takes the generator, eigsh would drop it
+    (_torus16_connection_pencil, 3),
+    (_torus24_hodge_pencil, 8),
+], ids=["torus16_connection_seed42", "torus16_connection_seed3", "torus24_hodge_seed8"])
+def test_sparse_solves_repeat_bitwise(pencil, seed, monkeypatch):
+    # seeds 3 and 8 once drew ARPACK restart vectors from an unseeded generator
+    op, mass = pencil()
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    config = SolverConfig(k=5, seed=seed)
+    a = smallest_eigenpairs(op, mass, config)
+    for _ in range(3):
+        np.random.default_rng(seed).standard_normal(10 ** 5)  # an allocation between solves
+        assert _results_equal(a, smallest_eigenpairs(op, mass, config))
+
+
+class _CountingGenerator(np.random.Generator):
+    draws = 0
+
+    def uniform(self, *args, **kwargs):
+        _CountingGenerator.draws += 1
+        return super().uniform(*args, **kwargs)
+
+
+def test_restart_vectors_come_from_the_seed(monkeypatch):
+    # ARPACK draws a restart vector when a Lanczos run closes an invariant
+    # subspace; the counting generator shares the solver's bit stream, so the
+    # draws are the solver's own
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    runs = [0]
+
+    def counted(solver):
+        def run(*args, rng, **kwargs):
+            runs[0] += 1
+            return solver(*args, rng=_CountingGenerator(rng.bit_generator), **kwargs)
+        return run
+
+    monkeypatch.setattr(eigen, "eigs", counted(eigen.eigs))
+    monkeypatch.setattr(eigen, "eigsh", counted(eigen.eigsh))
+
+    def draws_per_run(op, mass, seed):
+        _CountingGenerator.draws, runs[0] = 0, 0
+        a = smallest_eigenpairs(op, mass, SolverConfig(k=5, seed=seed))
+        np.random.default_rng(seed).standard_normal(10 ** 5)
+        assert _results_equal(a, smallest_eigenpairs(op, mass, SolverConfig(k=5, seed=seed)))
+        return _CountingGenerator.draws / runs[0]
+
+    # a run that only draws its start vector, and one that also restarts
+    start_only = draws_per_run(*_torus24_hodge_pencil(), seed=8)
+    assert draws_per_run(*_torus_hodge_pencil(), seed=24) > start_only
+
+
+@pytest.mark.parametrize("pencil", [_torus16_connection_pencil, _torus_hodge_pencil],
+                         ids=["torus16_connection", "torus16_hodge"])
+def test_sparse_residuals_keep_headroom_over_a_kernel(pencil, monkeypatch):
+    # both pencils have a kernel, so the shift sits next to their smallest
+    # values; a shift too close to 0 starves the certificate (2e-12 on the
+    # Hodge pencil at -1e-7 * scale) long before RESIDUAL_TOL
+    op, mass = pencil()
+    monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
+    for seed in range(5):
+        res = smallest_eigenpairs(op, mass, SolverConfig(k=8, seed=seed))
+        assert first_positive(res) is not None and res.values[0] <= eigen.KERNEL_TOL * res.scale
+        assert res.residuals.max() <= 1e-13
 
 
 @pytest.mark.parametrize("pencil", [

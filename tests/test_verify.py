@@ -349,6 +349,18 @@ def test_run_suite_deterministic(tmp_path):
     assert a == b
 
 
+def test_default_spec_repeats_at_seed_112(tmp_path):
+    # at seed 112 the report once changed on every pass: ARPACK drew its
+    # restart vectors from a generator the seed did not reach
+    with open("specs/default.json") as f:
+        spec = json.load(f)
+    path = write_spec(tmp_path, {**spec, "seed": 112})
+    reports = [V.run_suite(path).as_dict() for _ in range(3)]
+    for report in reports:
+        report.pop("created")
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_run_suite_single_experiment_form(tmp_path):
     path = write_spec(tmp_path, {
         "label": "solo", "checks": ["moser_product_grid"]})
