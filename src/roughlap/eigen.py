@@ -150,6 +150,7 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     # fraction of scale whatever the size of the metric
     unit = 2.0 ** round(math.log2(scale)) if 0 < scale < math.inf else 1.0
     b = b / unit
+    yardstick = scale / unit or 1.0  # of the residuals and the shift; 1 on a zero operator
 
     try:
         if n <= DENSE_CUTOFF:
@@ -157,13 +158,13 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
                               overwrite_a=True)
             iterations = fill = 0
         else:
-            vals, vecs, iterations, fill = _shift_invert(b, config, scale / unit)
+            vals, vecs, iterations, fill = _shift_invert(b, config, yardstick)
     except EigenConvergenceError as exc:
         exc.values = None if exc.values is None else exc.values * unit
         raise
 
     # both routes return orthonormal whitened vectors y; x = M^(-1/2) y
-    residuals = np.linalg.norm(b @ vecs - vecs * vals, axis=0) / (scale / unit)
+    residuals = np.linalg.norm(b @ vecs - vecs * vals, axis=0) / yardstick
     vals = vals * unit
     if not np.all(residuals <= RESIDUAL_TOL):
         raise EigenConvergenceError(
@@ -178,7 +179,7 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig, scale: float):
     # sigma sits just below 0, the bottom of the PSD spectrum, on the scale
     # every other tolerance reads: B - sigma*I is then definite even when L
     # has a kernel, and near the smallest values
-    sigma = -1e-5 * (scale or 1.0)
+    sigma = -1e-5 * scale
     # ARPACK and the LU work on the relabelled pencil B[p][:, p]; the vectors
     # are mapped back before the caller certifies them
     p = reverse_cuthill_mckee(b, symmetric_mode=True)

@@ -135,7 +135,8 @@ class TriangleMesh:
     def _build_metric(self, edge_lengths) -> None:
         if edge_lengths is None:
             diff = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
-            self.edge_lengths = np.linalg.norm(diff, axis=1)
+            with np.errstate(over="ignore"):  # an overflowing length: _validate locates it
+                self.edge_lengths = np.linalg.norm(diff, axis=1)
         else:
             side = np.asarray(edge_lengths, dtype=float)
             if side.shape != self.faces.shape:
@@ -332,8 +333,8 @@ def generate_icosphere(radius: float, subdivisions: int) -> TriangleMesh:
         ij, jk, ki = (n_v + rank[inverse]).reshape(-1, 3).T
         h = np.sort(first)
         p = 0.5 * (verts[tails[h]] + verts[heads[h]])
-        # a radius whose square underflows gives non-finite vertices; TriangleMesh locates them
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a radius whose square under- or overflows gives bad vertices; TriangleMesh locates them
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p *= (radius / np.sqrt(np.vecdot(p, p)))[:, None]
         verts = np.vstack([verts, p])
         i, j, k = faces.T

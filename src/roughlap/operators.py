@@ -44,6 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from roughlap import eigen
 from roughlap.mesh import MeshError, TriangleMesh, euler_characteristic
 
 __all__ = [
@@ -290,7 +291,7 @@ def rayleigh_quotient(L, M, x: np.ndarray) -> float:
 
 
 def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
-                             conn_eigen=None) -> list[tuple[float, float, float, float]]:
+                             conn_eigen=None) -> np.ndarray:
     """Pair Hodge and connection-Laplacian eigenvalues through the curvature shift.
 
     On a surface the Hodge Laplacian on 1-forms equals the connection
@@ -301,38 +302,32 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
     real Hodge count.  ``conn_eigen`` is the mesh's connection solve
     (an ``EigenResult``); without it one is solved here at ``solver_config``
     (default ``SolverConfig()``).  Its first ceil(k/2) values are used, and
-    it must hold that many.  Returns rows
+    it must hold that many.  Returns a (k, 4) array of rows
     (mu_i, lambda_i, K, relative mismatch).
     """
-    from roughlap.eigen import KERNEL_TOL, SolverConfig, smallest_eigenpairs
-
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
-        return []
+        return np.empty((0, 4))
     shift = 2.0 * math.pi * euler_characteristic(mesh) / mesh.total_area
-    config = solver_config or SolverConfig()
+    config = solver_config or eigen.SolverConfig()
 
     k_complex = (k + 1) // 2
     if conn_eigen is None:
-        conn_eigen = smallest_eigenpairs(
+        conn_eigen = eigen.smallest_eigenpairs(
             *connection_laplacian_1forms(mesh, build_connection(mesh)), config)
     if len(conn_eigen.values) < k_complex:
         raise ValueError(f"k={k} needs {k_complex} connection pairs, got {len(conn_eigen.values)}")
     rough = np.repeat(conn_eigen.values[:k_complex], 2)[:k]
 
-    l_hodge, m_hodge = hodge_laplacian_1forms(mesh)
-    res_hodge = smallest_eigenpairs(l_hodge, m_hodge, replace(config, k=k + 2))
+    res_hodge = eigen.smallest_eigenpairs(*hodge_laplacian_1forms(mesh), replace(config, k=k + 2))
     hodge = hodge_eigenvalues(mesh, res_hodge.values)[:k]
 
+    # spec'd relative mismatch |mu - (lam+K)| / mu; kernel pairs (mu in the
+    # connection solve's kernel band) are fractions of its operator scale
     scale = conn_eigen.scale
-    out = []
-    for mu, lam in zip(hodge, rough):
-        # spec'd relative mismatch |mu - (lam+K)| / mu; kernel pairs (mu in the
-        # connection solve's kernel band) are fractions of its operator scale
-        denom = abs(mu) if abs(mu) > KERNEL_TOL * scale else scale
-        out.append((float(mu), float(lam), shift, float(abs(mu - lam - shift) / denom)))
-    return out
+    denom = np.where(np.abs(hodge) > eigen.KERNEL_TOL * scale, np.abs(hodge), scale)
+    return np.column_stack([hodge, rough, np.full(k, shift), np.abs(hodge - rough - shift) / denom])
 
 
 # -- tangent-field sampling --------------------------------------------------

@@ -33,7 +33,7 @@ from roughlap.eigen import (KERNEL_TOL, EigenResult, SolverConfig,
 from roughlap.mesh import (FlatTorus, IcoSphere, MeshError, ProductSpec, TriangleMesh,
                            build_mesh, curvature_lp_norm, euler_characteristic,
                            graph_diameter)
-from roughlap.operators import (build_connection, connection_laplacian_1forms,
+from roughlap.operators import (build_connection, connection_laplacian_1forms, cotan_laplacian,
                                 constant_chart_field, encode_tangent_field,
                                 face_gradient_magnitudes, rayleigh_quotient,
                                 rotation_field, weitzenboeck_eigen_check)
@@ -257,43 +257,28 @@ def parse_manifold(data: dict | None, where: str = "manifold"):
     return _bind(_MANIFOLDS[kind], fields, where)
 
 
-def _analytic_diameter(manifold) -> float:
-    if isinstance(manifold, IcoSphere):
-        return math.pi * manifold.radius
-    if isinstance(manifold, FlatTorus):
-        return 0.5 * math.hypot(manifold.lx, manifold.ly)
-    if isinstance(manifold, ProductSpec):
-        return math.hypot(*(_analytic_diameter(f) for f in manifold.factors))
-    raise SpecError(f"no analytic diameter for {manifold!r}")
-
-
-def _factor_spectra(manifold, cutoff: float):
-    if isinstance(manifold, IcoSphere):
-        return (spectra.sphere_function_spectrum(manifold.radius, cutoff),
-                spectra.sphere_oneform_rough_spectrum(manifold.radius, cutoff))
-    return (spectra.torus_function_spectrum(manifold.lx, manifold.ly, cutoff),
-            spectra.torus_oneform_rough_spectrum(manifold.lx, manifold.ly, cutoff))
-
-
 class ExperimentContext:
-    """Caches the mesh, connection operators, and eigensolve per mesh level.
+    """Caches the mesh, connection operators, and eigensolves per mesh level.
 
     ``connection_eigen`` is the level's one connection solve, of
     CONNECTION_K pairs at the spec's ``seed`` whatever the check order; every
     check that needs connection values reads it.  ``coarser()`` is the
-    next-coarser level's context."""
+    next-coarser level's context, ``factors()`` a product's factor contexts."""
 
     def __init__(self, manifold, seed: int,
                  budget_spec: dict | None, consts: AbstractConstants,
-                 where: str = "experiment"):
+                 where: str = "experiment", mesh_where: str | None = None):
         self.manifold = manifold
         self.solver = SolverConfig(k=CONNECTION_K, seed=seed)
         self.budget_spec = _fields(GeometryBudget, budget_spec, f"{where}.budget")
+        _bind(GeometryBudget, {"diameter": 1.0, **BUDGET_DEFAULTS, **self.budget_spec},
+              f"{where}.budget")  # the stated ranges; 1.0 stands in for a measured diameter
         self.consts = consts
-        self.where = where  # spec location named by errors in lazy steps
+        self.where = where  # spec locations named by errors in lazy steps
+        self.mesh_where = mesh_where or f"{where}.manifold"
         self._cache: dict = {}
 
-    def _cached(self, key: str, make):
+    def _cached(self, key, make):
         if key not in self._cache:
             self._cache[key] = make()
         return self._cache[key]
@@ -305,7 +290,7 @@ class ExperimentContext:
         try:
             return self._cached("mesh", lambda: build_mesh(self.manifold))
         except MeshError as exc:
-            raise SpecError(f"{self.where}.manifold: {exc}") from None
+            raise SpecError(f"{self.mesh_where}: {exc}") from None
 
     def connection(self):
         return self._cached("conn", lambda: build_connection(self.require_mesh()))
@@ -318,26 +303,41 @@ class ExperimentContext:
         return self._cached("conn_eig", lambda: smallest_eigenpairs(
             *self.connection_operator(), self.solver))
 
+    def cotan_eigen(self) -> EigenResult:
+        return self._cached("cotan_eig", lambda: smallest_eigenpairs(
+            *cotan_laplacian(self.require_mesh()), self.solver))
+
     def coarser(self) -> ExperimentContext | None:
         """The next-coarser model level, or None where this one is the coarsest
         (ico s=0, and the 3x3 torus, which halves to itself)."""
-        m = self.manifold
+        m = coarse = self.manifold
         if isinstance(m, FlatTorus):
             coarse = FlatTorus(m.lx, m.ly, max(m.nx // 2, 3), max(m.ny // 2, 3))
         elif isinstance(m, IcoSphere) and m.subdivisions >= 1:
             coarse = IcoSphere(m.radius, m.subdivisions - 1)
-        else:
-            coarse = m
         return None if coarse == m else self._cached("coarser", lambda: ExperimentContext(
-            coarse, self.solver.seed, self.budget_spec, self.consts, self.where))
+            coarse, self.solver.seed, self.budget_spec, self.consts, self.where, self.mesh_where))
+
+    def factors(self) -> list[ExperimentContext]:
+        """A product's factor contexts; identical factors share one, so none is solved twice."""
+        return [self._cached(("factor", f), lambda: ExperimentContext(
+            f, self.solver.seed, None, self.consts, self.where,
+            f"{self.mesh_where}.factors[{i}]")) for i, f in enumerate(self.manifold.factors)]
+
+    def measured_spectra(self) -> tuple:
+        """The mesh's cotan and connection spectra for ``spectra``: kernel-band values are
+        0.0, a complex 1-form value counts twice, each is complete below its certified top."""
+        def spectrum(result, degree):
+            values = np.where(result.values <= KERNEL_TOL * result.scale, 0.0, result.values)
+            return spectra.AnalyticSpectrum(tuple((float(v), 1 + degree) for v in values),
+                                            degree, repr(self.manifold), float(values[-1]))
+        return spectrum(self.cotan_eigen(), 0), spectrum(self.connection_eigen(), 1)
 
     def first_positive_oneform(self) -> float:
         if isinstance(self.manifold, ProductSpec):
-            # every factor's first positive 1-form value is at most (2 pi / D_f)^2,
-            # so the product's lies below the smallest of these cutoffs
-            cutoff = (2.0 * math.pi / max(map(_analytic_diameter, self.manifold.factors))) ** 2
-            (a0, a1), (b0, b1) = (_factor_spectra(f, cutoff) for f in self.manifold.factors)
-            value = spectra.product_oneform_spectrum(a0, a1, b0, b1, cutoff).first_positive()
+            parts = [s for f in self.factors() for s in f.measured_spectra()]  # m0, m1, n0, n1
+            cutoff = min(s.cutoff for s in parts)
+            value = spectra.product_oneform_spectrum(*parts, cutoff).first_positive()
         else:
             value = first_positive(self.connection_eigen())
         if value is None:
@@ -346,11 +346,13 @@ class ExperimentContext:
 
     def measured_diameter(self) -> float:
         if isinstance(self.manifold, ProductSpec):
-            return _analytic_diameter(self.manifold)
+            return math.hypot(*(f.measured_diameter() for f in self.factors()))
         return self._cached("diameter", lambda: graph_diameter(self.require_mesh()))
 
     def budget(self) -> GeometryBudget:
-        """Budget with unstated diameter / curvature norm filled by measurement."""
+        """Budget with unstated diameter / curvature norm measured, built once per level."""
+        if "budget" in self._cache:
+            return self._cache["budget"]
         where = f"{self.where}.budget"
         stated = {**BUDGET_DEFAULTS, **self.budget_spec}
         if "diameter" not in stated:
@@ -363,7 +365,7 @@ class ExperimentContext:
                 stated["riem_2p"] = curvature_lp_norm(mesh, 2.0 * stated["p_exponent"])
             except ValueError as exc:
                 raise SpecError(f"{where}.p_exponent: {exc}") from None
-        return _bind(GeometryBudget, stated, where)
+        return self._cached("budget", lambda: _bind(GeometryBudget, stated, where))
 
 
 # -- grid checks (no manifold) ----------------------------------------------
@@ -419,7 +421,7 @@ def check_moser_product_grid() -> CheckOutcome:
 
 # -- mesh checks --------------------------------------------------------------
 
-def _weitzenboeck_rows(level: ExperimentContext) -> list:
+def _weitzenboeck_rows(level: ExperimentContext) -> np.ndarray:
     return level._cached("weitzenboeck", lambda: weitzenboeck_eigen_check(
         level.require_mesh(), WEITZENBOECK_K, level.solver, level.connection_eigen()))
 
@@ -430,13 +432,13 @@ def check_weitzenboeck(ctx: ExperimentContext) -> CheckOutcome:
     Each level's rows are computed once and cached in its context (``ctx.coarser()``)."""
     tolerance = 0.03 if isinstance(ctx.manifold, IcoSphere) else 0.05
     rows = _weitzenboeck_rows(ctx)
-    worst = max(r[3] for r in rows)
+    worst = float(rows[:, 3].max())
     ok = worst <= tolerance
     measured = {"pairs": _jsonable(rows), "max_residual": worst}
-    notes = f"curvature shift {rows[0][2]!r}"
+    notes = f"curvature shift {float(rows[0, 2])!r}"
     coarse = ctx.coarser()
     if coarse is not None:
-        coarse_worst = max(r[3] for r in _weitzenboeck_rows(coarse))
+        coarse_worst = float(_weitzenboeck_rows(coarse)[:, 3].max())
         measured["max_residual_coarse"] = coarse_worst
         # flat tori: both discretizations coincide spectrally, so both
         # levels sit at roundoff and "decrease" is vacuous there

