@@ -130,57 +130,82 @@ _RULE = np.polynomial.legendre.leggauss(20)
 _CHECK_RULE = np.polynomial.legendre.leggauss(27)
 
 
-def _integral(f, lam: float, rate: float, rule) -> np.ndarray:
-    """Composite Gauss-Legendre rule for int_0^lam f(t) dt along f's first axis.
+def _integral(f, lam: np.ndarray, rate: float, rule) -> np.ndarray:
+    """Composite Gauss-Legendre rules for int_0^lam[i] f(t, i) dt, on f's last axis.
 
-    On ``ceil(rate*lam/4)`` panels an integrand growing like exp(rate*t) grows
-    by at most e^4 on each; nodes count down from lam, where it is largest.
+    On ``ceil(rate*lam[i]/4)`` panels an integrand growing like exp(rate*t)
+    grows by at most e^4 on each; nodes count down from lam[i], where it is
+    largest.  Every lam's panels are laid out in one node array t, f(t, i)
+    sees the index i of each node's lam, and each lam's sum is one segment
+    of a single reduceat.
     """
     nodes, weights = rule
-    panels = max(1, math.ceil(rate * lam / 4.0))
+    panels = np.maximum(1, np.ceil(rate * lam / 4.0)).astype(np.int64)
     h = lam / panels
-    t = lam - h * (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)).ravel()
-    return 0.5 * h * (np.tile(weights, panels) @ f(t))
+    first = np.cumsum(panels) - panels  # each lam's first panel
+    owner = np.repeat(np.arange(len(lam)), panels)  # each panel's lam
+    offset = np.arange(len(owner)) - first[owner]  # its place among that lam's panels
+    t = (lam[owner, None] - h[owner, None] * (offset[:, None] + 0.5 * (nodes + 1.0))).ravel()
+    values = f(t, np.repeat(owner, len(nodes)))
+    return 0.5 * h * np.add.reduceat(values * np.tile(weights, len(owner)),
+                                     first * len(nodes), axis=-1)
 
 
-def comparison_root(n: int, lam: float) -> float:
+def comparison_root(n: int, lam):
     """Unique positive root C of ``C * int_0^lam (cosh t + C sinh t)^(n-1) dt = w(n)``.
 
-    In ``c = lam*C`` and divided by cosh(lam)^(n-1), the binomial expansion is
-    a polynomial ``sum_k binom(n-1, k) m_k c^(k+1)`` with positive coefficients,
-    so Newton's method from the bracket's right end falls monotonically to the
-    unique root.  A 27-node rule on the direct definition certifies a relative
-    residual below 1e-10.  Raises ValueError where cosh(lam)^(n-1) overflows.
+    ``lam`` is a number, for which a float is returned, or a 1-d array, whose
+    roots come from one pass.  In ``c = lam*C`` and divided by cosh(lam)^(n-1),
+    the binomial expansion is a polynomial ``sum_k binom(n-1, k) m_k c^(k+1)``
+    with positive coefficients, so Newton's method from the bracket's right
+    end falls monotonically to the unique root; each element stops on its own
+    step.  A 27-node rule on the direct definition certifies a relative
+    residual below 1e-10 for each.  Raises ValueError, naming the first lam
+    at fault, where lam is not a positive normal double or cosh(lam)^(n-1)
+    overflows, and RuntimeError where a root misses its certificate.
     """
     if n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
-    if not sys.float_info.min <= lam < math.inf:  # C ~ 1/lam overflows below
-        raise ValueError(f"lam must be positive and finite (>= {sys.float_info.min!r}), got {lam}")
-    try:
-        cosh_lam = math.cosh(lam)
-        rhs = lam * sin_power_integral(n) / cosh_lam ** (n - 1)
-    except OverflowError:
-        raise ValueError(f"cosh(lam)^(n-1) overflows at n={n}, lam={lam}") from None
-    k = np.arange(n)
-    moments = _integral(lambda t: (np.cosh(t)[:, None] / cosh_lam) ** (n - 1 - k)
-                        * (np.sinh(t)[:, None] / cosh_lam / lam) ** k, lam, n - 1, _RULE)
-    coeffs = [math.comb(n - 1, j) * m for j, m in enumerate(moments.tolist())]
-    c, step = rhs / coeffs[0], math.inf
-    while step > 4 * sys.float_info.epsilon * c:
-        value = slope = 0.0  # Horner for P(c) = F(c)/c and P'(c)
-        for coeff in reversed(coeffs):
-            slope = slope * c + value
-            value = value * c + coeff
-        step = (c * value - rhs) / (value + c * slope)
-        c -= step
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
 
-    direct = _integral(lambda t: ((np.cosh(t) + c / lam * np.sinh(t)) / cosh_lam) ** (n - 1),
-                       lam, n - 1, _CHECK_RULE)
+    def first(bad):
+        return float(lams[np.flatnonzero(bad)[0]])
+
+    bad = ~((lams >= sys.float_info.min) & (lams < math.inf))  # C ~ 1/lam overflows below
+    if bad.any():
+        raise ValueError(f"lam must be positive and finite (>= {sys.float_info.min!r}), "
+                         f"got {first(bad)}")
+    with np.errstate(over="ignore"):
+        cosh_lam = np.cosh(lams)
+        power = cosh_lam ** (n - 1)
+    if not np.isfinite(power).all():
+        raise ValueError(f"cosh(lam)^(n-1) overflows at n={n}, lam={first(~np.isfinite(power))}")
+    rhs = lams * sin_power_integral(n) / power
+    k = np.arange(n)[:, None]
+    moments = _integral(lambda t, i: (np.cosh(t) / cosh_lam[i]) ** (n - 1 - k)
+                        * (np.sinh(t) / cosh_lam[i] / lams[i]) ** k, lams, n - 1, _RULE)
+    coeffs = np.array([math.comb(n - 1, j) for j in range(n)])[:, None] * moments
+    c = rhs / coeffs[0]
+    todo = np.arange(len(lams))  # the elements whose last step was not yet below 4 eps c
+    while len(todo):
+        x = c[todo]
+        value = slope = np.zeros(len(todo))  # Horner for P(c) = F(c)/c and P'(c)
+        for coeff in coeffs[::-1, todo]:
+            slope = slope * x + value
+            value = value * x + coeff
+        step = (x * value - rhs[todo]) / (value + x * slope)
+        c[todo] = x = x - step
+        todo = todo[step > 4 * sys.float_info.epsilon * x]
+
+    direct = _integral(lambda t, i: ((np.cosh(t) + (c / lams)[i] * np.sinh(t)) / cosh_lam[i])
+                       ** (n - 1), lams, n - 1, _CHECK_RULE)
     residual = abs(c * direct - rhs)
-    if not residual < 1e-10 * rhs:
-        raise RuntimeError(
-            f"root residual {residual:.3e} exceeds 1e-10*w for n={n}, lam={lam}")
-    return c / lam
+    bad = ~(residual < 1e-10 * rhs)
+    if bad.any():
+        raise RuntimeError(f"root residual {residual[bad][0]:.3e} exceeds 1e-10*w "
+                           f"for n={n}, lam={first(bad)}")
+    roots = c / lams
+    return float(roots[0]) if np.ndim(lam) == 0 else roots
 
 
 def comparison_root_limit(n: int) -> float:

@@ -111,7 +111,7 @@ class EigenConvergenceError(RuntimeError):
 
 
 def _unpack(L, M):
-    a = L.matrix if hasattr(L, "matrix") else sp.csr_matrix(L)
+    a = sp.csr_matrix(L.matrix if hasattr(L, "matrix") else L)
     m = np.asarray(M, dtype=float)
     if a.shape[0] != a.shape[1]:
         raise ValueError("operator must be square")
@@ -142,14 +142,18 @@ def smallest_eigenpairs(L, M, config: SolverConfig = SolverConfig()) -> EigenRes
     if config.k >= n:
         raise ValueError(f"k={config.k} must be below the dimension {n}")
     d_inv_sqrt = 1.0 / np.sqrt(m)
-    b = sp.diags(d_inv_sqrt) @ a @ sp.diags(d_inv_sqrt)
-    b = ((b + b.getH()) * 0.5).tocsr()
-    scale = float(sp.linalg.norm(b, 1))
+    # B = D A D entry by entry as (d_i a_ij) d_j, then twice its Hermitian part;
+    # the half is taken with the unit below, as both are powers of two
+    row_scale = np.repeat(d_inv_sqrt, np.diff(a.indptr))
+    b = sp.csr_matrix(((row_scale * a.data) * d_inv_sqrt[a.indices], a.indices, a.indptr),
+                      shape=a.shape)
+    b = (b + b.getH()).tocsr()
+    scale = 0.5 * float(sp.linalg.norm(b, 1))
     # the solve runs on B / 2^e, 2^e the power of two nearest scale: exact in
     # floating point, and it keeps ARPACK's absolute convergence floor at one
     # fraction of scale whatever the size of the metric
     unit = 2.0 ** round(math.log2(scale)) if 0 < scale < math.inf else 1.0
-    b = b / unit
+    b.data *= 0.5 / unit
     yardstick = scale / unit or 1.0  # of the residuals and the shift; 1 on a zero operator
 
     try:
@@ -213,6 +217,13 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig, scale: float):
     return vals, out, solves, fill
 
 
+def _shifted(b: sp.spmatrix, shift: float) -> sp.spmatrix:
+    """B - shift*I, on a copy of b whose diagonal alone changes."""
+    a = b.copy()
+    a.setdiag(a.diagonal() - shift)
+    return a
+
+
 def _factor(a: sp.spmatrix):
     """Symmetric-ordered, unpivoted LU of a Hermitian matrix: A = L D L^H."""
     return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -225,16 +236,18 @@ def _lanczos(b, sigma, k, rng, found):
     The factorization of B - sigma*I lives only during this call, so the
     inertia count that follows has room for its own.
     """
-    factor = _factor(b - sigma * sp.identity(b.shape[0], dtype=b.dtype, format="csc"))
-    # an orthonormal basis of the span: the complex path's copies of one value
-    # need not be orthogonal
-    found = np.linalg.qr(found)[0]
+    factor = _factor(_shifted(b, sigma))
+    # an orthonormal basis of the span, none on the first run: the complex
+    # path's copies of one value need not be orthogonal
+    basis = np.linalg.qr(found)[0] if found.shape[1] else None
     count = [0]
 
     def solve(rhs):
         count[0] += 1
-        x = factor.solve(rhs - found @ (found.conj().T @ rhs))
-        return x - found @ (found.conj().T @ x)
+        if basis is None:
+            return factor.solve(rhs)
+        x = factor.solve(rhs - basis @ (basis.conj().T @ rhs))
+        return x - basis @ (basis.conj().T @ x)
 
     op_inv = LinearOperator(b.shape, matvec=solve, dtype=b.dtype)
     # eigsh hands complex pencils to eigs without the generator
@@ -263,7 +276,7 @@ def _missing_below(b, vals, scale: float) -> int:
     if top <= floor:
         return 0
     shift = max(top * (1.0 - INERTIA_GAP), floor)
-    below = _count_below(b - shift * sp.identity(b.shape[0], dtype=b.dtype, format="csc"))
+    below = _count_below(_shifted(b, shift))
     returned = int(np.count_nonzero(vals < shift))
     if below < returned:
         raise EigenConvergenceError(

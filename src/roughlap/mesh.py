@@ -135,8 +135,13 @@ class TriangleMesh:
     def _build_metric(self, edge_lengths) -> None:
         if edge_lengths is None:
             diff = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
-            with np.errstate(over="ignore"):  # an overflowing length: _validate locates it
-                self.edge_lengths = np.linalg.norm(diff, axis=1)
+            # lengths of any double size: the squares are taken of diff / 2^e, 2^e
+            # near its largest entry, which is exact where they neither under- nor
+            # overflow; an overflowing length is left to _validate to locate
+            unit = 2.0 ** math.frexp(float(np.abs(diff).max(initial=0.0)))[1]
+            diff /= unit
+            with np.errstate(over="ignore"):
+                self.edge_lengths = np.linalg.norm(diff, axis=1) * unit
         else:
             side = np.asarray(edge_lengths, dtype=float)
             if side.shape != self.faces.shape:
@@ -296,14 +301,15 @@ def generate_flat_torus(lx: float, ly: float, nx: int, ny: int) -> TriangleMesh:
     return TriangleMesh(verts, faces, edge_lengths=lengths, period=(lx, ly))
 
 
-def _icosahedron(radius: float) -> tuple[np.ndarray, np.ndarray]:
+def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
+    """The unit-sphere icosahedron."""
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
         [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
         [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
     ], dtype=float)
-    verts *= radius / np.linalg.norm(verts[0])
+    verts *= 1.0 / np.linalg.norm(verts[0])
     faces = np.array([
         [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
         [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
@@ -319,7 +325,9 @@ def generate_icosphere(radius: float, subdivisions: int) -> TriangleMesh:
         raise MeshError(f"radius must be positive and finite, got {radius!r}")
     if subdivisions < 0:
         raise MeshError(f"subdivisions must be >= 0, got {subdivisions}")
-    verts, faces = _icosahedron(radius)
+    # built on the unit sphere and scaled once, so no midpoint's norm under- or
+    # overflows; a radius outside the geometry's range is TriangleMesh's scale error
+    verts, faces = _icosahedron()
     for _ in range(subdivisions):
         n_v = len(verts)
         tails = faces.ravel()
@@ -333,13 +341,11 @@ def generate_icosphere(radius: float, subdivisions: int) -> TriangleMesh:
         ij, jk, ki = (n_v + rank[inverse]).reshape(-1, 3).T
         h = np.sort(first)
         p = 0.5 * (verts[tails[h]] + verts[heads[h]])
-        # a radius whose square under- or overflows gives bad vertices; TriangleMesh locates them
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p *= (radius / np.sqrt(np.vecdot(p, p)))[:, None]
+        p *= (1.0 / np.sqrt(np.vecdot(p, p)))[:, None]
         verts = np.vstack([verts, p])
         i, j, k = faces.T
         faces = np.stack([i, ij, ki, ij, j, jk, ki, jk, k, ij, jk, ki], axis=1).reshape(-1, 3)
-    return TriangleMesh(verts, faces)
+    return TriangleMesh(verts * radius, faces)
 
 
 # -- measurements ----------------------------------------------------------

@@ -194,6 +194,12 @@ def _head(where: str, subject: str) -> str:
     return "".join(f"{part}: " for part in (where, subject) if part)
 
 
+@functools.cache
+def _parameters(target) -> tuple[list, dict]:
+    """``target``'s parameters in order and their type hints, read once per target."""
+    return list(inspect.signature(target).parameters.items()), typing.get_type_hints(target)
+
+
 def _fields(target, data, where: str, skip: int = 0, subject: str = "") -> dict:
     """The spec object ``data`` (null: empty) as keyword arguments of ``target``:
     keys name parameters after the first ``skip``, values are converted by the
@@ -201,8 +207,8 @@ def _fields(target, data, where: str, skip: int = 0, subject: str = "") -> dict:
     data = {} if data is None else data
     if not isinstance(data, dict):
         raise SpecError(f"{where}: expected an object, got {data!r}")
-    params = dict(list(inspect.signature(target).parameters.items())[skip:])
-    hints = typing.get_type_hints(target)
+    params, hints = _parameters(target)
+    params = dict(params[skip:])
     kwargs = {}
     for key, value in data.items():
         if key not in params:
@@ -223,7 +229,7 @@ def _bind(target, data, where: str, *args, subject: str = ""):
     at ``where``.  ``subject`` names the target in messages."""
     kwargs = _fields(target, data, where, len(args), subject)
     head = _head(where, subject)
-    for name, param in list(inspect.signature(target).parameters.items())[len(args):]:
+    for name, param in _parameters(target)[0][len(args):]:
         if param.default is param.empty and name not in kwargs:
             raise SpecError(f"{head}missing field {name!r}")
     try:
@@ -372,24 +378,19 @@ class ExperimentContext:
 
 def check_root_sandwich_grid() -> CheckOutcome:
     """Exponential floor <= lam*C(lam) <= sine integral on the ROOT_N x ROOT_LAMBDAS
-    grid, with the worst margins; comparison_root certifies each root to 1e-10."""
-    worst_upper = math.inf
-    worst_lower = math.inf
-    points = 0
+    grid, with the worst margins; comparison_root certifies each root to 1e-10,
+    one array solve per n."""
+    worst_upper = worst_lower = math.inf
     for n in ROOT_N:
-        w = con.sin_power_integral(n)
-        floor_coef = con.root_floor_coefficient(n)
-        for lam in ROOT_LAMBDAS:
-            lam_c = lam * con.comparison_root(n, lam)
-            lower = floor_coef * math.exp(-(n - 1) * lam)
-            worst_upper = min(worst_upper, w - lam_c)
-            worst_lower = min(worst_lower, lam_c - lower)
-            points += 1
+        lam_c = ROOT_LAMBDAS * con.comparison_root(n, ROOT_LAMBDAS)
+        lower = con.root_floor_coefficient(n) * np.exp(-(n - 1) * ROOT_LAMBDAS)
+        worst_upper = min(worst_upper, float((con.sin_power_integral(n) - lam_c).min()))
+        worst_lower = min(worst_lower, float((lam_c - lower).min()))
     ok = worst_upper >= 0 and worst_lower >= 0
     return CheckOutcome(
         name="root_sandwich_grid",
         status="pass" if ok else "fail",
-        measured={"points": points,
+        measured={"points": len(ROOT_N) * len(ROOT_LAMBDAS),
                   "worst_margin_to_upper": worst_upper,
                   "worst_margin_to_lower": worst_lower},
         bounds={"residual_rel": 1e-10},
@@ -449,15 +450,15 @@ def check_weitzenboeck(ctx: ExperimentContext) -> CheckOutcome:
 
 
 def check_harmonic_alternative(ctx: ExperimentContext) -> CheckOutcome:
-    """With b1 > 0 and Ric >= -kappa (``ctx.budget()``'s): parallel forms exist or
-    the gap is <= kappa.  Flat tori take the first branch; b1 = 0 is not applicable."""
-    mesh = ctx.require_mesh()
-    kappa = ctx.budget().kappa
-    b1 = 2 - euler_characteristic(mesh)
+    """With b1 > 0 and Ric >= -kappa (kappa as stated, or its default; it is never
+    measured): parallel forms exist or the gap is <= kappa.  Flat tori take the
+    first branch; b1 = 0 is not applicable, and nothing else is measured for it."""
+    b1 = 2 - euler_characteristic(ctx.require_mesh())
     if b1 <= 0:
         return CheckOutcome(name="harmonic_alternative", status="reported",
                             measured={"b1": b1},
                             notes="not applicable: first Betti number is zero")
+    kappa = {**BUDGET_DEFAULTS, **ctx.budget_spec}["kappa"]
     result = ctx.connection_eigen()
     zero_dim_real = 2 * int(np.sum(result.values <= KERNEL_TOL * result.scale))
     fp = first_positive(result)

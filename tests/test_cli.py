@@ -299,7 +299,8 @@ def test_spectrum_locates_bad_flags(capsys, argv, located):
 
 @pytest.mark.parametrize("given, located", [
     ({"type": "icosphere", "radius": 1e-200, "subdivisions": 1},
-     "experiments[0].manifold: vertex 12 is not finite"),
+     "experiments[0].manifold: mean face area 0.0 is not a positive normal double: "
+     "the mesh scale is out of range"),
     ({"type": "icosphere", "radius": 1e-150, "subdivisions": 1},
      "experiments[0].manifold: mean face area 0.0 is not a positive normal double: "
      "the mesh scale is out of range"),
@@ -333,6 +334,29 @@ def test_extreme_product_factor_exits_2_located(capsys, tmp_path, radius):
                                 "budget": {"riem_2p": 1.0}, "checks": ["gap_lower_bound"]}))
     assert main(["verify", "--spec", str(spec)]) == 2
     assert "spec error: experiments[0].manifold.factors[0]: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("extreme.report.*"))
+
+
+@pytest.mark.parametrize("as_factor", [False, True], ids=["alone", "factor"])
+@pytest.mark.parametrize("subdivisions", [0, 1, 2])
+@pytest.mark.parametrize("radius", [1e-200, 1e200])
+def test_extreme_icosphere_radius_is_one_scale_error(capsys, tmp_path, radius, subdivisions,
+                                                     as_factor):
+    # the sphere is built at radius 1 and scaled once: at every level a radius
+    # whose face areas under- or overflow gets the torus's one scale message
+    sphere = {"type": "icosphere", "radius": radius, "subdivisions": subdivisions}
+    manifold, where = sphere, "experiments[0].manifold"
+    checks = ["lipschitz"]
+    if as_factor:
+        manifold = {"type": "product", "factors": [sphere, ICO1]}
+        where, checks = f"{where}.factors[0]", ["gap_lower_bound"]
+    spec = tmp_path / "extreme.json"
+    spec.write_text(json.dumps({"manifold": manifold, "budget": {"riem_2p": 1.0},
+                                "checks": checks}))
+    assert main(["verify", "--spec", str(spec)]) == 2
+    area = "0.0" if radius < 1 else "inf"
+    assert (f"spec error: {where}: mean face area {area} is not a positive normal double: "
+            "the mesh scale is out of range\n") == capsys.readouterr().err
     assert not list(tmp_path.glob("extreme.report.*"))
 
 

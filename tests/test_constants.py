@@ -13,6 +13,7 @@ from scipy.special import gamma
 
 from roughlap import constants as con
 from roughlap.constants import AbstractConstants, GeometryBudget
+from roughlap.verify import ROOT_LAMBDAS
 
 
 def budget(dim=4, kappa=0.0, diameter=1.0, p=4.0, riem=0.0):
@@ -107,6 +108,31 @@ def test_comparison_root_tiny_lambda_reaches_the_limit():
     for n in range(2, 11):
         got = 1e-300 * con.comparison_root(n, 1e-300)
         assert got == pytest.approx(con.comparison_root_limit(n), rel=1e-13)
+
+
+ARRAY_LAMBDAS = np.concatenate([ROOT_LAMBDAS, [1e-300, 1e-6, 20.0, 50.0]])
+
+
+def test_comparison_root_array_equals_its_elements():
+    # one array pass gives each element bitwise the root its own call gives
+    for n in range(2, 11):
+        roots = con.comparison_root(n, ARRAY_LAMBDAS)
+        assert roots.shape == ARRAY_LAMBDAS.shape
+        alone = [con.comparison_root(n, lam) for lam in ARRAY_LAMBDAS.tolist()]
+        assert all(type(root) is float for root in alone)
+        assert np.array_equal(roots, alone), n
+        assert np.array_equal(roots[7:8], con.comparison_root(n, ARRAY_LAMBDAS[7:8]))
+
+
+@pytest.mark.parametrize("n, bad, message", [
+    (2, 0.0, r"lam must be positive and finite .*got 0\.0$"),
+    (2, math.nan, r"lam must be positive and finite .*got nan$"),
+    (9, 90.0, r"cosh\(lam\)\^\(n-1\) overflows at n=9, lam=90\.0$"),
+], ids=["zero", "nan", "overflow"])
+def test_comparison_root_array_names_the_lambda_at_fault(n, bad, message):
+    lams = np.array([0.5, 3.0, bad, 2.0])
+    with pytest.raises(ValueError, match=message):
+        con.comparison_root(n, lams)
 
 
 # for each n, a lam (rounded down) near which binom(n-1, k) m_k of the root

@@ -37,6 +37,15 @@ def sphere_ctx():
 
 # -- grid checks ----------------------------------------------------------------
 
+def test_root_sandwich_grid_solves_once_per_n(monkeypatch):
+    calls = []
+    root = con.comparison_root
+    monkeypatch.setattr(con, "comparison_root", lambda n, lam: calls.append(n) or root(n, lam))
+    out = V.check_root_sandwich_grid()
+    assert calls == list(V.ROOT_N) == list(range(2, 9))
+    assert out.status == "pass" and out.measured["points"] == 350
+
+
 def test_moser_product_grid_default():
     out = V.check_moser_product_grid()
     assert out.status == "pass"
@@ -146,6 +155,29 @@ def test_harmonic_alternative_sphere_not_applicable(sphere_ctx):
     out = V.check_harmonic_alternative(sphere_ctx)
     assert out.status == "reported"
     assert out.measured["b1"] == 0
+
+
+@pytest.mark.parametrize("budget, kappa", [(None, 0.0), ({"kappa": 0.25}, 0.25)])
+def test_harmonic_alternative_measures_nothing_for_its_budget(tmp_path, monkeypatch,
+                                                              budget, kappa):
+    # kappa is read as stated or by default, never measured: on a sphere b1 = 0
+    # ends the check, and on a torus the kappa bound is the stated one
+    measured = []
+    diameter, norm = V.graph_diameter, V.curvature_lp_norm
+    monkeypatch.setattr(V, "graph_diameter", lambda mesh: measured.append("D") or diameter(mesh))
+    monkeypatch.setattr(V, "curvature_lp_norm",
+                        lambda mesh, p: measured.append("K") or norm(mesh, p))
+    path = tmp_path / "harmonic.json"
+    path.write_text(json.dumps({"experiments": [
+        {"label": label, "manifold": manifold, "budget": budget,
+         "checks": ["harmonic_alternative"]}
+        for label, manifold in (
+            ("s", {"type": "icosphere", "radius": 1.0, "subdivisions": 3}),
+            ("t", {"type": "flat_torus", "lx": TWO_PI, "ly": TWO_PI, "nx": 8, "ny": 8}))]}))
+    sphere, torus = V.run_suite(path).outcomes
+    assert measured == []
+    assert sphere.status == "reported" and sphere.measured == {"b1": 0}
+    assert torus.status == "pass" and torus.bounds == {"kappa": kappa}
 
 
 def test_harmonic_alternative_stretched_torus():
