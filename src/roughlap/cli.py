@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from roughlap import constants as con
@@ -24,8 +23,7 @@ from roughlap.constants import AbstractConstants, GeometryBudget
 from roughlap.eigen import CLUSTER_GAP, SolverConfig, cluster_multiplicities, smallest_eigenpairs
 from roughlap.mesh import FlatTorus, IcoSphere, build_mesh
 from roughlap.operators import (build_connection, connection_laplacian_1forms,
-                                cotan_laplacian, hodge_eigenvalues,
-                                hodge_laplacian_1forms)
+                                cotan_laplacian, hodge_spectrum)
 from roughlap.verify import Report, SpecError, run_suite
 
 
@@ -79,25 +77,15 @@ def _cmd_spectrum(args) -> int:
     try:  # MeshError and out-of-range solver settings are ValueErrors
         config = SolverConfig(k=args.k, seed=args.seed)
         mesh = build_mesh(manifold)
-        if args.operator == "function":
-            op, mass = cotan_laplacian(mesh)
-        elif args.operator == "hodge":
-            op, mass = hodge_laplacian_1forms(mesh)
-            # the block pencil's two constants are swapped out below
-            if args.k > len(mass) - 3:
-                raise ValueError(f"--k {args.k}: the Hodge spectrum of this mesh allows "
-                                 f"--k up to {len(mass) - 3}")
-            config = replace(config, k=config.k + 2)
+        if args.operator == "hodge":
+            values, residuals, result = hodge_spectrum(mesh, args.k, config)
         else:
-            op, mass = connection_laplacian_1forms(mesh, build_connection(mesh))
-        result = smallest_eigenpairs(op, mass, config)
+            pencil = (cotan_laplacian(mesh) if args.operator == "function" else
+                      connection_laplacian_1forms(mesh, build_connection(mesh)))
+            result = smallest_eigenpairs(*pencil, config)
+            values, residuals = result.values, result.residuals
     except ValueError as exc:
         raise SpecError(str(exc)) from None
-    values, residuals = result.values, result.residuals
-    if args.operator == "hodge":
-        # harmonic forms are exact by topology: value 0, residual 0
-        values = hodge_eigenvalues(mesh, values)[:args.k]
-        residuals = hodge_eigenvalues(mesh, residuals)[:args.k]
     print(f"# {args.manifold} operator={args.operator} "
           f"V={mesh.n_vertices} E={mesh.n_edges} F={mesh.n_faces}")
     print("# solver: " + (f"shift-invert solves={result.iterations} fill={result.fill}"

@@ -290,6 +290,10 @@ def _count_below(a: sp.spmatrix) -> int:
 
     With equal row and column orders the LU is L D L^H and U's diagonal is D,
     which has as many negative entries as a has negative eigenvalues.
+    Of the 33 MB RSS an ico s=5 connection solve adds, the count's factor takes
+    17 MB and reading ``factor.U`` (all of U, for its diagonal) 10 MB; scipy 1.17's
+    ``SuperLU`` exposes only L, U, perm_c, perm_r, nnz and solve, so there is
+    no cheaper route to the pivot signs.
     """
     factor = _factor(a)
     if not np.array_equal(factor.perm_r, factor.perm_c):

@@ -47,6 +47,7 @@ from scipy.sparse.csgraph import connected_components
 from roughlap import eigen
 from roughlap.mesh import MeshError, TriangleMesh, euler_characteristic
 
+# hodge_spectrum is not exported, so perfbench's tracer sees the Hodge solve under its caller
 __all__ = [
     "SparseHermitianOperator",
     "ConnectionData",
@@ -54,7 +55,6 @@ __all__ = [
     "build_connection",
     "connection_laplacian_1forms",
     "hodge_laplacian_1forms",
-    "hodge_eigenvalues",
     "weitzenboeck_eigen_check",
     "rayleigh_quotient",
     "edge_cotan_weights",
@@ -233,7 +233,7 @@ def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator,
 
     The nonzero spectrum of this pencil is exactly the Hodge spectrum.  Its
     kernel is the two constants (one per block) where the Hodge pencil has
-    the b1 = 2 - chi harmonic forms; ``hodge_eigenvalues`` swaps them.
+    the b1 = 2 - chi harmonic forms; ``hodge_spectrum`` swaps them.
     Negative weights (non-Delaunay meshes) are rejected, and so are null
     edges that close a loop of faces, where the cells would not count the
     harmonic forms.
@@ -263,16 +263,24 @@ def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator,
     return SparseHermitianOperator(matrix), np.concatenate([mesh.vertex_areas, cell_areas])
 
 
-def hodge_eigenvalues(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
-    """Hodge spectrum from the ascending pairs of ``hodge_laplacian_1forms``.
+def hodge_spectrum(mesh: TriangleMesh, k: int, config: eigen.SolverConfig
+                   ) -> tuple[np.ndarray, np.ndarray, eigen.EigenResult]:
+    """The k smallest Hodge 1-form eigenvalues with their residuals, and the solve.
 
-    Drops the two smallest entries (the two constants of the block pencil)
-    and prepends b1 = 2 - chi zeros for the harmonic forms, which are exact
-    by topology.  Any per-pair array in the same order maps the same way:
-    applied to the residuals it gives the harmonic zeros residual 0.
+    Solves the block pencil of ``hodge_laplacian_1forms`` for k + 2 pairs at
+    ``config``'s seed, drops its two constants (one per block) and puts
+    b1 = 2 - chi zeros in front for the harmonic forms, which are exact by
+    topology and carry residual 0.  The pencil's dimension minus 3 is the
+    largest k; a larger one is a ValueError.
     """
-    b1 = 2 - euler_characteristic(mesh)
-    return np.concatenate([np.zeros(b1), np.asarray(values, dtype=float)[2:]])
+    op, mass = hodge_laplacian_1forms(mesh)
+    if k > len(mass) - 3:
+        raise ValueError(f"k={k}: the Hodge spectrum of this mesh allows k up to {len(mass) - 3}")
+    result = eigen.smallest_eigenpairs(op, mass, replace(config, k=k + 2))
+    zeros = np.zeros(2 - euler_characteristic(mesh))
+    values, residuals = (np.concatenate([zeros, a[2:]])[:k]
+                         for a in (result.values, result.residuals))
+    return values, residuals, result
 
 
 def rayleigh_quotient(L, M, x: np.ndarray) -> float:
@@ -320,8 +328,7 @@ def weitzenboeck_eigen_check(mesh: TriangleMesh, k: int, solver_config=None,
         raise ValueError(f"k={k} needs {k_complex} connection pairs, got {len(conn_eigen.values)}")
     rough = np.repeat(conn_eigen.values[:k_complex], 2)[:k]
 
-    res_hodge = eigen.smallest_eigenpairs(*hodge_laplacian_1forms(mesh), replace(config, k=k + 2))
-    hodge = hodge_eigenvalues(mesh, res_hodge.values)[:k]
+    hodge = hodge_spectrum(mesh, k, config)[0]
 
     # spec'd relative mismatch |mu - (lam+K)| / mu; kernel pairs (mu in the
     # connection solve's kernel band) are fractions of its operator scale
@@ -374,14 +381,11 @@ def rotation_field(mesh: TriangleMesh) -> np.ndarray:
     return np.cross(np.array([0.0, 0.0, 1.0]), mesh.vertices)
 
 
-def constant_chart_field(mesh: TriangleMesh, direction=(1.0, 0.0)) -> np.ndarray:
-    """Constant field in the flat parameter chart (translation generator)."""
+def constant_chart_field(mesh: TriangleMesh) -> np.ndarray:
+    """The unit field along the flat parameter chart's x axis (a translation generator)."""
     if mesh.period is None:
         raise MeshError("constant chart fields need an intrinsic chart (flat torus)")
-    d = np.zeros((mesh.n_vertices, 3))
-    d[:, 0] = direction[0]
-    d[:, 1] = direction[1]
-    return d
+    return np.tile([1.0, 0.0, 0.0], (mesh.n_vertices, 1))
 
 
 def face_gradient_magnitudes(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:

@@ -276,8 +276,9 @@ class ExperimentContext:
                  where: str = "experiment", mesh_where: str | None = None):
         self.manifold = manifold
         self.solver = SolverConfig(k=CONNECTION_K, seed=seed)
-        self.budget_spec = _fields(GeometryBudget, budget_spec, f"{where}.budget")
-        _bind(GeometryBudget, {"diameter": 1.0, **BUDGET_DEFAULTS, **self.budget_spec},
+        self.stated_budget = {**BUDGET_DEFAULTS,
+                              **_fields(GeometryBudget, budget_spec, f"{where}.budget")}
+        _bind(GeometryBudget, {"diameter": 1.0, **self.stated_budget},
               f"{where}.budget")  # the stated ranges; 1.0 stands in for a measured diameter
         self.consts = consts
         self.where = where  # spec locations named by errors in lazy steps
@@ -322,7 +323,7 @@ class ExperimentContext:
         elif isinstance(m, IcoSphere) and m.subdivisions >= 1:
             coarse = IcoSphere(m.radius, m.subdivisions - 1)
         return None if coarse == m else self._cached("coarser", lambda: ExperimentContext(
-            coarse, self.solver.seed, self.budget_spec, self.consts, self.where, self.mesh_where))
+            coarse, self.solver.seed, self.stated_budget, self.consts, self.where, self.mesh_where))
 
     def factors(self) -> list[ExperimentContext]:
         """A product's factor contexts; identical factors share one, so none is solved twice."""
@@ -357,21 +358,21 @@ class ExperimentContext:
 
     def budget(self) -> GeometryBudget:
         """Budget with unstated diameter / curvature norm measured, built once per level."""
-        if "budget" in self._cache:
-            return self._cache["budget"]
-        where = f"{self.where}.budget"
-        stated = {**BUDGET_DEFAULTS, **self.budget_spec}
-        if "diameter" not in stated:
-            stated["diameter"] = self.measured_diameter()
-        if "riem_2p" not in stated:
-            if isinstance(self.manifold, ProductSpec):
-                raise SpecError(f"{where}: product experiments must state riem_2p")
-            mesh = self.require_mesh()
-            try:
-                stated["riem_2p"] = curvature_lp_norm(mesh, 2.0 * stated["p_exponent"])
-            except ValueError as exc:
-                raise SpecError(f"{where}.p_exponent: {exc}") from None
-        return self._cached("budget", lambda: _bind(GeometryBudget, stated, where))
+        def measure():
+            where = f"{self.where}.budget"
+            values = dict(self.stated_budget)
+            if "diameter" not in values:
+                values["diameter"] = self.measured_diameter()
+            if "riem_2p" not in values:
+                if isinstance(self.manifold, ProductSpec):
+                    raise SpecError(f"{where}: product experiments must state riem_2p")
+                mesh = self.require_mesh()
+                try:
+                    values["riem_2p"] = curvature_lp_norm(mesh, 2.0 * values["p_exponent"])
+                except ValueError as exc:
+                    raise SpecError(f"{where}.p_exponent: {exc}") from None
+            return _bind(GeometryBudget, values, where)
+        return self._cached("budget", measure)
 
 
 # -- grid checks (no manifold) ----------------------------------------------
@@ -458,7 +459,7 @@ def check_harmonic_alternative(ctx: ExperimentContext) -> CheckOutcome:
         return CheckOutcome(name="harmonic_alternative", status="reported",
                             measured={"b1": b1},
                             notes="not applicable: first Betti number is zero")
-    kappa = {**BUDGET_DEFAULTS, **ctx.budget_spec}["kappa"]
+    kappa = ctx.stated_budget["kappa"]
     result = ctx.connection_eigen()
     zero_dim_real = 2 * int(np.sum(result.values <= KERNEL_TOL * result.scale))
     fp = first_positive(result)

@@ -283,9 +283,9 @@ def test_constants_and_bound_locate_bad_flags(capsys, argv, located):
     (["--manifold", "flat_torus", "--nx", "2"], "torus needs nx, ny >= 3, got 2, 32"),
     # the Hodge pencil of ico s=0 has dimension 32, two of its pairs are constants
     (["--manifold", "icosphere", "--subdiv", "0", "--operator", "hodge", "--k", "31"],
-     "--k 31: the Hodge spectrum of this mesh allows --k up to 29\n"),
+     "k=31: the Hodge spectrum of this mesh allows k up to 29\n"),
     (["--manifold", "icosphere", "--subdiv", "0", "--operator", "hodge", "--k", "30"],
-     "--k 30: the Hodge spectrum of this mesh allows --k up to 29\n"),
+     "k=30: the Hodge spectrum of this mesh allows k up to 29\n"),
     # the seed is checked before the solver route (dense at s=1, sparse at s=4) is taken
     (["--manifold", "icosphere", "--subdiv", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["--manifold", "icosphere", "--subdiv", "4", "--seed", "-1"], "seed must be >= 0, got -1"),

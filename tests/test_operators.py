@@ -45,6 +45,11 @@ def one_norm(op) -> float:
     return float(sp.linalg.norm(op.matrix, 1))
 
 
+def block_to_hodge(mesh, values):
+    # the block pencil's two constants give way to the b1 = 2 - chi harmonic zeros
+    return np.concatenate([np.zeros(2 - M.euler_characteristic(mesh)), values[2:]])
+
+
 # -- structural invariants ------------------------------------------------------
 
 def test_cotan_hermitian_and_kernel(torus):
@@ -116,7 +121,8 @@ def test_pencils_are_hermitian_psd_with_topological_kernels(mesh):
         res = smallest(op, mass, 4)
         assert res.values[0] >= -1e-9 * res.scale
         assert np.count_nonzero(res.values < 1e-9 * res.scale) == kernel
-    hodge = O.hodge_eigenvalues(mesh, res.values)            # res: the Hodge pencil's
+    hodge = O.hodge_spectrum(mesh, 2, SolverConfig(k=1))[0]   # the solve of res, mapped
+    assert np.array_equal(hodge, block_to_hodge(mesh, res.values)[:2])
     assert np.count_nonzero(hodge == 0.0) == 2 - chi          # b1 harmonic forms
 
 
@@ -244,11 +250,11 @@ def test_hodge_torus_harmonic_dimension(torus):
     # every square's null diagonal glues its two faces into one cell
     op, mass = O.hodge_laplacian_1forms(torus)
     assert op.matrix.shape[0] == torus.n_vertices + torus.n_faces // 2
-    res = smallest(op, mass, 6)
+    hodge, residuals, res = O.hodge_spectrum(torus, 4, SolverConfig())
     assert np.abs(res.values[:2]).max() < 1e-9 * one_norm(op)  # the two constants
     assert res.values[2] > 0.9
-    hodge = O.hodge_eigenvalues(torus, res.values)
     assert np.array_equal(hodge[:2], [0.0, 0.0])                 # b1 = 2
+    assert np.array_equal(residuals[:2], [0.0, 0.0])
     assert hodge[2] > 0.9
 
 
@@ -256,9 +262,8 @@ def test_hodge_sphere_no_kernel(sphere_s2):
     # all-acute mesh: no null edge, each face is its own cell
     op, mass = O.hodge_laplacian_1forms(sphere_s2)
     assert op.matrix.shape[0] == sphere_s2.n_vertices + sphere_s2.n_faces
-    res = smallest(op, mass, 6)
-    hodge = O.hodge_eigenvalues(sphere_s2, res.values)
-    assert len(hodge) == 4                                       # b1 = 0
+    hodge, _, res = O.hodge_spectrum(sphere_s2, 4, SolverConfig())
+    assert np.array_equal(hodge, res.values[2:])                 # b1 = 0
     assert np.allclose(hodge[:3], 2.0, rtol=0.02)
     assert hodge[0] > 1.0
 
@@ -283,10 +288,29 @@ def test_hodge_split_matches_assembled_edge_pencil(sphere_s2):
     full = (w[:, None] * g / mesh.vertex_areas) @ (g.T * w)
     full += d1.T @ (d1 / mesh.face_areas[:, None])
     oracle = eigh((full + full.T) / 2, np.diag(w), eigvals_only=True)[:6]
-    op, mass = O.hodge_laplacian_1forms(mesh)
-    res = smallest(op, mass, 8)
-    got = O.hodge_eigenvalues(mesh, res.values)[:6]
+    got, _, res = O.hodge_spectrum(mesh, 6, SolverConfig())
     assert np.abs(got - oracle).max() < 1e-10 * res.scale
+
+
+@pytest.mark.parametrize("make, k", [
+    (lambda: M.generate_icosphere(1.0, 0), 29),   # the largest k: 31 of the 32 pairs
+    (lambda: M.generate_icosphere(1.0, 2), 4),    # sparse path
+    (lambda: M.generate_flat_torus(TWO_PI, TWO_PI, 12, 12), 4),
+], ids=["ico0_k29", "ico2_k4", "torus12_k4"])
+def test_hodge_spectrum_is_the_block_solve_with_constants_swapped(make, k):
+    mesh = make()
+    config = SolverConfig(k=1, seed=3)
+    values, residuals, result = O.hodge_spectrum(mesh, k, config)
+    block = smallest_eigenpairs(*O.hodge_laplacian_1forms(mesh), replace(config, k=k + 2))
+    assert np.array_equal(result.values, block.values)
+    assert np.array_equal(values, block_to_hodge(mesh, block.values)[:k])
+    assert np.array_equal(residuals, block_to_hodge(mesh, block.residuals)[:k])
+
+
+def test_hodge_spectrum_rejects_k_above_its_limit():
+    with pytest.raises(ValueError, match="^k=30: the Hodge spectrum of this mesh allows "
+                                         "k up to 29$"):
+        O.hodge_spectrum(M.generate_icosphere(1.0, 0), 30, SolverConfig())
 
 
 def test_hodge_null_edges_sharing_faces():
@@ -302,8 +326,7 @@ def test_hodge_null_edges_sharing_faces():
     mesh = M.TriangleMesh(vertices, faces)
     op, mass = O.hodge_laplacian_1forms(mesh)
     assert op.matrix.shape[0] == mesh.n_vertices + 2
-    hodge = O.hodge_eigenvalues(
-        mesh, eigh(op.matrix.toarray(), np.diag(mass), eigvals_only=True))
+    hodge = block_to_hodge(mesh, eigh(op.matrix.toarray(), np.diag(mass), eigvals_only=True))
     assert len(hodge) == mesh.n_edges - 6     # one dof per non-null edge
     assert hodge.min() > 1.0                  # b1 = 0: no zero
     coexact = np.flatnonzero(np.isclose(hodge, 8.0 / 3.0, rtol=1e-12))
@@ -468,9 +491,11 @@ def test_killing_quotient_is_scale_free(s):
 
 def test_translation_field_is_parallel(torus, torus_conn):
     op, mass = O.connection_laplacian_1forms(torus, torus_conn)
-    for direction in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8)):
-        z = O.encode_tangent_field(torus, torus_conn,
-                                   O.constant_chart_field(torus, direction))
+    along_x = np.tile([1.0, 0.0, 0.0], (torus.n_vertices, 1))
+    assert np.array_equal(O.constant_chart_field(torus), along_x)
+    for direction in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.6, -0.8, 0.0)):
+        field = np.tile(direction, (torus.n_vertices, 1))
+        z = O.encode_tangent_field(torus, torus_conn, field)
         assert O.rayleigh_quotient(op, mass, z) == pytest.approx(0.0, abs=1e-12)
 
 

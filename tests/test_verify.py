@@ -102,7 +102,7 @@ def test_coarser_is_the_next_model_level(manifold, coarse):
     assert level is ctx.coarser()  # cached
     assert level.manifold == coarse
     assert level.solver == ctx.solver
-    assert level.budget_spec == ctx.budget_spec and level.consts is ctx.consts
+    assert level.stated_budget == ctx.stated_budget and level.consts is ctx.consts
 
 
 def test_weitzenboeck_check_uses_the_context_connection(monkeypatch):
