@@ -15,7 +15,8 @@ evaluates:
 * ``epsilon_threshold`` is the pinching threshold (C_s from ``sobolev_cs``):
   below 1/2 the first eigenform is nowhere vanishing, which is impossible on
   an even-dimensional manifold with nonzero Euler characteristic; inverting
-  that contradiction yields the gap bound ``oneform_gap_lower_bound``.
+  that contradiction yields the gap bound ``oneform_gap_lower_bound``, the min
+  of the two ``oneform_gap_branches``, one of them built on the constant Ct.
 
 ``li_yau_threshold`` is the function-Laplacian hypothesis of the rigidity check.
 
@@ -42,12 +43,9 @@ __all__ = [
     "comparison_root_limit",
     "sobolev_cs",
     "moser_product_bound",
-    "moser_product_partial",
     "moser_product_converged",
     "MOSER_TAIL_TOL",
     "epsilon_threshold",
-    "epsilon_branches",
-    "gap_constant",
     "oneform_gap_lower_bound",
     "oneform_gap_branches",
     "li_yau_predicate",
@@ -242,10 +240,10 @@ def moser_product_bound(t: float, gamma: float) -> float:
 
     Dominates the converged infinite product prod_i (1 + t gamma^(i+1))^(1/gamma^(i+1)).
     """
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     if gamma <= 1:
         raise ValueError(f"gamma must exceed 1 (product diverges), got {gamma}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
     g = gamma - 1.0
     return math.exp(2.0 * math.sqrt(gamma) / g) * (1.0 + math.sqrt(t)) ** (2.0 / g)
 
@@ -257,18 +255,6 @@ def _log_product_term(t: float, gamma: float, i: int) -> float:
         return (math.log(t) + g) * math.exp(-g) if t > 0 else 0.0
     x = math.exp(g)
     return math.log1p(t * x) / x
-
-
-def moser_product_partial(t: float, gamma: float, n_terms: int) -> float:
-    """Partial product prod_{i=0}^{n_terms-1} (1 + t gamma^(i+1))^(1/gamma^(i+1))."""
-    if gamma <= 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    log_p = sum(_log_product_term(t, gamma, i) for i in range(n_terms))
-    return math.exp(log_p)
 
 
 def _product_tail_bound(t: float, gamma: float, n_terms: int) -> float:
@@ -287,11 +273,14 @@ MOSER_TAIL_TOL = 1e-12  # bound on the dropped log-tail of a converged Moser pro
 
 
 def moser_product_converged(t: float, gamma: float) -> tuple[float, int]:
-    """Partial product with enough terms that the log-tail is below MOSER_TAIL_TOL.
+    """Partial product prod_{i<n_terms} (1 + t gamma^(i+1))^(1/gamma^(i+1)) with enough
+    terms that the log-tail is below MOSER_TAIL_TOL.
 
     Returns (value, n_terms).  The tail estimate is a rigorous upper bound,
     so the returned value is the infinite product to within exp(MOSER_TAIL_TOL).
     """
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     if gamma <= 1:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     n_terms = 4
@@ -299,23 +288,28 @@ def moser_product_converged(t: float, gamma: float) -> tuple[float, int]:
         n_terms *= 2
         if n_terms > 2 ** 24:
             raise RuntimeError("product tail does not fall below tolerance")
-    return moser_product_partial(t, gamma, n_terms), n_terms
+    return math.exp(sum(_log_product_term(t, gamma, i) for i in range(n_terms))), n_terms
 
 
-def epsilon_branches(budget: GeometryBudget, lam: float,
-                     consts: AbstractConstants = AbstractConstants()) -> tuple[float, float]:
-    """Both branches of the dimensionless pinching threshold (see epsilon_threshold).
+def epsilon_threshold(budget: GeometryBudget, lam: float,
+                      consts: AbstractConstants = AbstractConstants()) -> float:
+    """Dimensionless pinching threshold, which bounds D |grad theta|_inf for an
+    eigenform theta of unit L^2 norm.
 
     The Moser ladder in n = dim has B = lam + |Riem|_2p, C_s = sobolev_cs(budget, consts),
     t = 4 C_s sqrt(B) sqrt(1 + B D^2), alpha = 2pn/(2p-n) and beta = 2pn/(2p-n+pn).
-    With x = sqrt(lam) D the branches are c_np (1+sqrt(t))^alpha x and
-    c_np (1+sqrt(t))^beta x^(beta/alpha) exp(c_np sqrt(lam) C_s).  Needs n > 2
+    With x = sqrt(lam) D the threshold is the min of the branches c_np (1+sqrt(t))^alpha x
+    and c_np (1+sqrt(t))^beta x^(beta/alpha) exp(c_np sqrt(lam) C_s).  Needs n > 2
     and 2p > n, so that gamma = n(p-1)/(p(n-2)) > 1 and the Moser product converges.
+
+    When this is below 1/2, the eigenform's pointwise norm is pinched
+    (inf/sup >= 1 - 2 eps) and in particular nowhere zero.  Both branches
+    vanish with sqrt(lam D^2), so eps -> 0 as lam -> 0.
     """
     if lam < 0:
         raise ValueError(f"eigenvalue must be nonnegative, got {lam}")
     if lam == 0.0:
-        return 0.0, 0.0
+        return 0.0
     n = budget.dim
     p = budget.p_exponent
     if n <= 2:
@@ -333,45 +327,20 @@ def epsilon_branches(budget: GeometryBudget, lam: float,
     b2 = (consts.c_np * base ** beta
           * x ** (beta / alpha)
           * math.exp(consts.c_np * math.sqrt(lam) * cs))
-    return b1, b2
-
-
-def epsilon_threshold(budget: GeometryBudget, lam: float,
-                      consts: AbstractConstants = AbstractConstants()) -> float:
-    """Dimensionless pinching threshold: the min of :func:`epsilon_branches`, which
-    bounds D |grad theta|_inf for an eigenform theta of unit L^2 norm.
-
-    When this is below 1/2, the eigenform's pointwise norm is pinched
-    (inf/sup >= 1 - 2 eps) and in particular nowhere zero.  Both branches
-    vanish with sqrt(lam D^2), so eps -> 0 as lam -> 0.
-    """
-    b1, b2 = epsilon_branches(budget, lam, consts)
     return min(b1, b2)
-
-
-def gap_constant(n_half: float, p: float,
-                 consts: AbstractConstants = AbstractConstants()) -> float:
-    """Combined constant of the gap bound.
-
-    Equals (4 c_np)^(-1/delta) / c0_np * exp(-c_n/delta) with
-    delta = 2pn/(p-n) (n = half-dimension).  Decreasing in every abstract constant.
-    """
-    if p <= n_half:
-        raise ValueError(f"need p > n (half-dimension), got p={p}, n={n_half}")
-    delta = 2.0 * p * n_half / (p - n_half)
-    return ((4.0 * consts.c_np) ** (-1.0 / delta)
-            / consts.c0_np * math.exp(-consts.c_n / delta))
 
 
 def oneform_gap_branches(budget: GeometryBudget,
                          consts: AbstractConstants = AbstractConstants()) -> tuple[float, float]:
     """The two branches whose min lower-bounds sqrt(lambda_1^(1)) * D.
 
-    branch1 = (Ct/(1+sqrt(K D^2)) * exp(-(2n-1) sqrt(kappa D^2)))^(2pn/(p-n))
+    branch1 = (Ct/(1+sqrt(K D^2)) * exp(-(2n-1) sqrt(kappa D^2)))^delta
     branch2 = exp(-(2n-1) sqrt(kappa D^2))
 
-    with m = 2n the ambient dimension, K the L^{2p} curvature norm and
-    Ct = gap_constant(n, p).  Requires even dimension, p > n and a finite branch1.
+    with m = 2n the ambient dimension, K the L^{2p} curvature norm,
+    delta = 2pn/(p-n) and Ct = (4 c_np)^(-1/delta) exp(-c_n/delta) / c0_np, which
+    decreases in every abstract constant.  Requires even dimension, p > n and a
+    finite branch1.
     """
     m = budget.dim
     if m % 2 != 0 or m < 4:
@@ -383,9 +352,10 @@ def oneform_gap_branches(budget: GeometryBudget,
     d = budget.diameter
     a = (2 * n - 1) * math.sqrt(budget.kappa) * d
     s = math.sqrt(budget.riem_2p) * d
-    ct = gap_constant(n, p, consts)
+    delta = 2.0 * p * n / (p - n)
+    ct = (4.0 * consts.c_np) ** (-1.0 / delta) / consts.c0_np * math.exp(-consts.c_n / delta)
     try:
-        branch1 = (ct / (1.0 + s) * math.exp(-a)) ** (2.0 * p * n / (p - n))
+        branch1 = (ct / (1.0 + s) * math.exp(-a)) ** delta
     except OverflowError:
         branch1 = math.inf
     if branch1 == math.inf:  # Ct itself may have overflowed

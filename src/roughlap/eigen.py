@@ -56,7 +56,6 @@ __all__ = [
     "EigenConvergenceError",
     "smallest_eigenpairs",
     "cluster_multiplicities",
-    "first_positive",
 ]
 
 
@@ -321,16 +320,3 @@ def cluster_multiplicities(values) -> list[tuple[float, int]]:
         else:
             clusters.append([cur])
     return [(float(np.mean(c)), len(c)) for c in clusters]
-
-
-def first_positive(result: EigenResult) -> float | None:
-    """Smallest eigenvalue above KERNEL_TOL * operator scale; None if all below.
-
-    A None return means every computed value sits in the kernel band and
-    the caller should request more pairs.
-    """
-    threshold = KERNEL_TOL * result.scale
-    for v in result.values:
-        if v > threshold:
-            return float(v)
-    return None

@@ -191,6 +191,12 @@ class TriangleMesh:
                             "the mesh scale is out of range")
         if np.any(self.face_areas <= DEGENERACY_FLOOR * mean_area):
             raise MeshError("degenerate face (area below 1e-14 of mean)")
+        thin = np.flatnonzero(~(self.corner_angles > 0).all(axis=1))
+        if len(thin):  # the law of cosines lost the angle; its cotan weight would be 1/tan(0)
+            f = thin[0]
+            raise MeshError(f"face {f}: a corner angle rounds to 0 (sides "
+                            f"{self.edge_lengths[self.face_edges[f]].tolist()}), "
+                            "the face is too thin for the law of cosines")
         if np.any(self.vertex_areas <= 0):
             raise MeshError("isolated vertex (zero dual area)")
         n_comp, _ = connected_components(self.adjacency(), directed=False)

@@ -69,12 +69,8 @@ class AnalyticSpectrum:
         return None
 
     def zero_multiplicity(self) -> int:
-        for v, m in self.entries:
-            if v == 0.0:
-                return m
-            if v > 0.0:
-                break
-        return 0
+        """Summed over every zero entry: a measured spectrum keeps one entry per value."""
+        return sum(m for v, m in self.entries if v == 0.0)
 
 
 def _aggregate(values_mults, form_degree: int, manifold: str,

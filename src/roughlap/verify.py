@@ -29,7 +29,7 @@ from roughlap import constants as con
 from roughlap import spectra
 from roughlap.constants import AbstractConstants, GeometryBudget
 from roughlap.eigen import (KERNEL_TOL, EigenResult, SolverConfig,
-                            cluster_multiplicities, first_positive, smallest_eigenpairs)
+                            cluster_multiplicities, smallest_eigenpairs)
 from roughlap.mesh import (FlatTorus, IcoSphere, MeshError, ProductSpec, TriangleMesh,
                            build_mesh, curvature_lp_norm, euler_characteristic,
                            graph_diameter)
@@ -268,7 +268,8 @@ class ExperimentContext:
 
     ``connection_eigen`` is the level's one connection solve, of
     CONNECTION_K pairs at the spec's ``seed`` whatever the check order; every
-    check that needs connection values reads it.  ``coarser()`` is the
+    check that needs connection values reads it, and every check that needs
+    lambda_1 or the kernel reads ``oneform_spectrum()``.  ``coarser()`` is the
     next-coarser level's context, ``factors()`` a product's factor contexts."""
 
     def __init__(self, manifold, seed: int,
@@ -331,25 +332,15 @@ class ExperimentContext:
             f, self.solver.seed, None, self.consts, self.where,
             f"{self.mesh_where}.factors[{i}]")) for i, f in enumerate(self.manifold.factors)]
 
-    def measured_spectra(self) -> tuple:
-        """The mesh's cotan and connection spectra for ``spectra``: kernel-band values are
-        0.0, a complex 1-form value counts twice, each is complete below its certified top."""
-        def spectrum(result, degree):
-            values = np.where(result.values <= KERNEL_TOL * result.scale, 0.0, result.values)
-            return spectra.AnalyticSpectrum(tuple((float(v), 1 + degree) for v in values),
-                                            degree, repr(self.manifold), float(values[-1]))
-        return spectrum(self.cotan_eigen(), 0), spectrum(self.connection_eigen(), 1)
-
-    def first_positive_oneform(self) -> float:
+    def oneform_spectrum(self) -> spectra.AnalyticSpectrum:
+        """The measured 1-form spectrum, complete below its certified top.  A mesh's is
+        its connection solve; a product's is ``spectra.product_oneform_spectrum`` of its
+        factors' cotan and 1-form spectra."""
         if isinstance(self.manifold, ProductSpec):
-            parts = [s for f in self.factors() for s in f.measured_spectra()]  # m0, m1, n0, n1
-            cutoff = min(s.cutoff for s in parts)
-            value = spectra.product_oneform_spectrum(*parts, cutoff).first_positive()
-        else:
-            value = first_positive(self.connection_eigen())
-        if value is None:
-            raise ValueError(f"no positive value in the CONNECTION_K={CONNECTION_K} pairs")
-        return value
+            parts = [s for f in self.factors()
+                     for s in (_measured(f.cotan_eigen(), 0, f.manifold), f.oneform_spectrum())]
+            return spectra.product_oneform_spectrum(*parts, min(s.cutoff for s in parts))
+        return _measured(self.connection_eigen(), 1, self.manifold)
 
     def measured_diameter(self) -> float:
         if isinstance(self.manifold, ProductSpec):
@@ -373,6 +364,14 @@ class ExperimentContext:
                     raise SpecError(f"{where}.p_exponent: {exc}") from None
             return _bind(GeometryBudget, values, where)
         return self._cached("budget", measure)
+
+
+def _measured(result: EigenResult, degree: int, manifold) -> spectra.AnalyticSpectrum:
+    """A solve's values as a spectrum: kernel-band values are 0.0, and a complex 1-form
+    value counts twice; one entry per value, complete below the top one."""
+    values = np.where(result.values <= KERNEL_TOL * result.scale, 0.0, result.values)
+    return spectra.AnalyticSpectrum(tuple((float(v), 1 + degree) for v in values),
+                                    degree, repr(manifold), float(values[-1]))
 
 
 # -- grid checks (no manifold) ----------------------------------------------
@@ -460,11 +459,12 @@ def check_harmonic_alternative(ctx: ExperimentContext) -> CheckOutcome:
                             measured={"b1": b1},
                             notes="not applicable: first Betti number is zero")
     kappa = ctx.stated_budget["kappa"]
-    result = ctx.connection_eigen()
-    zero_dim_real = 2 * int(np.sum(result.values <= KERNEL_TOL * result.scale))
-    fp = first_positive(result)
+    spectrum = ctx.oneform_spectrum()
+    zero_dim_real = spectrum.zero_multiplicity()
+    fp = spectrum.first_positive()
     kernel_branch = zero_dim_real > 0
-    gap_branch = fp is not None and fp <= kappa * (1.0 + 1e-6) + KERNEL_TOL * result.scale
+    slack = KERNEL_TOL * ctx.connection_eigen().scale
+    gap_branch = fp is not None and fp <= kappa * (1.0 + 1e-6) + slack
     ok = kernel_branch or gap_branch
     return CheckOutcome(
         name="harmonic_alternative",
@@ -555,7 +555,9 @@ def check_gap_lower_bound(ctx: ExperimentContext) -> CheckOutcome:
     norm, continuous where its branches cross) is a property of
     :func:`constants.oneform_gap_lower_bound`, tested with it."""
     budget = ctx.budget()
-    lam1 = ctx.first_positive_oneform()
+    lam1 = ctx.oneform_spectrum().first_positive()
+    if lam1 is None:
+        raise ValueError(f"no positive value in the CONNECTION_K={CONNECTION_K} pairs")
     d = budget.diameter
     lhs = math.sqrt(lam1) * d
     b1, b2 = con.oneform_gap_branches(budget, ctx.consts)

@@ -20,8 +20,7 @@ from roughlap import operators as O
 from roughlap import spectra as S
 from roughlap import verify as V
 from roughlap.constants import AbstractConstants, GeometryBudget
-from roughlap.eigen import SolverConfig, cluster_multiplicities, first_positive, \
-    smallest_eigenpairs
+from roughlap.eigen import SolverConfig, cluster_multiplicities, smallest_eigenpairs
 
 TWO_PI = 2 * math.pi
 PI_SQRT2 = math.pi * math.sqrt(2.0)
@@ -214,9 +213,10 @@ def test_criterion_08_gap_bound_evaluator():
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
     # kappa = 0, D = 1: branch1 = (Ct/(1+s))^8 crosses branch2 = 1 at s* = Ct - 1,
-    # with Ct > 1 from a small bootstrap constant
+    # with Ct = (4 c_np)^(-1/8) e^(-c_n/8) / c0_np > 1 from a small bootstrap constant
     consts = AbstractConstants(c0_np=0.3)
-    riem_star = (con.gap_constant(2, 4.0, consts) - 1.0) ** 2
+    ct = 4.0 ** (-1.0 / 8.0) * math.exp(-1.0 / 8.0) / consts.c0_np
+    riem_star = (ct - 1.0) ** 2
     lo, hi = (con.oneform_gap_lower_bound(GeometryBudget(4, 0.0, 1.0, 4.0, riem_2p=r), consts)
               for r in (riem_star * (1 - 1e-11), riem_star * (1 + 1e-11)))
     jump = abs(hi - lo)

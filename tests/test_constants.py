@@ -189,24 +189,36 @@ def test_sobolev_cs_monotone():
 
 # -- Moser machinery ------------------------------------------------------------
 
+def _epsilon_branches(lam):
+    """The threshold's two branches at dim 4, p 4, D 1, riem 0 and unit constants
+    (C_s = 1, alpha = 8, beta = 1.6), written out from their formulas."""
+    b = lam
+    base = 1.0 + math.sqrt(4.0 * math.sqrt(b) * math.sqrt(1.0 + b))
+    x = math.sqrt(lam)
+    return base ** 8 * x, base ** 1.6 * x ** 0.2 * math.exp(math.sqrt(lam))
+
+
 def test_epsilon_branches_example():
-    # dim 4, p 4, lam 1, C_s 1: t = 4 sqrt(2), alpha = 8, beta = 1.6
+    # lam 1: t = 4 sqrt(2), and branch 2 is the min; lam 1e-9: branch 1 is
     b = budget(dim=4, p=4.0)
     assert con.sobolev_cs(b) == 1.0
     base = 1.0 + math.sqrt(4.0 * math.sqrt(2.0))
-    b1, b2 = con.epsilon_branches(b, lam=1.0)
-    assert b1 == pytest.approx(base ** 8, rel=1e-14)
-    assert b2 == pytest.approx(base ** 1.6 * math.e, rel=1e-14)
+    assert con.epsilon_threshold(b, lam=1.0) == pytest.approx(base ** 1.6 * math.e, rel=1e-14)
+    assert _epsilon_branches(1.0)[1] == pytest.approx(base ** 1.6 * math.e, rel=1e-14)
+    b1, b2 = _epsilon_branches(1e-9)
+    assert b1 < b2
+    assert con.epsilon_threshold(b, lam=1e-9) == pytest.approx(b1, rel=1e-13)
 
 
 def test_epsilon_branches_domain():
-    # the ladder's own errors come first, before sobolev_cs's own dim <= 2 error
+    # the ladder's own errors come first, before sobolev_cs's own dim <= 2 error,
+    # and the eigenvalue's before either
     with pytest.raises(ValueError, match="dim > 2"):
-        con.epsilon_branches(budget(dim=2, p=4.0), 1.0)
+        con.epsilon_threshold(budget(dim=2, p=4.0), 1.0)
     with pytest.raises(ValueError, match="2p > dim"):
-        con.epsilon_branches(budget(dim=4, p=1.5), 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        con.epsilon_branches(budget(dim=4, p=4.0), -1.0)
+        con.epsilon_threshold(budget(dim=4, p=1.5), 1.0)
+    with pytest.raises(ValueError, match="eigenvalue must be nonnegative"):
+        con.epsilon_threshold(budget(dim=2, p=1.5), -1.0)
 
 
 def test_moser_product_bound_limit():
@@ -224,14 +236,19 @@ def test_moser_product_converged_rejects_gamma_at_most_one():
             con.moser_product_converged(1.0, gamma)
 
 
-def test_moser_product_partial_single_term():
-    assert con.moser_product_partial(1.0, 2.0, 1) == pytest.approx(
-        math.sqrt(3.0), rel=1e-14)
+@pytest.mark.parametrize("moser", [con.moser_product_converged, con.moser_product_bound])
+@pytest.mark.parametrize("t", [-2.0, math.nan, math.inf])
+def test_moser_product_rejects_t_before_any_term(moser, t):
+    # checked first, so neither the tail bound's log1p nor a nan product is reached
+    with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+        moser(t, 2.0)
 
 
-def test_moser_product_partial_increasing_in_terms():
-    vals = [con.moser_product_partial(1.0, 2.0, n) for n in range(1, 12)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+@pytest.mark.parametrize("t, gamma", [(0.0, 2.0), (1.0, 2.0), (100.0, 1.1), (1e6, 4.0)])
+def test_moser_product_converged_is_its_partial_product(t, gamma):
+    value, n_terms = con.moser_product_converged(t, gamma)
+    factors = [(1.0 + t * gamma ** (i + 1)) ** (1.0 / gamma ** (i + 1)) for i in range(n_terms)]
+    assert value == pytest.approx(math.prod(factors), rel=1e-13)
 
 
 def test_moser_product_converged_below_bound_grid():
@@ -241,26 +258,30 @@ def test_moser_product_converged_below_bound_grid():
             assert value <= con.moser_product_bound(t, g)
             # tail bound certified below tolerance at the returned term count
             assert con._product_tail_bound(t, g, n_terms) < 1e-12
-            assert value >= con.moser_product_partial(t, g, 1)
+            assert value >= (1.0 + t * g) ** (1.0 / g)  # its first factor
 
 
 # -- pinching threshold ---------------------------------------------------------
 
 def test_gradient_branches_crossover_exists():
-    # fixed ladder, unit constants: branch1 - branch2 changes sign in lambda
+    # fixed ladder, unit constants: branch1 - branch2 changes sign in lambda,
+    # and the threshold follows branch1 below the crossing, branch2 above it
     b = budget(dim=4, p=4.0)
     assert con.sobolev_cs(b) == 1.0
 
     def diff(lam):
-        b1, b2 = con.epsilon_branches(b, lam)
+        b1, b2 = _epsilon_branches(lam)
         return b1 - b2
 
     assert diff(1e-9) < 0          # tiny lambda: branch1 below
     assert diff(0.5) > 0           # moderate lambda: branch2 below
     crossing = brentq(diff, 1e-9, 0.5)
     assert 0 < crossing < 0.5
-    b1, b2 = con.epsilon_branches(b, crossing)
+    b1, b2 = _epsilon_branches(crossing)
     assert b1 == pytest.approx(b2, rel=1e-9)
+    for lam, branch in ((crossing * 0.9, 0), (crossing * 1.1, 1)):
+        assert con.epsilon_threshold(b, lam) == pytest.approx(
+            _epsilon_branches(lam)[branch], rel=1e-13)
 
 
 def test_epsilon_threshold_vanishes_with_lambda():
@@ -277,20 +298,28 @@ def test_epsilon_threshold_vanishes_with_lambda():
 GAP_CONSTANT_UNIT = 4.0 ** (-1.0 / 8.0) * math.exp(-1.0 / 8.0)  # n=2, p=4, consts 1
 
 
+def gap_constant(n, p, consts=AbstractConstants()):
+    """Ct = (4 c_np)^(-1/delta) e^(-c_n/delta) / c0_np with delta = 2pn/(p-n)."""
+    delta = 2.0 * p * n / (p - n)
+    return (4.0 * consts.c_np) ** (-1.0 / delta) * math.exp(-consts.c_n / delta) / consts.c0_np
+
+
 def test_gap_constant_value():
-    assert con.gap_constant(2, 4) == pytest.approx(GAP_CONSTANT_UNIT, rel=1e-14)
+    # kappa = riem = 0, D = 1: branch1 = Ct^delta with delta = 8
+    branch1, _ = con.oneform_gap_branches(budget(dim=4, p=4.0))
+    assert branch1 == pytest.approx(GAP_CONSTANT_UNIT ** 8, rel=1e-14)
 
 
 def test_gap_constant_decreasing_in_each_constant():
-    base = con.gap_constant(2, 4)
-    assert con.gap_constant(2, 4, consts=AbstractConstants(c_n=2.0)) < base
-    assert con.gap_constant(2, 4, consts=AbstractConstants(c_np=2.0)) < base
-    assert con.gap_constant(2, 4, consts=AbstractConstants(c0_np=2.0)) < base
+    base, _ = con.oneform_gap_branches(budget(dim=4, p=4.0))
+    for consts in (AbstractConstants(c_n=2.0), AbstractConstants(c_np=2.0),
+                   AbstractConstants(c0_np=2.0)):
+        assert con.oneform_gap_branches(budget(dim=4, p=4.0), consts)[0] < base
 
 
 def test_gap_constant_domain():
-    with pytest.raises(ValueError):
-        con.gap_constant(4, 4)  # p must exceed half-dimension
+    with pytest.raises(ValueError, match="p_exponent must exceed the half-dimension 4"):
+        con.oneform_gap_branches(budget(dim=8, p=4.0))
 
 
 def test_gap_lower_bound_reference_value():
@@ -326,7 +355,7 @@ def test_gap_lower_bound_continuous_at_branch_switch():
     # with a small bootstrap constant Ct > 1 the branches cross along the
     # curvature-norm ray; min of the two stays continuous there
     consts = AbstractConstants(c0_np=0.3)
-    ct = con.gap_constant(2, 4, consts=consts)
+    ct = gap_constant(2, 4, consts=consts)
     assert ct > 1.0
     s_star = ct - 1.0
     riem_star = s_star ** 2  # D = 1
@@ -391,7 +420,7 @@ def test_gap_lower_bound_is_continuous_at_a_branch_crossing(x, s_star):
     n, p = x["dim"] // 2, x["dim"] // 2 + x["p_above"]
     delta = 2.0 * p * n / (p - n)
     a = (2 * n - 1) * math.sqrt(x["kappa_d2"])
-    ct_unit = con.gap_constant(n, p, replace(x["consts"], c0_np=1.0))
+    ct_unit = gap_constant(n, p, replace(x["consts"], c0_np=1.0))
     ct = (1 + s_star) * math.exp(a * (delta - 1) / delta)
     consts = replace(x["consts"], c0_np=ct_unit / ct)
     lo, hi = (con.oneform_gap_lower_bound(_scaled_budget(x, riem_d2=s_star ** 2 * f), consts)

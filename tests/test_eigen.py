@@ -7,9 +7,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from roughlap import eigen
-from roughlap.eigen import (RESIDUAL_TOL, EigenConvergenceError, EigenResult, SolverConfig,
-                            cluster_multiplicities, first_positive,
-                            smallest_eigenpairs)
+from roughlap.eigen import (RESIDUAL_TOL, EigenConvergenceError, SolverConfig,
+                            cluster_multiplicities, smallest_eigenpairs)
 from roughlap.mesh import generate_flat_torus, generate_icosphere
 from roughlap.operators import (build_connection, connection_laplacian_1forms,
                                 cotan_laplacian, hodge_laplacian_1forms)
@@ -316,7 +315,8 @@ def test_sparse_residuals_keep_headroom_over_a_kernel(pencil, monkeypatch):
     monkeypatch.setattr(eigen, "DENSE_CUTOFF", 0)
     for seed in range(5):
         res = smallest_eigenpairs(op, mass, SolverConfig(k=8, seed=seed))
-        assert first_positive(res) is not None and res.values[0] <= eigen.KERNEL_TOL * res.scale
+        kernel_band = eigen.KERNEL_TOL * res.scale
+        assert res.values[0] <= kernel_band < res.values[-1]
         assert res.residuals.max() <= 1e-13
 
 
@@ -442,13 +442,3 @@ def test_cluster_multiplicities_empty_and_single():
     assert cluster_multiplicities([]) == []
     assert cluster_multiplicities([3.5]) == [(3.5, 1)]
 
-
-def test_first_positive_threshold():
-    res = EigenResult(values=np.array([1e-12, 0.5, 1.0]),
-                      vectors=np.eye(3), residuals=np.zeros(3),
-                      iterations=0, scale=1.0)
-    assert first_positive(res) == 0.5
-    all_zero = EigenResult(values=np.array([1e-12, 1e-11]),
-                           vectors=np.eye(2), residuals=np.zeros(2),
-                           iterations=0, scale=1.0)
-    assert first_positive(all_zero) is None

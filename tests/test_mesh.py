@@ -197,6 +197,14 @@ def test_degenerate_face_rejected():
         M.TriangleMesh(verts, t.faces)
 
 
+def test_thin_corner_angle_rejected():
+    # a 1 x 1e10 torus's faces are 0.125 wide and 1.25e9 long: the law of cosines
+    # rounds the thin angle to 0, whose cotan weight would be infinite
+    with pytest.raises(M.MeshError, match=r"face 0: a corner angle rounds to 0"):
+        M.generate_flat_torus(1.0, 1e10, 8, 8)
+    assert M.generate_flat_torus(1.0, 1e7, 8, 8).corner_angles.min() > 0
+
+
 def test_unequal_side_lengths_rejected():
     t = M.generate_flat_torus(1.0, 1.0, 4, 4)
     sides = t.edge_lengths[t.face_edges].copy()

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 
 from roughlap import constants as con
 from roughlap.constants import AbstractConstants
+from roughlap.eigen import EigenResult, KERNEL_TOL
 from roughlap.mesh import FlatTorus, IcoSphere, ProductSpec
 from roughlap import eigen
 from roughlap import operators as O
@@ -143,6 +144,34 @@ def test_weitzenboeck_check_matches_a_standalone_solve(monkeypatch, manifold, cu
     assert shared == [list(row) for row in alone]
 
 
+def first_positive(result):
+    """The smallest value above the kernel band, written out."""
+    return float(result.values[result.values > KERNEL_TOL * result.scale][0])
+
+
+def test_measured_spectrum_kernel_band(monkeypatch):
+    # values up to KERNEL_TOL * scale read as 0.0, each entry counts a complex value
+    # twice, and the kernel sums over every zero entry
+    ctx = make_ctx(FlatTorus(TWO_PI, TWO_PI, 8, 8))
+    for scale in (1.0, 1e-6):
+        band = KERNEL_TOL * scale
+        for values, kernel, first in (([-band, band, 0.5 * scale, scale], 4, 0.5 * scale),
+                                      ([0.1 * band, band], 4, None),
+                                      ([1.5 * band, scale], 0, 1.5 * band)):
+            n = len(values)
+            result = EigenResult(values=np.array(values), vectors=np.eye(n),
+                                 residuals=np.zeros(n), iterations=0, scale=scale)
+            monkeypatch.setattr(ctx, "connection_eigen", lambda: result)
+            spectrum = ctx.oneform_spectrum()
+            assert spectrum.zero_multiplicity() == kernel
+            assert spectrum.first_positive() == first
+            assert spectrum.values()[:kernel] == [0.0] * kernel
+            assert spectrum.cutoff == (values[-1] if values[-1] > band else 0.0)
+            if first is None:
+                with pytest.raises(ValueError, match="no positive value"):
+                    V.check_gap_lower_bound(ctx)
+
+
 def test_harmonic_alternative_torus(torus_ctx):
     out = V.check_harmonic_alternative(torus_ctx)
     assert out.status == "pass"
@@ -273,7 +302,7 @@ def test_gap_lower_bound_product_testbed():
                            "riem_2p": 2.0 * math.sqrt(2.0)})
     out = V.check_gap_lower_bound(ctx)
     factor = make_ctx(IcoSphere(1.0, 0))
-    assert out.measured["lambda1"] == eigen.first_positive(factor.connection_eigen())
+    assert out.measured["lambda1"] == first_positive(factor.connection_eigen())
     assert out.measured["lambda1"] == pytest.approx(1.0, abs=1e-12)
     assert out.measured["diameter"] == math.hypot(factor.measured_diameter(),
                                                   factor.measured_diameter())
@@ -315,7 +344,8 @@ def test_product_gap_matches_the_assembled_product_pencil(factors, n):
     op, mass = _assembled_product_pencil(ctx)
     assert op.shape == (n, n)
     result = eigen.smallest_eigenpairs(op, mass, eigen.SolverConfig(k=8))
-    assert abs(eigen.first_positive(result) - ctx.first_positive_oneform()) <= 1e-12 * result.scale
+    lam1 = ctx.oneform_spectrum().first_positive()
+    assert abs(first_positive(result) - lam1) <= 1e-12 * result.scale
 
 
 def test_unit_s2xs2_gap_converges_to_one():
@@ -324,8 +354,8 @@ def test_unit_s2xs2_gap_converges_to_one():
     for s in range(1, 5):
         sphere = IcoSphere(1.0, s)
         ctx = make_ctx(ProductSpec((sphere, sphere)), budget={"riem_2p": 1.0})
-        lam1 = ctx.first_positive_oneform()
-        assert lam1 == eigen.first_positive(ctx.factors()[0].connection_eigen())
+        lam1 = ctx.oneform_spectrum().first_positive()
+        assert lam1 == first_positive(ctx.factors()[0].connection_eigen())
         assert abs(lam1 - 1.0) <= 1e-3 / 4 ** (s - 1)
 
 
@@ -335,7 +365,7 @@ def test_product_gap_is_scale_free(radius):
     # and spectra's product rule merges equal values relatively
     sphere = IcoSphere(radius, 0)
     ctx = make_ctx(ProductSpec((sphere, sphere)), budget={"riem_2p": 1.0})
-    assert ctx.first_positive_oneform() * radius ** 2 == pytest.approx(1.0, rel=1e-12)
+    assert ctx.oneform_spectrum().first_positive() * radius ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_product_requires_explicit_riem():
