@@ -17,7 +17,7 @@ the same edge, is stored.  Per-side quantities are (F, 3) arrays read the
 same way.
 
 All derived geometry -- corner angles, face areas, vertex areas, angle
-defects -- is computed from edge lengths alone (law of cosines / Heron), so
+defects -- is computed from edge lengths alone (Heron's factors), so
 embedded and intrinsic meshes go through one code path.  Validation enforces
 closed manifold (every edge in exactly two faces), consistent orientation
 (each directed edge appears once), connectivity, and non-degeneracy.
@@ -160,17 +160,16 @@ class TriangleMesh:
 
         # per-face side lengths: side s opposite corner (s+2) % 3
         side = self.edge_lengths[self.face_edges]  # (F, 3)
-        # corner c is between sides c and (c+2)%3; the opposite side is (c+1)%3
-        a = side[:, [1, 2, 0]]   # opposite each corner 0,1,2
-        b = side[:, [2, 0, 1]]
-        c = side[:, [0, 1, 2]]
-        # lengths whose squares overflow give non-finite areas; _validate locates them
+        # Heron's factors h = s - side; lengths whose squares overflow give
+        # non-finite areas, which _validate locates
         with np.errstate(over="ignore", invalid="ignore"):
-            cos = np.clip((b ** 2 + c ** 2 - a ** 2) / (2.0 * b * c), -1.0, 1.0)
-            self.corner_angles = np.arccos(cos)  # (F, 3), corner m at vertex faces[f, m]
             s = side.sum(axis=1) / 2.0
             h = s[:, None] - side
             prod = s * h[:, 0] * h[:, 1] * h[:, 2]
+            # corner c is between sides c and (c+2)%3, opposite (c+1)%3; the half-angle
+            # formula is as accurate as the area: no angle of a positive area rounds to 0
+            self.corner_angles = 2.0 * np.arctan2(  # (F, 3), corner m at vertex faces[f, m]
+                np.sqrt(h * h[:, [2, 0, 1]]), np.sqrt(s[:, None] * h[:, [1, 2, 0]]))
         if np.any(prod < 0):
             raise MeshError("triangle inequality violated by intrinsic lengths")
         self.face_areas = np.sqrt(prod)
@@ -191,12 +190,6 @@ class TriangleMesh:
                             "the mesh scale is out of range")
         if np.any(self.face_areas <= DEGENERACY_FLOOR * mean_area):
             raise MeshError("degenerate face (area below 1e-14 of mean)")
-        thin = np.flatnonzero(~(self.corner_angles > 0).all(axis=1))
-        if len(thin):  # the law of cosines lost the angle; its cotan weight would be 1/tan(0)
-            f = thin[0]
-            raise MeshError(f"face {f}: a corner angle rounds to 0 (sides "
-                            f"{self.edge_lengths[self.face_edges[f]].tolist()}), "
-                            "the face is too thin for the law of cosines")
         if np.any(self.vertex_areas <= 0):
             raise MeshError("isolated vertex (zero dual area)")
         n_comp, _ = connected_components(self.adjacency(), directed=False)

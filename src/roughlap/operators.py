@@ -391,21 +391,16 @@ def constant_chart_field(mesh: TriangleMesh) -> np.ndarray:
 def face_gradient_magnitudes(mesh: TriangleMesh, values: np.ndarray) -> np.ndarray:
     """|grad f| per face for a vertex-sampled function, from intrinsic lengths.
 
-    Each face is laid out isometrically in the plane and the gradient of the
-    linear interpolant is read off; works unchanged for intrinsic (torus)
-    metrics.
+    The linear interpolant's Dirichlet energy on a face is the cotan sum
+    A |grad f|^2 = 1/2 sum_c cot(theta_c) (f_{c+1} - f_{c+2})^2 over its
+    corners c, read from the mesh's corner angles and face areas; works
+    unchanged for intrinsic (torus) metrics.
     """
     f = np.asarray(values, dtype=float)
     if len(f) != mesh.n_vertices:
         raise ValueError("values must be sampled per vertex")
-    side = mesh.edge_lengths[mesh.face_edges]     # side s = faces[:,s] -> faces[:,(s+1)%3]
-    l01, l12, l20 = side[:, 0], side[:, 1], side[:, 2]
-    x2 = (l01 ** 2 + l20 ** 2 - l12 ** 2) / (2.0 * l01)
-    y2 = 2.0 * mesh.face_areas / l01
-    f0 = f[mesh.faces[:, 0]]
-    f1 = f[mesh.faces[:, 1]]
-    f2 = f[mesh.faces[:, 2]]
-    # planar layout p0=(0,0), p1=(l01,0), p2=(x2,y2); grad = sum f_i perp(e_i)/(2A)
-    gx = (f0 * (-(y2 - 0.0)) + f1 * y2) / (2.0 * mesh.face_areas)
-    gy = (f0 * (x2 - l01) + f1 * (-x2) + f2 * l01) / (2.0 * mesh.face_areas)
-    return np.hypot(gx, gy)
+    fc = f[mesh.faces]
+    # corner c is opposite the side from faces[:, c+1] to faces[:, c+2]
+    opposite = (fc[:, [1, 2, 0]] - fc[:, [2, 0, 1]]) ** 2
+    energy = 0.5 * (opposite / np.tan(mesh.corner_angles)).sum(axis=1)
+    return np.sqrt(energy / mesh.face_areas)

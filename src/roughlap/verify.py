@@ -266,11 +266,11 @@ def parse_manifold(data: dict | None, where: str = "manifold"):
 class ExperimentContext:
     """Caches the mesh, connection operators, and eigensolves per mesh level.
 
-    ``connection_eigen`` is the level's one connection solve, of
-    CONNECTION_K pairs at the spec's ``seed`` whatever the check order; every
-    check that needs connection values reads it, and every check that needs
-    lambda_1 or the kernel reads ``oneform_spectrum()``.  ``coarser()`` is the
-    next-coarser level's context, ``factors()`` a product's factor contexts."""
+    ``connection_eigen`` is the level's one connection solve, of CONNECTION_K
+    pairs at the spec's ``seed`` whatever the check order; checks read its raw
+    pairs and scale there, and lambda_min, lambda_1 and the kernel from
+    ``oneform_spectrum()``.  ``coarser()`` is the next-coarser level's context,
+    ``factors()`` a product's factor contexts."""
 
     def __init__(self, manifold, seed: int,
                  budget_spec: dict | None, consts: AbstractConstants,
@@ -492,9 +492,8 @@ def check_killing_alternative(ctx: ExperimentContext) -> CheckOutcome:
         sup_ric = 0.0
     z = encode_tangent_field(mesh, conn, field3d)
     rq = rayleigh_quotient(op, mass, z)
-    result = ctx.connection_eigen()
-    lambda_min = float(result.values[0])
-    abs_slack = KERNEL_TOL * result.scale
+    lambda_min = ctx.oneform_spectrum().entries[0][0]
+    abs_slack = KERNEL_TOL * ctx.connection_eigen().scale
     ok_ricci = rq <= sup_ric * (1.0 + KILLING_RQ_TOL) + abs_slack
     ok_minmax = lambda_min <= rq + KILLING_RQ_TOL * max(rq, abs_slack) + abs_slack
     return CheckOutcome(
@@ -521,7 +520,7 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
     """
     result = ctx.connection_eigen()
     z = result.vectors[:, 0]
-    lam = max(float(result.values[0]), 0.0)
+    lam = ctx.oneform_spectrum().entries[0][0]
     budget = ctx.budget()
     cs = eps = math.inf  # unless they fit in a double
     try:

@@ -1,9 +1,11 @@
 """Mesh generators, validation, and measured geometry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 from roughlap import mesh as M
@@ -197,12 +199,37 @@ def test_degenerate_face_rejected():
         M.TriangleMesh(verts, t.faces)
 
 
-def test_thin_corner_angle_rejected():
-    # a 1 x 1e10 torus's faces are 0.125 wide and 1.25e9 long: the law of cosines
-    # rounds the thin angle to 0, whose cotan weight would be infinite
-    with pytest.raises(M.MeshError, match=r"face 0: a corner angle rounds to 0"):
-        M.generate_flat_torus(1.0, 1e10, 8, 8)
-    assert M.generate_flat_torus(1.0, 1e7, 8, 8).corner_angles.min() > 0
+def test_thin_corner_angles_are_exact():
+    # a 1 x ly torus's thinnest corner is atan2(dx, dy); an angle read from its
+    # cosine cancels there (4.4e-5 relative at ly = 1e6, 0 from ly = 1e8)
+    for ly in np.logspace(1, 14, 131):
+        exact = math.atan2(1 / 8, ly / 8)
+        thinnest = M.generate_flat_torus(1.0, ly, 8, 8).corner_angles.min()
+        assert abs(thinnest - exact) <= 1e-8 * exact
+
+
+def _heron_sides(log_scale, log_factors, order):
+    """Sides (y + z, z + x, x + y) of Heron factors x, y, z: needles when one is tiny."""
+    x, y, z = 10.0 ** np.asarray(log_factors) * 10.0 ** log_scale
+    return [[y + z, z + x, x + y][i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sides=st.builds(_heron_sides, st.floats(-160.0, 160.0),
+                       st.lists(st.floats(-20.0, 0.0), min_size=3, max_size=3),
+                       st.permutations(range(3))))
+@example(sides=[1.0, 1e9, 1e9 + 1e-3])  # the thin angle's cosine rounds to 1
+def test_accepted_pillow_angles_are_positive_and_sum_to_pi(sides):
+    # two faces glued along all three edges: a closed mesh with any triangle's sides
+    a, b, c = sides
+    try:
+        pillow = M.TriangleMesh(np.zeros((3, 3)), [[0, 1, 2], [0, 2, 1]],
+                                edge_lengths=[[a, b, c], [c, b, a]])
+    except M.MeshError as exc:  # only the area may reject a pillow
+        assert re.search("scale is out of range|degenerate face|triangle inequality", str(exc))
+        return
+    assert np.all(pillow.corner_angles > 0)
+    assert np.abs(pillow.corner_angles.sum(axis=1) - math.pi).max() <= 4 * math.ulp(math.pi)
 
 
 def test_unequal_side_lengths_rejected():

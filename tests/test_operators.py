@@ -537,3 +537,26 @@ def test_face_gradient_on_sphere_coordinate(sphere_s3):
     grads = O.face_gradient_magnitudes(sphere_s3, sphere_s3.vertices[:, 2])
     assert grads.max() <= 1.0 + 1e-9
     assert grads.max() > 0.95
+
+
+def _planar_layout_gradients(mesh, f):
+    """|grad f| from each face laid out in the plane: p0 = (0, 0), p1 = (l01, 0),
+    p2 = (x2, y2), and grad = sum f_i perp(e_i) / (2A)."""
+    l01, l12, l20 = mesh.edge_lengths[mesh.face_edges].T
+    x2 = (l01 ** 2 + l20 ** 2 - l12 ** 2) / (2.0 * l01)
+    y2 = 2.0 * mesh.face_areas / l01
+    f0, f1, f2 = f[mesh.faces].T
+    gx = (f1 - f0) * y2 / (2.0 * mesh.face_areas)
+    gy = (f0 * (x2 - l01) - f1 * x2 + f2 * l01) / (2.0 * mesh.face_areas)
+    return np.hypot(gx, gy)
+
+
+@pytest.mark.parametrize("make", [lambda: M.generate_icosphere(1.0, 2),
+                                  lambda: M.generate_flat_torus(TWO_PI, TWO_PI, 8, 8)],
+                         ids=["ico2", "torus8"])
+def test_face_gradient_cotan_identity_matches_planar_layout(make):
+    mesh = make()
+    rng = np.random.default_rng(5)
+    for f in (mesh.vertices[:, 0], rng.standard_normal(mesh.n_vertices)):
+        reference = _planar_layout_gradients(mesh, f)
+        assert np.abs(O.face_gradient_magnitudes(mesh, f) / reference - 1.0).max() <= 1e-12

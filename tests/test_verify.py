@@ -472,6 +472,18 @@ def test_default_spec_repeats_at_seed_112(tmp_path):
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+def test_default_torus_reads_its_kernel_as_exactly_zero(tmp_path):
+    # the connection solve's kernel value is roundoff of either sign; both checks
+    # read lambda_min from the measured spectrum, whose kernel band is exactly 0
+    with open("specs/default.json") as f:
+        spec = json.load(f)
+    torus = next(e for e in spec["experiments"] if e["label"] == "torus32")
+    path = write_spec(tmp_path, {**torus, "checks": ["killing_alternative", "pinching"]})
+    killing, pinching = V.run_suite(path).outcomes
+    assert killing.measured["lambda_min"] == 0.0
+    assert pinching.measured["lambda"] == pinching.measured["eps"] == 0.0
+
+
 def test_run_suite_single_experiment_form(tmp_path):
     path = write_spec(tmp_path, {
         "label": "solo", "checks": ["moser_product_grid"]})
