@@ -216,15 +216,10 @@ def _shift_invert(b: sp.csr_matrix, config: SolverConfig, scale: float):
     return vals, out, solves, fill
 
 
-def _shifted(b: sp.spmatrix, shift: float) -> sp.spmatrix:
-    """B - shift*I, on a copy of b whose diagonal alone changes."""
+def _factor(b: sp.spmatrix, shift: float):
+    """Symmetric-ordered, unpivoted LU of the Hermitian B - shift*I (on a copy of b): L D L^H."""
     a = b.copy()
     a.setdiag(a.diagonal() - shift)
-    return a
-
-
-def _factor(a: sp.spmatrix):
-    """Symmetric-ordered, unpivoted LU of a Hermitian matrix: A = L D L^H."""
     return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True))
 
@@ -235,7 +230,7 @@ def _lanczos(b, sigma, k, rng, found):
     The factorization of B - sigma*I lives only during this call, so the
     inertia count that follows has room for its own.
     """
-    factor = _factor(_shifted(b, sigma))
+    factor = _factor(b, sigma)
     # an orthonormal basis of the span, none on the first run: the complex
     # path's copies of one value need not be orthogonal
     basis = np.linalg.qr(found)[0] if found.shape[1] else None
@@ -275,7 +270,7 @@ def _missing_below(b, vals, scale: float) -> int:
     if top <= floor:
         return 0
     shift = max(top * (1.0 - INERTIA_GAP), floor)
-    below = _count_below(_shifted(b, shift))
+    below = _count_below(b, shift)
     returned = int(np.count_nonzero(vals < shift))
     if below < returned:
         raise EigenConvergenceError(
@@ -284,17 +279,18 @@ def _missing_below(b, vals, scale: float) -> int:
     return below - returned
 
 
-def _count_below(a: sp.spmatrix) -> int:
-    """Negative eigenvalues of the Hermitian a, by Sylvester's law of inertia.
+def _count_below(b: sp.spmatrix, shift: float) -> int:
+    """Eigenvalues of the Hermitian b below ``shift``, by Sylvester's law of inertia.
 
-    With equal row and column orders the LU is L D L^H and U's diagonal is D,
-    which has as many negative entries as a has negative eigenvalues.
+    With equal row and column orders the LU of B - shift*I is L D L^H and U's
+    diagonal is D, which has as many negative entries as b has eigenvalues
+    below the shift.
     Of the 33 MB RSS an ico s=5 connection solve adds, the count's factor takes
     17 MB and reading ``factor.U`` (all of U, for its diagonal) 10 MB; scipy 1.17's
     ``SuperLU`` exposes only L, U, perm_c, perm_r, nnz and solve, so there is
     no cheaper route to the pivot signs.
     """
-    factor = _factor(a)
+    factor = _factor(b, shift)
     if not np.array_equal(factor.perm_r, factor.perm_c):
         raise EigenConvergenceError(
             "the inertia count needed row pivoting, so U's diagonal does not hold "

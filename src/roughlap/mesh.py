@@ -16,11 +16,11 @@ index arithmetic; only ``twin``, the half-edge running the other way along
 the same edge, is stored.  Per-side quantities are (F, 3) arrays read the
 same way.
 
-All derived geometry -- corner angles, face areas, vertex areas, angle
-defects -- is computed from edge lengths alone (Heron's factors), so
+All derived geometry -- corner angles, face areas, vertex areas, angle defects,
+cotan weights -- comes from edge lengths alone (Kahan's sorted Heron factors), so
 embedded and intrinsic meshes go through one code path.  Validation enforces
-closed manifold (every edge in exactly two faces), consistent orientation
-(each directed edge appears once), connectivity, and non-degeneracy.
+closed manifold (every edge in exactly two faces), consistent orientation (each
+directed edge appears once), connectivity, non-degeneracy and a normal scale.
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ class TriangleMesh:
     corner_angles : (F, 3) float array
         Angle at the tail of each half-edge, between it and the previous
         half-edge of its face.
+    cotan_weights : (E,) float array
+        w_e = (cot(alpha) + cot(beta)) / 2 over the two corners opposite
+        edge e, the edge weight of every cotan-type Laplacian.
     """
 
     def __init__(self, vertices, faces, edge_lengths=None, period=None):
@@ -107,6 +110,10 @@ class TriangleMesh:
         self._build_edges()
         self._build_metric(edge_lengths)
         self._validate()
+        # corner m is opposite side (m + 1) % 3; each edge sums its two corners
+        self.cotan_weights = np.bincount(self.face_edges[:, [1, 2, 0]].ravel(),
+                                         weights=0.5 / np.tan(self.corner_angles).ravel(),
+                                         minlength=len(self.edges))
 
     # -- construction ------------------------------------------------------
 
@@ -160,19 +167,21 @@ class TriangleMesh:
 
         # per-face side lengths: side s opposite corner (s+2) % 3
         side = self.edge_lengths[self.face_edges]  # (F, 3)
-        # Heron's factors h = s - side; lengths whose squares overflow give
-        # non-finite areas, which _validate locates
+        # Heron's factors 2s and h = 2(s - side) free of cancellation: sides sorted a >= b >= c
+        # as in Kahan's needle formula (2014); overflowing areas are left to _validate
+        order = np.argsort(-side, axis=1)
+        a, b, c = np.take_along_axis(side, order, axis=1).T
         with np.errstate(over="ignore", invalid="ignore"):
-            s = side.sum(axis=1) / 2.0
-            h = s[:, None] - side
-            prod = s * h[:, 0] * h[:, 1] * h[:, 2]
-            # corner c is between sides c and (c+2)%3, opposite (c+1)%3; the half-angle
-            # formula is as accurate as the area: no angle of a positive area rounds to 0
+            s2 = a + (b + c)
+            x, y, z = c - (a - b), c + (a - b), a + (b - c)
+            prod = (s2 * x) * (y * z)  # (4 area)^2
+            h = np.take_along_axis(np.stack([x, y, z], axis=1), np.argsort(order, axis=1), axis=1)
+            # half-angle formula: corner c is between sides c and (c+2)%3, opposite (c+1)%3
             self.corner_angles = 2.0 * np.arctan2(  # (F, 3), corner m at vertex faces[f, m]
-                np.sqrt(h * h[:, [2, 0, 1]]), np.sqrt(s[:, None] * h[:, [1, 2, 0]]))
+                np.sqrt(h * h[:, [2, 0, 1]]), np.sqrt(s2[:, None] * h[:, [1, 2, 0]]))
         if np.any(prod < 0):
             raise MeshError("triangle inequality violated by intrinsic lengths")
-        self.face_areas = np.sqrt(prod)
+        self.face_areas = 0.25 * np.sqrt(prod)
 
         v = len(self.vertices)
         self.vertex_areas = np.zeros(v)
@@ -190,6 +199,14 @@ class TriangleMesh:
                             "the mesh scale is out of range")
         if np.any(self.face_areas <= DEGENERACY_FLOOR * mean_area):
             raise MeshError("degenerate face (area below 1e-14 of mean)")
+        # below sqrt(smallest normal) an area comes from a subnormal (4 area)^2, and an angle C
+        # may come from a subnormal 2(s - a) 2(s - b) = 4 area tan(C/2): both lost digits
+        floor = math.sqrt(sys.float_info.min)
+        small = (self.face_areas < floor) | (self.corner_angles.min(axis=1) < floor)
+        if np.any(small):
+            f = int(np.argmax(small))
+            raise MeshError(f"face {f} has area {self.face_areas[f]} and smallest angle "
+                            f"{self.corner_angles[f].min()}: the mesh scale is out of range")
         if np.any(self.vertex_areas <= 0):
             raise MeshError("isolated vertex (zero dual area)")
         n_comp, _ = connected_components(self.adjacency(), directed=False)

@@ -11,7 +11,7 @@ standard discrete-exterior-calculus operator on edge values,
 ``*1 g *0^-1 g^T *1 + d1^T *2 d1`` against the diagonal edge mass ``*1``,
 where ``g`` is the vertex-to-edge difference matrix.  All three vertex
 operators -- cotan, connection and the Hodge pencil's exact block -- are
-one edge-weighted assembly, ``_laplacian``.
+one edge-weighted assembly, ``_laplacian``, on the mesh's ``cotan_weights``.
 
 Since ``d1 g = 0``, the discrete Hodge decomposition splits that pencil
 exactly into exact forms (the cotan Laplacian on vertices), coexact forms
@@ -57,7 +57,6 @@ __all__ = [
     "hodge_laplacian_1forms",
     "weitzenboeck_eigen_check",
     "rayleigh_quotient",
-    "edge_cotan_weights",
     "encode_tangent_field",
     "rotation_field",
     "constant_chart_field",
@@ -98,24 +97,16 @@ class ConnectionData:
     face_curvatures: np.ndarray = field(repr=False)
 
 
-def edge_cotan_weights(mesh: TriangleMesh) -> np.ndarray:
-    """w_e = (cot(alpha) + cot(beta))/2 over the two corners opposite edge e."""
-    w = np.zeros(mesh.n_edges)
-    cot = 1.0 / np.tan(mesh.corner_angles)  # corner m; its opposite side is (m+1)%3
-    for m in range(3):
-        opposite_side = (m + 1) % 3
-        np.add.at(w, mesh.face_edges[:, opposite_side], 0.5 * cot[:, m])
-    return w
-
-
-def _laplacian(mesh: TriangleMesh, w: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
+def _laplacian(mesh: TriangleMesh, transport) -> sp.csr_matrix:
     """Vertex stiffness of the quadratic form sum_e w_e |z_a - t_e z_b|^2.
 
-    For edge e = (a, b), a < b, entry (a, b) is ``off[e]`` = -w_e t_e, with
-    t_e the transport b -> a, and entry (b, a) its conjugate, so the matrix
-    is exactly Hermitian; the diagonal sums the weights ``w`` of each
-    vertex's edges.  The cotan matrix is the case t = 1.
+    w are the mesh's cotan weights.  For edge e = (a, b), a < b, entry (a, b)
+    is -w_e t_e, with t_e = ``transport[e]`` the transport b -> a, and entry
+    (b, a) its conjugate, so the matrix is exactly Hermitian; the diagonal
+    sums the weights of each vertex's edges.  The cotan matrix is t = 1.
     """
+    w = mesh.cotan_weights
+    off = -w * transport
     i, j = mesh.edges.T
     a = sp.csr_matrix((np.concatenate([off, np.conj(off), w, w]),
                        (np.concatenate([i, j, i, j]), np.concatenate([j, i, i, j]))),
@@ -130,8 +121,7 @@ def cotan_laplacian(mesh: TriangleMesh) -> tuple[SparseHermitianOperator, np.nda
     Row sums vanish, so constants span the kernel on a connected mesh; the
     matrix is PSD (it is the Galerkin stiffness of linear elements).
     """
-    w = edge_cotan_weights(mesh)
-    return SparseHermitianOperator(_laplacian(mesh, w, -w)), mesh.vertex_areas.copy()
+    return SparseHermitianOperator(_laplacian(mesh, 1.0)), mesh.vertex_areas.copy()
 
 
 def build_connection(mesh: TriangleMesh) -> ConnectionData:
@@ -206,9 +196,8 @@ def connection_laplacian_1forms(mesh: TriangleMesh, conn: ConnectionData
     lumped vertex area.  Kernel = parallel fields (2 real dimensions on a
     flat torus, none on a sphere).
     """
-    w = edge_cotan_weights(mesh)
-    off = -w * np.exp(1j * _wrap_angle(-conn.rho))   # row a, col b: transport b -> a
-    return SparseHermitianOperator(_laplacian(mesh, w, off)), mesh.vertex_areas.copy()
+    transport = np.exp(1j * _wrap_angle(-conn.rho))   # row a, col b: transport b -> a
+    return SparseHermitianOperator(_laplacian(mesh, transport)), mesh.vertex_areas.copy()
 
 
 def _face_incidence(mesh: TriangleMesh) -> sp.csr_matrix:
@@ -238,7 +227,7 @@ def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator,
     edges that close a loop of faces, where the cells would not count the
     harmonic forms.
     """
-    w = edge_cotan_weights(mesh)
+    w = mesh.cotan_weights
     w_max = np.abs(w).max()
     negative = np.flatnonzero(w < -NULL_WEIGHT_TOL * w_max)
     if len(negative):
@@ -257,7 +246,7 @@ def hodge_laplacian_1forms(mesh: TriangleMesh) -> tuple[SparseHermitianOperator,
                           shape=(n_cells, mesh.n_faces))
     d1_cells = (cells @ d1)[:, ~null]
     coexact = (d1_cells @ sp.diags(1.0 / w[~null]) @ d1_cells.T).tocsr()
-    matrix = sp.block_diag((_laplacian(mesh, w, -w), (coexact + coexact.T) * 0.5),
+    matrix = sp.block_diag((_laplacian(mesh, 1.0), (coexact + coexact.T) * 0.5),
                            format="csr")
     cell_areas = np.bincount(cell, weights=mesh.face_areas)
     return SparseHermitianOperator(matrix), np.concatenate([mesh.vertex_areas, cell_areas])

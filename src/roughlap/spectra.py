@@ -12,7 +12,8 @@ even-dimensional testbed for the gap bound:
 * round sphere 1-forms: the Hodge eigenvalues l(l+1)/r^2 (l >= 1, exact and
   coexact copies) shifted down by the Gauss curvature 1/r^2 -- the same
   curvature identity the discrete Weitzenboeck check verifies -- so
-  (l(l+1)-1)/r^2 with multiplicity 2(2l+1) and no zero eigenvalue;
+  (l(l+1)-1)/r^2 with multiplicity 2(2l+1) and no zero eigenvalue; the
+  torus is the same rule (``_rough_oneform_spectrum``) at K = 0, b1 = 2;
 * products: 1-forms on M x N split into pullbacks from each factor, so the
   eigenvalues are sums {1-form of M + function of N} and {function of M +
   1-form of N} with multiplied multiplicities.
@@ -107,15 +108,21 @@ def torus_function_spectrum(lx: float, ly: float, cutoff: float) -> AnalyticSpec
     return _aggregate(raw, 0, tag, cutoff)
 
 
-def torus_oneform_rough_spectrum(lx: float, ly: float, cutoff: float) -> AnalyticSpectrum:
-    """Flat-torus connection Laplacian on 1-forms: function spectrum doubled.
+def _rough_oneform_spectrum(functions: AnalyticSpectrum, curvature: float, b1: int,
+                            cutoff: float) -> AnalyticSpectrum:
+    """Rough 1-forms of a curvature-K surface, Hodge minus K (Weitzenboeck): b1
+    harmonic forms, and exact and coexact copies (2m) of each positive function
+    eigenvalue mu (multiplicity m).  ``functions`` must reach ``cutoff`` + K."""
+    entries = [(0.0 - curvature, b1)] if b1 else []  # 0.0 - 0.0 is +0.0, -0.0 is not
+    entries += [(mu - curvature, 2 * m) for mu, m in functions.entries if mu > 0.0]
+    return AnalyticSpectrum(tuple((v, m) for v, m in entries if v <= cutoff * (1.0 + 1e-12)),
+                            1, functions.manifold, cutoff)
 
-    The zero eigenvalue has multiplicity 2 (the parallel coordinate forms),
-    matching both the first Betti number and dim ker of the connection.
-    """
-    base = torus_function_spectrum(lx, ly, cutoff)
-    entries = tuple((v, 2 * m) for v, m in base.entries)
-    return AnalyticSpectrum(entries, 1, base.manifold, cutoff)
+
+def torus_oneform_rough_spectrum(lx: float, ly: float, cutoff: float) -> AnalyticSpectrum:
+    """Flat-torus connection Laplacian on 1-forms: K = 0 and b1 = 2 (the parallel
+    coordinate forms, dim ker of the connection), so the function spectrum doubled."""
+    return _rough_oneform_spectrum(torus_function_spectrum(lx, ly, cutoff), 0.0, 2, cutoff)
 
 
 def sphere_function_spectrum(radius: float, cutoff: float) -> AnalyticSpectrum:
@@ -135,24 +142,14 @@ def sphere_function_spectrum(radius: float, cutoff: float) -> AnalyticSpectrum:
 
 
 def sphere_oneform_rough_spectrum(radius: float, cutoff: float) -> AnalyticSpectrum:
-    """Round-sphere connection Laplacian on 1-forms.
-
-    Curvature shift of the Hodge spectrum: (l(l+1) - 1)/r^2 for l >= 1 with
-    multiplicity 2(2l+1).  No zero eigenvalue: the sphere has no parallel
-    1-forms (its Euler characteristic is nonzero).
-    """
+    """Round-sphere connection Laplacian on 1-forms: K = 1/r^2 and b1 = 0, so
+    (l(l+1) - 1)/r^2 for l >= 1 with multiplicity 2(2l+1) and no zero eigenvalue."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    tag = f"sphere(r={radius:g})"
-    entries = []
-    l = 1
-    while True:
-        val = (l * (l + 1) - 1) / radius ** 2
-        if val > cutoff * (1.0 + 1e-12):
-            break
-        entries.append((val, 2 * (2 * l + 1)))
-        l += 1
-    return AnalyticSpectrum(tuple(entries), 1, tag, cutoff)
+    curvature = 1.0 / radius ** 2
+    # rough values are >= K: no read past 2 * cutoff is needed, and that ends it if K overflows
+    functions = sphere_function_spectrum(radius, min(cutoff + curvature, 2.0 * cutoff))
+    return _rough_oneform_spectrum(functions, curvature, 0, cutoff)
 
 
 def product_oneform_spectrum(m0: AnalyticSpectrum, m1: AnalyticSpectrum,

@@ -85,6 +85,45 @@ def test_sphere_oneform_entries():
     assert gap * (math.pi * r) ** 2 == pytest.approx(math.pi ** 2, rel=1e-12)
 
 
+def _per_l_sphere_oneform(r, cutoff):
+    """(l(l+1) - 1)/r^2 with multiplicity 2(2l+1), l >= 1, as a per-l loop."""
+    entries, l = [], 1
+    while (l * (l + 1) - 1) / r ** 2 <= cutoff * (1.0 + 1e-12):
+        entries.append(((l * (l + 1) - 1) / r ** 2, 2 * (2 * l + 1)))
+        l += 1
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 0.5, 3.0, 1.7])
+@pytest.mark.parametrize("cutoff", [0.5, 5.0, 12.0, 40.0])
+def test_weitzenboeck_rule_matches_the_per_l_sphere_formula(r, cutoff):
+    # the one rule subtracts K from l(l+1)/r^2: exact where r^2 is a power of
+    # two, within one rounding of the per-l quotient otherwise
+    got = S.sphere_oneform_rough_spectrum(r, cutoff).entries
+    want = _per_l_sphere_oneform(r, cutoff)
+    assert [m for _, m in got] == [m for _, m in want]
+    if math.log2(r).is_integer():
+        assert got == want
+    for (v, _), (w, _) in zip(got, want):
+        assert abs(v - w) <= math.ulp(w)
+
+
+@pytest.mark.parametrize("cutoff", [-1.0, 0.0, 0.5, 5.0, 40.0])
+def test_weitzenboeck_rule_matches_the_doubled_torus_functions(cutoff):
+    # K = 0 and b1 = 2: the function spectrum doubled, its zero kept at +0.0
+    got = S.torus_oneform_rough_spectrum(TWO_PI, 3.1, cutoff).entries
+    want = tuple((v, 2 * m) for v, m in S.torus_function_spectrum(TWO_PI, 3.1, cutoff).entries)
+    assert got == want
+    assert all(math.copysign(1.0, v) == 1.0 for v, _ in got)
+
+
+@pytest.mark.parametrize("r", [1e-160, 1e-155, 1.3e-154, 2e-154, 1e-100])
+def test_sphere_oneform_at_an_overflowing_curvature_is_empty(r):
+    # K = 1/r^2 overflows below about 1.3e-154; the read of the function
+    # spectrum stays finite, and no rough value is below the cutoff
+    assert S.sphere_oneform_rough_spectrum(r, 5.0).entries == ()
+
+
 def test_sphere_domain_errors():
     with pytest.raises(ValueError):
         S.sphere_function_spectrum(0.0, 1.0)
