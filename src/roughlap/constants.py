@@ -242,8 +242,8 @@ def moser_product_bound(t: float, gamma: float) -> float:
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t}")
-    if gamma <= 1:
-        raise ValueError(f"gamma must exceed 1 (product diverges), got {gamma}")
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must exceed 1 (product diverges) and be finite, got {gamma}")
     g = gamma - 1.0
     return math.exp(2.0 * math.sqrt(gamma) / g) * (1.0 + math.sqrt(t)) ** (2.0 / g)
 
@@ -281,8 +281,8 @@ def moser_product_converged(t: float, gamma: float) -> tuple[float, int]:
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t}")
-    if gamma <= 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    if not 1 < gamma < math.inf:
+        raise ValueError(f"gamma must exceed 1 and be finite, got {gamma}")
     n_terms = 4
     while _product_tail_bound(t, gamma, n_terms) >= MOSER_TAIL_TOL:
         n_terms *= 2
@@ -306,8 +306,8 @@ def epsilon_threshold(budget: GeometryBudget, lam: float,
     (inf/sup >= 1 - 2 eps) and in particular nowhere zero.  Both branches
     vanish with sqrt(lam D^2), so eps -> 0 as lam -> 0.
     """
-    if lam < 0:
-        raise ValueError(f"eigenvalue must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"eigenvalue must be nonnegative and finite, got {lam}")
     if lam == 0.0:
         return 0.0
     n = budget.dim
@@ -379,8 +379,8 @@ def oneform_gap_lower_bound(budget: GeometryBudget,
 
 def li_yau_threshold(diameter: float, kappa: float, c: float) -> float:
     """The Li-Yau threshold c * exp(-c sqrt(kappa) D)."""
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     if not 0 < diameter < math.inf:
         raise ValueError(f"diameter must be positive and finite, got {diameter}")
     if not 0 <= kappa < math.inf:
@@ -390,4 +390,6 @@ def li_yau_threshold(diameter: float, kappa: float, c: float) -> float:
 
 def li_yau_predicate(lambda1: float, diameter: float, kappa: float, c: float) -> bool:
     """Whether lambda1 * D^2 >= :func:`li_yau_threshold` (equality counts)."""
+    if not 0 <= lambda1 < math.inf:
+        raise ValueError(f"lambda1 must be nonnegative and finite, got {lambda1}")
     return bool(lambda1 * diameter * diameter >= li_yau_threshold(diameter, kappa, c))

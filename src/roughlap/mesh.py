@@ -392,7 +392,7 @@ def curvature_lp_norm(mesh: TriangleMesh, p: float) -> float:
     with defects up to ``FLAT_DEFECT_TOL`` counted as 0.  Densities are
     divided by their largest, so no power over- or underflows at any scale.
     """
-    if p < 1:
+    if not 1 <= p <= math.inf:  # p = inf is the sup norm
         raise ValueError(f"p must be >= 1, got {p}")
     defects = np.abs(mesh.angle_defects)
     density = np.where(defects > FLAT_DEFECT_TOL, defects, 0.0) / mesh.vertex_areas * 2.0

@@ -370,7 +370,7 @@ def _measured(result: EigenResult, degree: int, manifold) -> spectra.AnalyticSpe
     """A solve's values as a spectrum: kernel-band values are 0.0, and a complex 1-form
     value counts twice; one entry per value, complete below the top one."""
     values = np.where(result.values <= KERNEL_TOL * result.scale, 0.0, result.values)
-    return spectra.AnalyticSpectrum(tuple((float(v), 1 + degree) for v in values),
+    return spectra.AnalyticSpectrum(values, np.full(values.size, 1 + degree),
                                     degree, repr(manifold), float(values[-1]))
 
 
@@ -492,7 +492,7 @@ def check_killing_alternative(ctx: ExperimentContext) -> CheckOutcome:
         sup_ric = 0.0
     z = encode_tangent_field(mesh, conn, field3d)
     rq = rayleigh_quotient(op, mass, z)
-    lambda_min = ctx.oneform_spectrum().entries[0][0]
+    lambda_min = float(ctx.oneform_spectrum().eigenvalues[0])
     abs_slack = KERNEL_TOL * ctx.connection_eigen().scale
     ok_ricci = rq <= sup_ric * (1.0 + KILLING_RQ_TOL) + abs_slack
     ok_minmax = lambda_min <= rq + KILLING_RQ_TOL * max(rq, abs_slack) + abs_slack
@@ -520,7 +520,7 @@ def check_pinching(ctx: ExperimentContext) -> CheckOutcome:
     """
     result = ctx.connection_eigen()
     z = result.vectors[:, 0]
-    lam = ctx.oneform_spectrum().entries[0][0]
+    lam = float(ctx.oneform_spectrum().eigenvalues[0])
     budget = ctx.budget()
     cs = eps = math.inf  # unless they fit in a double
     try:
@@ -622,8 +622,6 @@ def rigidity_implication(lambda1: float, diameter: float, kappa: float,
     reporting one under those conditions fails the gate.  A curvature term
     beyond the largest double is reported as null.
     """
-    if not 0 <= lambda1 < math.inf:
-        raise ValueError(f"lambda1 must be nonnegative and finite, got {lambda1}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     predicate = con.li_yau_predicate(lambda1, diameter, kappa, c)

@@ -490,3 +490,35 @@ def test_gap_branch_overflow_is_a_value_error(consts):
                                          r"give the gap constant Ct=.*overflows"):
         con.oneform_gap_branches(budget(dim=4, p=4.0), consts)
     assert con.oneform_gap_lower_bound(budget(dim=4, p=4.0), AbstractConstants(c0_np=1e-30)) > 0
+
+
+# -- NaN and infinity refused by name -------------------------------------------
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_moser_product_bound_refuses_a_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match=f"gamma must exceed 1 .*got {gamma}"):
+        con.moser_product_bound(1.0, gamma)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_moser_product_converged_refuses_a_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match=f"gamma must exceed 1 .*got {gamma}"):
+        con.moser_product_converged(1.0, gamma)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_epsilon_threshold_refuses_a_non_finite_eigenvalue(lam):
+    with pytest.raises(ValueError, match=f"eigenvalue must be nonnegative .*got {lam}"):
+        con.epsilon_threshold(budget(), lam)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_li_yau_threshold_refuses_a_non_finite_c(c):
+    with pytest.raises(ValueError, match=f"c must be positive .*got {c}"):
+        con.li_yau_threshold(1.0, 0.0, c)
+
+
+@pytest.mark.parametrize("lambda1", [math.nan, math.inf, -1.0])
+def test_li_yau_predicate_refuses_an_eigenvalue_out_of_range(lambda1):
+    with pytest.raises(ValueError, match=f"lambda1 must be nonnegative and finite, got {lambda1}"):
+        con.li_yau_predicate(lambda1, 1.0, 0.0, 1.0)

@@ -329,3 +329,11 @@ def test_build_mesh_dispatch():
     assert M.build_mesh(M.FlatTorus(1.0, 1.0, 3, 3)).n_vertices == 9
     with pytest.raises(M.MeshError):
         M.build_mesh(M.ProductSpec(factors=(M.IcoSphere(1.0, 0), M.FlatTorus(1.0, 1.0, 3, 3))))
+
+
+def test_curvature_norm_refuses_nan_and_keeps_the_sup_norm(sphere_s2):
+    with pytest.raises(ValueError, match="p must be >= 1, got nan"):
+        M.curvature_lp_norm(sphere_s2, math.nan)
+    # p = inf is the largest |Riem| = 2|K| over the vertices
+    density = 2.0 * np.abs(sphere_s2.angle_defects) / sphere_s2.vertex_areas
+    assert M.curvature_lp_norm(sphere_s2, math.inf) == pytest.approx(density.max(), rel=1e-12)

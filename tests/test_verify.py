@@ -870,3 +870,14 @@ def test_reported_outcomes_do_not_fail_suite(tmp_path):
     assert statuses["s:harmonic_alternative"] == "reported"
     assert statuses["s:pinching"] == "reported"
     assert report.failures() == []
+
+
+@pytest.mark.parametrize("manifold", [FlatTorus(TWO_PI, TWO_PI, 8, 8), IcoSphere(1.0, 2)],
+                         ids=["torus", "sphere"])
+def test_measured_spectrum_keeps_one_entry_per_solved_value(manifold):
+    ctx = make_ctx(manifold)
+    for degree, result in ((0, ctx.cotan_eigen()), (1, ctx.connection_eigen())):
+        values = [0.0 if v <= KERNEL_TOL * result.scale else float(v) for v in result.values]
+        spec = V._measured(result, degree, manifold)
+        assert spec.entries == tuple((v, 1 + degree) for v in values)
+        assert spec.cutoff == values[-1] and spec.manifold == repr(manifold)
